@@ -14,9 +14,7 @@ from .assortment import (
     POLICY_STAGE1_ORDER,
     Ranking,
     TwoStageTrace,
-    stage1_rank,
     stage1_threshold,
-    stage2_filter,
     stage2_threshold,
     two_stage_select,
 )
@@ -102,9 +100,7 @@ __all__ = [
     "search_cost",
     "serialize_catalog",
     "simulate",
-    "stage1_rank",
     "stage1_threshold",
-    "stage2_filter",
     "stage2_threshold",
     "substitution_effect",
     "substitution_raises_downstream",

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
+# Review counts are ranked as an int64 column, so they must fit one.
+MAX_REVIEWS = 2**63
+
+
 class CatalogError(ValueError):
     """A catalog document could not be accepted."""
 
@@ -98,8 +102,8 @@ def load_catalog(source: bytes | str) -> Catalog:
     """Parse and validate a catalog document, applying field defaults.
 
     Raises CatalogError on malformed documents, duplicate ids, negative
-    prices, nonzero ratings with zero reviews, shares outside (0, 1], or
-    demand overrides outside (0, 1).
+    prices, review counts outside [0, 2**63), nonzero ratings with zero
+    reviews, shares outside (0, 1], or demand overrides outside (0, 1).
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -148,8 +152,10 @@ def load_catalog(source: bytes | str) -> Catalog:
         reviews = entry["reviews"]
         if isinstance(reviews, bool) or not isinstance(reviews, int):
             raise CatalogError(f"product {pid!r}: reviews must be an integer, got {reviews!r}")
-        if reviews < 0:
-            raise CatalogError(f"product {pid!r}: reviews must be nonnegative, got {reviews}")
+        if not 0 <= reviews < MAX_REVIEWS:
+            raise CatalogError(
+                f"product {pid!r}: reviews must lie in [0, 2**63), got {reviews}"
+            )
         avg_rating = _require_number(entry, "avg_rating", pid)
         if reviews == 0 and avg_rating != 0:
             raise CatalogError(
@@ -237,8 +243,10 @@ def validate_catalog(catalog: Catalog) -> list[str]:
             violations.append(
                 f"product {p.id!r}: revenue_share {p.revenue_share} outside (0, 1]"
             )
-        if p.review_count < 0:
-            violations.append(f"product {p.id!r}: review_count {p.review_count} is negative")
+        if not 0 <= p.review_count < MAX_REVIEWS:
+            violations.append(
+                f"product {p.id!r}: review_count {p.review_count} outside [0, 2**63)"
+            )
         if p.review_count == 0 and p.avg_rating != 0:
             violations.append(
                 f"product {p.id!r}: avg_rating {p.avg_rating} must be 0 when review_count is 0"

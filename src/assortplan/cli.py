@@ -256,6 +256,37 @@ def _cmd_audit(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
+_NUMBER = (int, float)
+
+
+def _config_value(doc: dict, key: str, kinds: tuple[type, ...], what: str, default=None):
+    """``doc[key]``, or ``default`` when absent or null, if it is of one of ``kinds``.
+
+    Nothing is coerced: a float where an integer belongs, a string where a
+    number or boolean belongs, or a number where a boolean belongs is an
+    error (JSON booleans are ints to Python, so they count only as bool).
+    """
+    value = doc.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+        raise ValueError(f"simulation config: {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _config_list(
+    doc: dict, key: str, kinds: tuple[type, ...], what: str, length: int | None = None
+):
+    """``doc[key]`` as a list whose items are all of ``kinds`` (None when absent or null)."""
+    items = _config_value(doc, key, (list,), what)
+    if items is not None and (
+        (length is not None and len(items) != length)
+        or not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items)
+    ):
+        raise ValueError(f"simulation config: {key!r} must be {what}, got {items!r}")
+    return items
+
+
 def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -264,32 +295,31 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     if not isinstance(doc, dict):
         raise ValueError("simulation config must be a JSON object")
     for key in ("horizon", "seed", "span", "prior"):
-        if key not in doc:
+        if doc.get(key) is None:
             raise ValueError(f"simulation config missing required key {key!r}")
-    prior_doc = doc["prior"]
-    if not isinstance(prior_doc, dict):
-        raise ValueError("'prior' must be an object with mean, prior_var, noise_var")
+    prior_doc = _config_value(doc, "prior", (dict,), "an object with mean, prior_var, noise_var")
+    prior_fields = ("mean", "prior_var", "noise_var")
+    for key in prior_fields:
+        if prior_doc.get(key) is None:
+            raise ValueError(f"simulation config: 'prior' missing required key {key!r}")
     prior = BeliefPrior(
-        float(prior_doc["mean"]),
-        float(prior_doc["prior_var"]),
-        float(prior_doc["noise_var"]),
+        *(float(_config_value(prior_doc, key, _NUMBER, "a number")) for key in prior_fields)
     )
-    clamp = None
-    if doc.get("clamp_ratings") is not None:
-        lo, hi = doc["clamp_ratings"]
-        clamp = (float(lo), float(hi))
+    clamp = _config_list(doc, "clamp_ratings", _NUMBER, "a [low, high] number pair", length=2)
+    slate = _config_list(doc, "slate", (str,), "an array of product ids")
+    seed = _config_value(doc, "seed", (int,), "an integer")
     return SimConfig(
-        horizon=int(doc["horizon"]),
-        seed=int(doc["seed"]) if seed_override is None else seed_override,
-        dist=parse_span_spec(doc["span"]),
+        horizon=_config_value(doc, "horizon", (int,), "an integer"),
+        seed=seed if seed_override is None else seed_override,
+        dist=parse_span_spec(_config_value(doc, "span", (str,), "a span spec string")),
         prior=prior,
-        cost=CostModel(float(doc.get("cost_slope", 0.1))),
-        slate=tuple(doc["slate"]) if doc.get("slate") is not None else None,
-        rerank_every=doc.get("rerank_every"),
-        slot_count=doc.get("slot_count"),
-        policy=doc.get("policy", POLICY_STAGE1_ORDER),
-        freeze_beliefs=bool(doc.get("freeze_beliefs", False)),
-        clamp_ratings=clamp,
+        cost=CostModel(float(_config_value(doc, "cost_slope", _NUMBER, "a number", default=0.1))),
+        slate=tuple(slate) if slate is not None else None,
+        rerank_every=_config_value(doc, "rerank_every", (int,), "an integer"),
+        slot_count=_config_value(doc, "slot_count", (int,), "an integer"),
+        policy=_config_value(doc, "policy", (str,), "a policy name", default=POLICY_STAGE1_ORDER),
+        freeze_beliefs=_config_value(doc, "freeze_beliefs", (bool,), "true or false", default=False),
+        clamp_ratings=(float(clamp[0]), float(clamp[1])) if clamp is not None else None,
     )
 
 

@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .assortment import (
+# run_iteration and two_stage_select go unused here, but perfbench/tracing.py
+# wraps them under these module attributes, so they stay importable.
+from .assortment import (  # noqa: F401
     POLICY_STAGE1_ORDER,
+    RankingPool,
     run_iteration,
     two_stage_select,
 )
@@ -155,21 +158,24 @@ def audit_ranking(
     order, with the swap revenue delta quoted; and substitutions relative
     to the compliant slate that raise the next slot's purchase probability
     while strictly losing expected revenue.  The engine's own output always
-    audits clean.
+    audits clean.  The compliant order is ranked once, and only until it has
+    placed every displayed product and its first slot_count slots.
     """
     displayed = list(displayed)
     if len(set(displayed)) != len(displayed):
         raise ValueError(f"displayed slate contains duplicate ids: {displayed}")
     for pid in displayed:
         catalog.get(pid)
+    if slot_count < 1:
+        raise ValueError(f"slot_count must be >= 1, got {slot_count}")
 
     findings: list[AuditFinding] = []
 
     # Threshold replay: pool at slot i is the catalog minus earlier displayed
     # products, matching the elimination order a compliant run would follow.
-    pool = list(catalog.products)
+    replay = RankingPool(catalog.products, policy)
     for slot, pid in enumerate(displayed, start=1):
-        record = run_iteration(pool, policy)
+        record = replay.peek()
         product = catalog.get(pid)
         if record.stage1_order and record.stage1_threshold is not None:
             if product.review_count < record.stage1_threshold:
@@ -200,11 +206,20 @@ def audit_ranking(
                         ),
                     )
                 )
-        pool = [p for p in pool if p.id != pid]
+        replay.remove(pid)
 
-    # Order inversions relative to the full-catalog compliant order.
-    reference_full, _ = two_stage_select(catalog, catalog.universe_size, policy)
-    ref_pos = {pid: i for i, pid in enumerate(reference_full.slots)}
+    # The compliant order, placed only as far as the audit reads it: its
+    # first slot_count picks are the compliant slate, and only the relative
+    # order of displayed products is compared.
+    compliant = RankingPool(catalog.products, policy)
+    unplaced = set(displayed)
+    ref_pos: dict[str, int] = {}
+    while len(compliant) and (unplaced or len(ref_pos) < slot_count):
+        pid = compliant.take().selected
+        ref_pos[pid] = len(ref_pos)
+        unplaced.discard(pid)
+
+    # Order inversions relative to the compliant order.
     if len(displayed) >= 2:
         inputs = resolve_inputs(catalog, displayed, prior=prior, cost=cost, omega=omega)
         for position in range(1, len(displayed)):
@@ -226,8 +241,7 @@ def audit_ranking(
 
     # Substitution signature: a product foreign to the compliant slate that
     # raises the next slot's purchase odds while strictly losing revenue.
-    reference, _ = two_stage_select(catalog, slot_count, policy)
-    ref_slots = reference.slots
+    ref_slots = tuple(ref_pos)[:slot_count]
     ref_inputs = resolve_inputs(catalog, ref_slots, prior=prior, cost=cost, omega=omega)
     ref_probs = cascade_probs(ref_inputs.lambdas).per_slot
     ref_value = expected_revenue(ref_inputs, dist)

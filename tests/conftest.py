@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from assortplan.catalog import Catalog, demo_catalog, serialize_catalog
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no per-example deadline, since machine speed varies.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -6,14 +6,13 @@ import pytest
 
 from assortplan.assortment import (
     POLICY_PRICE_DESC,
-    stage1_rank,
     stage1_threshold,
-    stage2_filter,
     stage2_threshold,
     two_stage_select,
 )
 from assortplan.catalog import Catalog, Product
 from helpers import random_catalog
+from reference_ranker import stage1_rank, stage2_filter
 
 
 def products_of(catalog, ids):

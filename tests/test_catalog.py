@@ -88,6 +88,14 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="reviews"):
             load_catalog(doc([{"id": "X", "price": 1.0, "reviews": 2.5, "avg_rating": 1.0}]))
 
+    def test_review_count_must_fit_int64(self):
+        top = {"id": "X", "price": 1.0, "reviews": 2**63 - 1, "avg_rating": 1.0}
+        assert load_catalog(doc([top])).products[0].review_count == 2**63 - 1
+        for reviews in (2**63, 10**30):
+            with pytest.raises(CatalogError, match="reviews"):
+                load_catalog(doc([{**top, "reviews": reviews}]))
+        assert validate_catalog(Catalog((Product("X", 1.0, 2**63, 1.0),)))
+
     def test_missing_required_key_rejected(self):
         with pytest.raises(CatalogError, match="missing required key"):
             load_catalog(doc([{"id": "X", "price": 1.0, "reviews": 2}]))

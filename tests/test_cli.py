@@ -248,6 +248,29 @@ class TestSimulate:
         assert code == 2
         assert "horizon" in err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"slate": None, "rerank_every": "5", "slot_count": 3}, "rerank_every"),
+            ({"clamp_ratings": 5}, "clamp_ratings"),
+            ({"horizon": 10.9}, "horizon"),
+            ({"slate": "ABF"}, "slate"),
+            ({"freeze_beliefs": "no"}, "freeze_beliefs"),
+            ({"slate": None, "rerank_every": 5, "slot_count": 3.5}, "slot_count"),
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, capsys, demo_path, tmp_path, overrides, key):
+        config = sim_config(tmp_path, **overrides)
+        code, out, err = run(
+            capsys, "simulate", "--catalog", str(demo_path),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_key_rejected(self, capsys, demo_path, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"horizon": 5}), encoding="utf-8")
