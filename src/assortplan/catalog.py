@@ -10,6 +10,7 @@ scale used by report renderers; the engine itself treats ratings as unbounded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,10 +56,12 @@ class BeliefPrior:
     noise_var: float
 
     def __post_init__(self) -> None:
-        if self.prior_var <= 0:
-            raise ValueError(f"prior_var must be positive, got {self.prior_var}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        if not math.isfinite(self.prior_mean):
+            raise ValueError(f"prior_mean must be finite, got {self.prior_mean}")
+        for name in ("prior_var", "noise_var"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def precision_ratio(self) -> float:
@@ -91,17 +94,36 @@ _REQUIRED_KEYS = ("id", "price", "reviews", "avg_rating")
 _OPTIONAL_KEYS = ("omega", "true_quality", "rating_noise", "lambda")
 
 
+def _finite(value) -> float | None:
+    """``value`` as a finite float, or None when it is not a finite number.
+
+    JSON numbers parse to NaN, infinities (``NaN``, ``Infinity``, ``1e400``)
+    and integers too large for a float, none of which is a usable quantity.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return None
+    return None
+
+
 def _require_number(entry: dict, key: str, product_id: str) -> float:
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CatalogError(f"product {product_id!r}: {key} must be a number, got {value!r}")
-    return float(value)
+    number = _finite(entry[key])
+    if number is None:
+        raise CatalogError(
+            f"product {product_id!r}: {key} must be a finite number, got {entry[key]!r}"
+        )
+    return number
 
 
 def load_catalog(source: bytes | str) -> Catalog:
     """Parse and validate a catalog document, applying field defaults.
 
-    Raises CatalogError on malformed documents, duplicate ids, negative
+    Raises CatalogError on malformed documents, duplicate ids, numbers that
+    are not finite (NaN, infinities, integers beyond float range), negative
     prices, review counts outside [0, 2**63), nonzero ratings with zero
     reviews, shares outside (0, 1], or demand overrides outside (0, 1).
     """
@@ -120,13 +142,10 @@ def load_catalog(source: bytes | str) -> Catalog:
     display_scale = None
     if doc.get("display_scale") is not None:
         scale = doc["display_scale"]
-        if (
-            not isinstance(scale, list)
-            or len(scale) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in scale)
-        ):
-            raise CatalogError("'display_scale' must be a [low, high] number pair")
-        display_scale = (float(scale[0]), float(scale[1]))
+        numbers = [_finite(v) for v in scale] if isinstance(scale, list) else []
+        if len(numbers) != 2 or None in numbers:
+            raise CatalogError("'display_scale' must be a [low, high] finite number pair")
+        display_scale = (numbers[0], numbers[1])
 
     products: list[Product] = []
     seen: set[str] = set()
@@ -225,6 +244,11 @@ def serialize_catalog(catalog: Catalog) -> str:
     return json.dumps(doc, indent=2)
 
 
+_NUMERIC_FIELDS = (
+    "price", "avg_rating", "revenue_share", "true_quality", "rating_noise", "demand_override",
+)
+
+
 def validate_catalog(catalog: Catalog) -> list[str]:
     """Check every product invariant; returns one description per violation.
 
@@ -232,11 +256,19 @@ def validate_catalog(catalog: Catalog) -> list[str]:
     clean.  Each entry names the product id and the offending field.
     """
     violations: list[str] = []
+    if catalog.display_scale is not None and not all(
+        math.isfinite(v) for v in catalog.display_scale
+    ):
+        violations.append(f"display_scale {catalog.display_scale} is not finite")
     seen: set[str] = set()
     for p in catalog.products:
         if p.id in seen:
             violations.append(f"product {p.id!r}: id duplicates an earlier product")
         seen.add(p.id)
+        for field in _NUMERIC_FIELDS:
+            value = getattr(p, field)
+            if value is not None and not math.isfinite(value):
+                violations.append(f"product {p.id!r}: {field} {value} is not finite")
         if p.price < 0:
             violations.append(f"product {p.id!r}: price {p.price} is negative")
         if not 0 < p.revenue_share <= 1:

@@ -21,6 +21,7 @@ Simulate writes ``trace.tsv`` (tab-separated, one line per customer) and
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -100,7 +101,10 @@ def parse_prior_spec(spec: str) -> BeliefPrior:
 
 
 def _read_catalog(path: str) -> tuple[Catalog, str]:
-    data = Path(path).read_bytes()
+    # Plain open(), not pathlib: pathlib interns every path part, and that
+    # churn grows a long-lived process that serves many requests.
+    with open(path, "rb") as handle:
+        data = handle.read()
     return load_catalog(data), hashlib.sha256(data).hexdigest()
 
 
@@ -420,8 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing never changes it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

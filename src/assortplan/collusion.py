@@ -99,17 +99,19 @@ def substitution_effect(
     downstream_after = probs_after[slot:]
 
     idx = slot - 1
+    revenue_before = expected_revenue_fixed(before, span)
+    revenue_after = expected_revenue_fixed(after, span)
     return SwapAnalysis(
         target_slot=slot,
         prob_before=downstream_before[0] if downstream_before else None,
         prob_after=downstream_after[0] if downstream_after else None,
         downstream_before=downstream_before,
         downstream_after=downstream_after,
-        revenue_before=expected_revenue_fixed(before, span),
-        revenue_after=expected_revenue_fixed(after, span),
+        revenue_before=revenue_before,
+        revenue_after=revenue_after,
         middle_term_before=before.lambdas[idx] * before.prices[idx] * before.omegas[idx],
         middle_term_after=after.lambdas[idx] * after.prices[idx] * after.omegas[idx],
-        exact_delta=expected_revenue_fixed(after, span) - expected_revenue_fixed(before, span),
+        exact_delta=revenue_after - revenue_before,
     )
 
 

@@ -29,8 +29,8 @@ class CostModel:
     slope: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.slope < 0:
-            raise ValueError(f"cost slope must be nonnegative, got {self.slope}")
+        if not 0 <= self.slope < math.inf:
+            raise ValueError(f"cost slope must be nonnegative and finite, got {self.slope}")
 
 
 @dataclass(frozen=True)

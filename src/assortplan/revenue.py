@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .catalog import BeliefPrior, Catalog
 from .demand import CostModel, purchase_prob
@@ -21,6 +22,13 @@ from .demand import CostModel, purchase_prob
 ENUMERATION_LIMIT = 50_000_000
 MAX_UNIVERSE = 12
 MAX_SLOTS = 8
+
+# Parent slates one step of the oracle's walk extends together.
+_BLOCK = 512
+# The walk packs a slate into one int64, this many bits per slot.
+_CODE_BITS = 4
+_CODE_MASK = (1 << _CODE_BITS) - 1
+assert MAX_UNIVERSE <= _CODE_MASK + 1 and MAX_SLOTS * _CODE_BITS < 63
 
 _PMF_TOL = 1e-12
 _FORM_AGREEMENT_TOL = 1e-10
@@ -62,8 +70,8 @@ class AttentionSpanDist:
         for span, prob in items:
             if not isinstance(span, int) or span < 1:
                 raise ValueError(f"span values must be integers >= 1, got {span!r}")
-            if prob < 0:
-                raise ValueError(f"span probability must be nonnegative, got {prob}")
+            if not 0 <= prob < math.inf:
+                raise ValueError(f"span probability must be nonnegative and finite, got {prob}")
             total += prob
         if abs(total - 1.0) > _PMF_TOL:
             raise ValueError(f"span probabilities must sum to 1, got {total!r}")
@@ -168,9 +176,10 @@ def _mixture_value(
 ) -> float:
     """Span-pmf mixture of fixed-span revenues, via cumulative slot values.
 
-    Shared by expected_revenue and the brute-force enumeration so that
-    optimizer comparisons and reported slate values ride the identical
-    arithmetic path.
+    The exact scorer: expected_revenue reports it, and brute_force_optimize
+    re-scores every candidate of its approximate walk with it, so optimizer
+    comparisons and reported slate values ride the identical arithmetic
+    path.
     """
     cumulative = [0.0]
     prefix = 1.0
@@ -226,6 +235,123 @@ class OptimizeResult:
     gap: float | None = None
 
 
+def _lambda_table(
+    catalog: Catalog,
+    ids: Sequence[str],
+    depth: int,
+    prior: BeliefPrior | None,
+    cost: CostModel,
+) -> list[list[float]]:
+    """Demand of every product at slots 1..depth, as ``table[slot - 1][index]``.
+
+    Demand depends only on (product, slot).  The table is filled in the
+    order a lexicographic walk over the slates first reaches each pair, so
+    utility-scale warnings come out in that order: for slot s, the indices
+    s-1..n-1 ascending, then s-2..0 descending.
+    """
+    table = [[0.0] * len(ids) for _ in range(depth)]
+    for slot in range(1, depth + 1):
+        for i in [*range(slot - 1, len(ids)), *range(slot - 2, -1, -1)]:
+            table[slot - 1][i] = purchase_prob(catalog.get(ids[i]), prior, slot, cost)
+    return table
+
+
+def _slate_blocks(
+    lam: list[list[float]],
+    prices: Sequence[float],
+    shares: Sequence[float],
+    dist: AttentionSpanDist,
+    depth: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Walk the ordered-slate tree depth first, extending _BLOCK parents at a time.
+
+    Yields ``(length, codes, approx)`` for every block of children: their
+    slate length, their slates packed _CODE_BITS bits per slot (first slot
+    highest) and approximate span-mixture values.  Each node carries its
+    used-product bitmask, the no-purchase mass ``pre`` and the cumulative
+    revenue ``run``, updated in the scalar code's operation order, so
+    ``run`` equals `_mixture_value`'s cumulative value bit for bit.
+    ``fixed`` holds the pmf mass times the cumulative value at every span
+    the slate has passed; adding the remaining tail mass times ``run`` gives
+    the approximation.  Memory stays bounded by _BLOCK times depth.
+    """
+    count = len(prices)
+    lam_table = np.array(lam, dtype=float)
+    price = np.array(prices, dtype=float)
+    share = np.array(shares, dtype=float)
+    onehot = np.left_shift(1, np.arange(count, dtype=np.int64))
+    mass = dict(dist.pmf)
+    head = [mass.get(d, 0.0) for d in range(depth)]
+    tail = [dist.tail(m) for m in range(depth + 1)]
+
+    def walk(d, used, pre, run, fixed, codes):
+        for lo in range(0, len(used), _BLOCK):
+            parent, item = np.nonzero((used[lo : lo + _BLOCK, None] & onehot) == 0)
+            parent += lo
+            lam_c = lam_table[d, item]
+            pre_p = pre[parent]
+            run_c = run[parent] + pre_p * lam_c * price[item] * share[item]
+            fixed_c = fixed[parent] + head[d] * run[parent]
+            codes_c = (codes[parent] << _CODE_BITS) | item
+            yield d + 1, codes_c, fixed_c + tail[d + 1] * run_c
+            if d + 1 < depth:
+                yield from walk(
+                    d + 1, used[parent] | onehot[item], pre_p * (1.0 - lam_c),
+                    run_c, fixed_c, codes_c,
+                )
+
+    root = np.zeros(1, dtype=np.int64)
+    yield from walk(0, root, np.ones(1), np.zeros(1), np.zeros(1), root)
+
+
+# Infinite prices (Product accepts them) give inf and NaN approximations.
+@np.errstate(invalid="ignore", over="ignore")
+def _best_slate(
+    ids: Sequence[str],
+    lam: list[list[float]],
+    prices: Sequence[float],
+    shares: Sequence[float],
+    dist: AttentionSpanDist,
+    depth: int,
+) -> tuple[float, tuple[str, ...], int]:
+    """The best (value, slate) by the exact score and the number of slates walked.
+
+    Each approximation lies within (len(pmf) + 4) ulps, relative, of the
+    exact fsum value (every term is >= 0), so the slate with the largest
+    exact value never falls below the running maximum of approximations
+    times 1 - (2 * len(pmf) + 10) * 2**-53.  The margin doubles that, and
+    only the slates above it are re-scored.
+    """
+    margin = (4 * len(dist.pmf) + 16) * 2.0**-53
+    running_max = -math.inf
+    best_value = -math.inf
+    best_slate: tuple[str, ...] = ()
+    enumerated = 0
+    for length, codes, approx in _slate_blocks(lam, prices, shares, dist, depth):
+        enumerated += len(approx)
+        if length > dist.max_span:
+            # Worth exactly its prefix of length max_span, which sorts first.
+            continue
+        top = float(approx.max(where=np.isfinite(approx), initial=-math.inf))
+        running_max = max(running_max, top)
+        # NaN compares false, so a non-finite approximation is always re-scored.
+        candidates = ~(approx < running_max * (1.0 - margin))
+        shifts = range(_CODE_BITS * (length - 1), -1, -_CODE_BITS)
+        for code in codes[candidates].tolist():
+            row = [code >> shift & _CODE_MASK for shift in shifts]
+            slate = tuple(ids[i] for i in row)
+            value = _mixture_value(
+                [lam[slot][i] for slot, i in enumerate(row)],
+                [prices[i] for i in row],
+                [shares[i] for i in row],
+                dist,
+            )
+            if value > best_value or (value == best_value and slate < best_slate):
+                best_value = value
+                best_slate = slate
+    return best_value, best_slate, enumerated
+
+
 def enumeration_count(universe: int, slot_count: int) -> int:
     """Number of nonempty ordered slates of at most slot_count products."""
     return sum(math.perm(universe, m) for m in range(1, min(slot_count, universe) + 1))
@@ -244,8 +370,11 @@ def brute_force_optimize(
 
     Enumerates all nonempty ordered selections of at most slot_count
     products; ties break toward the lexicographically smallest id sequence,
-    so the result is independent of evaluation order.  Refuses universes
-    beyond the guard limits rather than truncating silently.
+    so the result is independent of evaluation order.  A blocked numpy walk
+    approximates every slate's value; the slates within a proven margin of
+    the best approximation are re-scored by the exact `_mixture_value`, which
+    alone decides.  Refuses universes beyond the guard limits rather than
+    truncating silently.
     """
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
@@ -264,31 +393,14 @@ def brute_force_optimize(
 
     cost = cost if cost is not None else CostModel()
     ids = [p.id for p in catalog.products]
-    # Demand depends only on (product, slot), so cache the logit evaluations.
-    lam_cache: dict[tuple[str, int], float] = {}
+    depth = min(slot_count, size)
+    lam = _lambda_table(catalog, ids, depth, prior, cost)
+    products = [catalog.get(pid) for pid in ids]
+    prices = [p.price for p in products]
+    shares = [omega if omega is not None else p.revenue_share for p in products]
 
-    def lam_at(pid: str, slot: int) -> float:
-        key = (pid, slot)
-        if key not in lam_cache:
-            lam_cache[key] = purchase_prob(catalog.get(pid), prior, slot, cost)
-        return lam_cache[key]
-
-    price = {p.id: p.price for p in catalog.products}
-    share = {p.id: (omega if omega is not None else p.revenue_share) for p in catalog.products}
-
-    best_value = -math.inf
-    best_slate: tuple[str, ...] = ()
-    enumerated = 0
-    for m in range(1, min(slot_count, size) + 1):
-        for perm in permutations(ids, m):
-            enumerated += 1
-            lams = [lam_at(pid, slot) for slot, pid in enumerate(perm, start=1)]
-            value = _mixture_value(
-                lams, [price[p] for p in perm], [share[p] for p in perm], dist
-            )
-            if value > best_value or (value == best_value and perm < best_slate):
-                best_value = value
-                best_slate = perm
+    best_value, best_slate, enumerated = _best_slate(ids, lam, prices, shares, dist, depth)
+    assert enumerated == count, (enumerated, count)
 
     compare_value = None
     gap = None

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -96,6 +98,22 @@ class TestLoadCatalog:
                 load_catalog(doc([{**top, "reviews": reviews}]))
         assert validate_catalog(Catalog((Product("X", 1.0, 2**63, 1.0),)))
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "key", ["price", "avg_rating", "omega", "true_quality", "rating_noise", "lambda"]
+    )
+    def test_non_finite_number_rejected(self, key, text):
+        # json parses these to NaN, infinities and an int beyond float range.
+        entry = {"id": "X", "price": 1.0, "reviews": 1, "avg_rating": 2.0, key: 0.5}
+        raw = doc([entry]).replace(f'"{key}": 0.5', f'"{key}": {text}')
+        with pytest.raises(CatalogError, match=f"{key} must be a finite number"):
+            load_catalog(raw)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_display_scale_rejected(self, text):
+        with pytest.raises(CatalogError, match="display_scale"):
+            load_catalog(doc([]).replace("]", f"], \"display_scale\": [1, {text}]", 1))
+
     def test_missing_required_key_rejected(self):
         with pytest.raises(CatalogError, match="missing required key"):
             load_catalog(doc([{"id": "X", "price": 1.0, "reviews": 2}]))
@@ -172,6 +190,18 @@ class TestValidateCatalog:
             (Product(id="X", price=1.0, review_count=1, avg_rating=2.0, demand_override=1.0),)
         )
         assert any("demand_override" in v for v in validate_catalog(catalog))
+
+    @pytest.mark.parametrize(
+        "field",
+        ["price", "avg_rating", "revenue_share", "true_quality", "rating_noise", "demand_override"],
+    )
+    def test_non_finite_numbers_flagged(self, field):
+        product = Product(id="X", price=1.0, review_count=1, avg_rating=2.0)
+        for value in (math.nan, math.inf):
+            violations = validate_catalog(Catalog((replace(product, **{field: value}),)))
+            assert any(f"{field} {value} is not finite" in v for v in violations)
+        scale = Catalog((product,), display_scale=(1.0, math.nan))
+        assert validate_catalog(scale) == ["display_scale (1.0, nan) is not finite"]
 
     def test_loaded_documents_validate_clean(self):
         raw = serialize_catalog(demo_catalog())

@@ -282,6 +282,64 @@ class TestSimulate:
         assert "missing required key" in err
 
 
+class TestNonFiniteInput:
+    OPTIMIZE = ("optimize", "--slots", "3", "--span", "y=3")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*OPTIMIZE[:3], "--span", "pmf=1:nan"),
+            (*OPTIMIZE[:3], "--span", "pmf=2:1,3:nan"),
+            (*OPTIMIZE, "--cost-slope", "nan"),
+            (*OPTIMIZE, "--cost-slope", "inf"),
+            (*OPTIMIZE, "--prior", "nan,1,1"),
+            (*OPTIMIZE, "--prior", "3,inf,1"),
+            (*OPTIMIZE, "--prior", "3,1,nan"),
+            ("expected-revenue", "--slate", "A,B", "--span", "pmf=1:nan,2:1"),
+            ("audit", "--displayed", "A,B,F", "--span", "y=3", "--cost-slope", "nan"),
+        ],
+    )
+    def test_non_finite_flag_rejected(self, capsys, demo_path, argv):
+        code, out, err = run(capsys, argv[0], "--catalog", str(demo_path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"span": "pmf=1:nan,3:1"},
+            {"cost_slope": float("nan")},
+            {"prior": {"mean": float("nan"), "prior_var": 1.0, "noise_var": 1.0}},
+            {"prior": {"mean": 0.0, "prior_var": float("inf"), "noise_var": 1.0}},
+        ],
+    )
+    def test_non_finite_config_rejected(self, capsys, demo_path, tmp_path, overrides):
+        config = sim_config(tmp_path, **overrides)
+        code, out, err = run(
+            capsys, "simulate", "--catalog", str(demo_path),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_catalog_price_rejected(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(
+            '{"products": [{"id": "A", "price": NaN, "reviews": 1, "avg_rating": 2.0, '
+            '"lambda": 0.5}]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys, "optimize", "--catalog", str(path), "--slots", "1", "--span", "y=1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: product 'A': price must be a finite number, got nan\n"
+
+
 class TestManifest:
     def test_digest_tracks_catalog_bytes(self, capsys, demo_path, write_catalog):
         def manifest_of(path):

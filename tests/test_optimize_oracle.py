@@ -1,0 +1,225 @@
+"""The blocked brute-force optimizer against the scalar oracle.
+
+``reference_oracle`` scores every ordered slate from scratch; every test
+here requires the engine to return the same slate, bit-equal values, the
+same enumeration count and the same warnings.
+"""
+
+from __future__ import annotations
+
+import math
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import reference_oracle as ref
+from assortplan.catalog import BeliefPrior, Catalog, Product
+from assortplan.demand import UTILITY_SCALE_WARN, CostModel
+from assortplan.revenue import (
+    AttentionSpanDist,
+    EnumerationGuardError,
+    brute_force_optimize,
+    enumeration_count,
+)
+
+# Product accepts an infinite price (load_catalog does not): cumulative
+# revenues become infinite, and NaN where a span has zero mass.
+PRICES = st.sampled_from([0.0, 0.1, 0.7, 1.1, 2.3, 10.0, math.inf]) | st.floats(0.0, 100.0)
+DEMANDS = st.sampled_from([0.2, 0.5, 0.999]) | st.floats(0.001, 0.999)
+
+
+def _bits(value: float | None) -> str | None:
+    return None if value is None else value.hex()
+
+
+def _run(solver, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = solver(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+def assert_matches_oracle(catalog: Catalog, slots: int, dist: AttentionSpanDist, **kwargs):
+    engine, engine_warnings = _run(brute_force_optimize, catalog, slots, dist, **kwargs)
+    oracle, oracle_warnings = _run(ref.brute_force_optimize, catalog, slots, dist, **kwargs)
+    assert engine.slate == oracle.slate
+    assert _bits(engine.value) == _bits(oracle.value)
+    assert _bits(engine.compare_value) == _bits(oracle.compare_value)
+    assert _bits(engine.gap) == _bits(oracle.gap)
+    assert engine.enumerated == oracle.enumerated == enumeration_count(len(catalog.products), slots)
+    assert engine_warnings == oracle_warnings
+    return engine
+
+
+@st.composite
+def catalogs(draw, pinned: bool) -> Catalog:
+    """Up to 7 products (twins included), so a slot count above n is common."""
+    mode = draw(st.sampled_from(["mixed", "mixed", "zero-prices"]))
+    ids = draw(st.lists(st.text("ABCab", min_size=1, max_size=2), min_size=1, max_size=5, unique=True))
+    products = [
+        Product(
+            id=pid,
+            price=0.0 if mode == "zero-prices" else draw(PRICES),
+            review_count=draw(st.integers(0, 50)),
+            avg_rating=draw(st.floats(0.0, 5.0)),
+            revenue_share=draw(st.sampled_from([1.0, 0.5]) | st.floats(0.05, 1.0)),
+            demand_override=draw(DEMANDS) if pinned else draw(st.none() | DEMANDS),
+        )
+        for pid in ids
+    ]
+    # Twins (an id outside the alphabet) tie exactly with their originals.
+    twins = draw(st.lists(st.sampled_from(products), max_size=2, unique_by=lambda p: p.id))
+    products += [Product(**{**vars(p), "id": p.id + "t"}) for p in twins]
+    order = draw(st.permutations(products))
+    return Catalog(tuple(order))
+
+
+@st.composite
+def spans(draw) -> AttentionSpanDist:
+    """A point mass, or a pmf with zero-mass entries and spans past the slot count."""
+    if draw(st.booleans()):
+        return AttentionSpanDist.deterministic(draw(st.integers(1, 7)))
+    weights = draw(st.dictionaries(st.integers(1, 8), st.integers(0, 3), min_size=1, max_size=4))
+    if not any(weights.values()):
+        weights[min(weights)] = 1
+    total = sum(weights.values())
+    return AttentionSpanDist.from_pmf({y: w / total for y, w in weights.items()})
+
+
+@st.composite
+def problems(draw) -> tuple:
+    pinned = draw(st.booleans())
+    catalog = draw(catalogs(pinned))
+    ids = [p.id for p in catalog.products]
+    kwargs = {
+        "omega": draw(st.none() | st.sampled_from([1.0, 0.3])),
+        "compare": draw(st.none() | st.permutations(ids).map(lambda p: p[: max(1, len(p) // 2)])),
+    }
+    if not pinned:
+        kwargs["prior"] = BeliefPrior(draw(st.floats(-2.0, 6.0)), 1.0, 4.0)
+        kwargs["cost"] = CostModel(draw(st.sampled_from([0.0, 0.1, 0.25])))
+    return catalog, draw(st.integers(1, 6)), draw(spans()), kwargs
+
+
+@given(problems())
+def test_engine_matches_oracle(problem):
+    catalog, slots, dist, kwargs = problem
+    assert_matches_oracle(catalog, slots, dist, **kwargs)
+
+
+def _pinned(*rows: tuple) -> Catalog:
+    """Rows of (id, price, pinned demand)."""
+    return Catalog(
+        tuple(
+            Product(id=pid, price=price, review_count=1, avg_rating=1.0, demand_override=lam)
+            for pid, price, lam in rows
+        )
+    )
+
+
+def test_all_zero_prices_pick_the_smallest_single_slate():
+    catalog = _pinned(("b", 0.0, 0.3), ("a", 0.0, 0.6), ("c", 0.0, 0.5))
+    result = assert_matches_oracle(catalog, 3, AttentionSpanDist.deterministic(3))
+    assert result.slate == ("a",)
+    assert result.value == 0.0
+
+
+def test_twins_tie_across_lengths():
+    # A span of 1 makes every slate worth its first product alone.
+    catalog = _pinned(("Y", 10.0, 0.5), ("X", 10.0, 0.5), ("Z", 4.0, 0.9))
+    result = assert_matches_oracle(catalog, 3, AttentionSpanDist.deterministic(1))
+    assert result.slate == ("X",)
+    result = assert_matches_oracle(catalog, 3, AttentionSpanDist.deterministic(3))
+    assert result.slate[0] == "X"
+
+
+def test_exact_tie_with_unequal_approximations():
+    # (A, B) and (B, A) are worth exactly the same, but a plain float sum of
+    # the three span terms puts (B, A) one ulp ahead; the exact re-scoring
+    # and the id order must still pick (A, B).
+    catalog = _pinned(("A", 0.1, 0.3), ("B", 0.1, 0.9))
+    result = assert_matches_oracle(catalog, 3, AttentionSpanDist.from_pmf({2: 0.2, 3: 0.4, 4: 0.4}))
+    assert result.slate == ("A", "B")
+
+
+def test_infinite_approximation_does_not_hide_a_finite_winner():
+    # X's infinite price makes every slate holding it NaN (the zero-mass span
+    # 3 multiplies an infinite cumulative value), yet the approximation of
+    # (X,) is +inf; the finite (Y,) must still win.
+    catalog = _pinned(("X", math.inf, 0.5), ("Y", 1.0, 0.5))
+    result = assert_matches_oracle(catalog, 2, AttentionSpanDist.from_pmf({2: 1.0, 3: 0.0}))
+    assert result.slate == ("Y",)
+
+
+def test_fewer_products_than_slots():
+    catalog = _pinned(("B", 3.0, 0.4), ("A", 5.0, 0.2))
+    result = assert_matches_oracle(catalog, 6, AttentionSpanDist.from_pmf({1: 0.5, 9: 0.5}))
+    assert result.enumerated == 4
+
+
+def test_benchmark_sized_random_catalogs():
+    rng = np.random.default_rng(7)
+    prior = BeliefPrior(3.0, 1.0, 4.0)
+    for size in (9, 10):
+        products = tuple(
+            Product(
+                id=f"P{i:02d}",
+                price=float(rng.uniform(1.0, 5.0)),
+                review_count=int(rng.integers(1, 5000)),
+                avg_rating=float(rng.uniform(1.0, 5.0)),
+                revenue_share=float(rng.uniform(0.05, 1.0)),
+                demand_override=float(rng.uniform(0.01, 0.99)) if size == 10 else None,
+            )
+            for i in rng.permutation(size)
+        )
+        dist = AttentionSpanDist.from_pmf({2: 0.3, 4: 0.3, 5: 0.4})
+        assert_matches_oracle(Catalog(products), 5, dist, prior=prior, cost=CostModel(0.2))
+
+
+def test_utility_scale_warnings_match_oracle_order():
+    # Prices far off the rating scale push every utility past the warning level.
+    catalog = Catalog(
+        tuple(
+            Product(id=pid, price=price, review_count=10, avg_rating=4.0)
+            for pid, price in (("C", 90.0), ("A", 120.0), ("B", 70.0), ("D", 2.0))
+        )
+    )
+    prior = BeliefPrior(3.0, 1.0, 4.0)
+    dist = AttentionSpanDist.deterministic(3)
+    _, engine_warnings = _run(brute_force_optimize, catalog, 3, dist, prior=prior)
+    _, oracle_warnings = _run(ref.brute_force_optimize, catalog, 3, dist, prior=prior)
+    assert len(engine_warnings) == 9
+    assert all(f"+/-{UTILITY_SCALE_WARN}" in message for message in engine_warnings)
+    assert engine_warnings == oracle_warnings
+
+
+@pytest.mark.parametrize("size, slots", [(13, 3), (4, 9)])
+def test_guard_matches_oracle(size, slots):
+    catalog = _pinned(*((f"P{i:02d}", 1.0, 0.5) for i in range(size)))
+    dist = AttentionSpanDist.deterministic(3)
+    with pytest.raises(EnumerationGuardError) as engine:
+        brute_force_optimize(catalog, slots, dist)
+    with pytest.raises(EnumerationGuardError) as oracle:
+        ref.brute_force_optimize(catalog, slots, dist)
+    assert str(engine.value) == str(oracle.value)
+    assert engine.value.count == oracle.value.count == enumeration_count(size, slots)
+
+
+def test_memory_does_not_grow_with_slate_count():
+    # n=12, k=6 has 665,280 slates of length 6; holding one level of them
+    # (a few float64 and int64 columns) would need well over 16 MB.
+    rng = np.random.default_rng(12)
+    catalog = _pinned(
+        *((f"P{i:02d}", float(rng.uniform(1.0, 100.0)), float(rng.uniform(0.01, 0.99))) for i in range(12))
+    )
+    tracemalloc.start()
+    try:
+        result = brute_force_optimize(catalog, 6, AttentionSpanDist.deterministic(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.enumerated == enumeration_count(12, 6)
+    assert peak < 16 * 2**20
