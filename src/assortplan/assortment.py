@@ -122,6 +122,36 @@ class TwoStageTrace:
         ]
 
 
+class RankingColumns:
+    """The inputs of a two-stage ranking as numpy columns in product-id order.
+
+    ``rating`` and ``reviews`` may be rewritten in place between rankings
+    (the simulator writes each purchase's review state into them); every
+    ``RankingPool`` built from the columns sorts them afresh.  Price and
+    pinned demand are fixed, so the price-desc rank of each product is
+    computed once.
+    """
+
+    def __init__(self, products: Sequence[Product], policy: str = POLICY_STAGE1_ORDER):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown ordering policy {policy!r}")
+        if not products:
+            raise ValueError("iteration pool is empty")
+        self.policy = policy
+        products = sorted(products, key=lambda p: p.id)
+        self.ids = np.array([p.id for p in products], dtype=object)
+        self.rating = np.array([p.avg_rating for p in products], dtype=np.float64)
+        self.reviews = np.array([p.review_count for p in products], dtype=np.int64)
+        self.price = np.array([p.price for p in products], dtype=np.float64)
+        self.price_desc_rank: np.ndarray | None = None
+        if policy == POLICY_PRICE_DESC:
+            # Each product's rank under (price desc, pinned demand desc, id asc);
+            # lexsort is stable and the columns list ids ascending.
+            demand = np.array([p.demand_override or 0.0 for p in products], dtype=np.float64)
+            self.price_desc_rank = np.empty(len(products), dtype=np.intp)
+            self.price_desc_rank[np.lexsort((-demand, -self.price))] = np.arange(len(products))
+
+
 class RankingPool:
     """The products a two-stage ranking has yet to place, as sorted columns.
 
@@ -138,31 +168,17 @@ class RankingPool:
     entry is taken.
     """
 
-    def __init__(self, products: Sequence[Product], policy: str = POLICY_STAGE1_ORDER):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown ordering policy {policy!r}")
-        if not products:
-            raise ValueError("iteration pool is empty")
-        self.policy = policy
-        ids = [p.id for p in products]
-        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-        rating = np.array([p.avg_rating for p in products], dtype=np.float64)[by_id]
-        reviews = np.array([p.review_count for p in products], dtype=np.int64)[by_id]
-        # lexsort is stable and by_id lists ids ascending, so id breaks ties;
-        # the sort position in by_id is each column's id rank.
-        id_rank = np.lexsort((-reviews, -rating))
-        index = by_id[id_rank]
-        self.ids = np.array(ids, dtype=object)[index]
-        self.rating = rating[id_rank]
-        self.reviews = reviews[id_rank]
-        self.price = np.array([p.price for p in products], dtype=np.float64)[index]
-        self.alive = np.ones(len(ids), dtype=bool)
-        if policy == POLICY_PRICE_DESC:
-            # Each column's rank under (price desc, pinned demand desc, id asc).
-            demand = np.array([p.demand_override or 0.0 for p in products], dtype=np.float64)
-            order = np.lexsort((id_rank, -demand[index], -self.price))
-            self.price_desc_rank = np.empty(len(ids), dtype=np.intp)
-            self.price_desc_rank[order] = np.arange(len(ids))
+    def __init__(self, columns: RankingColumns):
+        self.policy = columns.policy
+        # lexsort is stable and the columns list ids ascending, so id breaks ties.
+        order = np.lexsort((-columns.reviews, -columns.rating))
+        self.ids = columns.ids[order]
+        self.rating = columns.rating[order]
+        self.reviews = columns.reviews[order]
+        self.price = columns.price[order]
+        self.alive = np.ones(len(order), dtype=bool)
+        if columns.price_desc_rank is not None:
+            self.price_desc_rank = columns.price_desc_rank[order]
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.alive))
@@ -213,7 +229,7 @@ class RankingPool:
 
 def run_iteration(pool: Sequence[Product], policy: str = POLICY_STAGE1_ORDER) -> IterationRecord:
     """Run one selection round over a pool of remaining products."""
-    return RankingPool(pool, policy).peek()
+    return RankingPool(RankingColumns(pool, policy)).peek()
 
 
 def two_stage_select(
@@ -232,7 +248,7 @@ def two_stage_select(
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
     if not catalog.products:
         raise ValueError("catalog is empty")
-    pool = RankingPool(catalog.products, policy)
+    pool = RankingPool(RankingColumns(catalog.products, policy))
     iterations = tuple(pool.take() for _ in range(min(slot_count, catalog.universe_size)))
     slots = tuple(rec.selected for rec in iterations)
     return Ranking(slots, slot_count), TwoStageTrace(iterations)

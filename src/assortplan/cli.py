@@ -441,7 +441,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (CatalogError, ValueError, KeyError, OSError) as exc:
+    except OSError as exc:
+        # An OSError's first argument is its errno: print the reason and the path.
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return EXIT_INPUT
+    except (CatalogError, ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT

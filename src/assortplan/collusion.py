@@ -18,6 +18,7 @@ from typing import Sequence
 # wraps them under these module attributes, so they stay importable.
 from .assortment import (  # noqa: F401
     POLICY_STAGE1_ORDER,
+    RankingColumns,
     RankingPool,
     run_iteration,
     two_stage_select,
@@ -175,7 +176,8 @@ def audit_ranking(
 
     # Threshold replay: pool at slot i is the catalog minus earlier displayed
     # products, matching the elimination order a compliant run would follow.
-    replay = RankingPool(catalog.products, policy)
+    columns = RankingColumns(catalog.products, policy)
+    replay = RankingPool(columns)
     for slot, pid in enumerate(displayed, start=1):
         record = replay.peek()
         product = catalog.get(pid)
@@ -213,7 +215,7 @@ def audit_ranking(
     # The compliant order, placed only as far as the audit reads it: its
     # first slot_count picks are the compliant slate, and only the relative
     # order of displayed products is compared.
-    compliant = RankingPool(catalog.products, policy)
+    compliant = RankingPool(columns)
     unplaced = set(displayed)
     ref_pos: dict[str, int] = {}
     while len(compliant) and (unplaced or len(ref_pos) < slot_count):

@@ -79,11 +79,11 @@ class TestRank:
         assert out.splitlines()[0] == "A B J"
 
     def test_missing_catalog_file(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "rank", "--catalog", str(tmp_path / "nope.json"), "--slots", "3"
-        )
+        path = tmp_path / "nope.json"
+        code, out, err = run(capsys, "rank", "--catalog", str(path), "--slots", "3")
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert err == f"error: No such file or directory: {path}\n"
 
     def test_malformed_catalog(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -270,6 +270,41 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(key) in err
         assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file(self, capsys, demo_path, tmp_path):
+        path = tmp_path / "nope.json"
+        code, out, err = run(
+            capsys, "simulate", "--catalog", str(demo_path),
+            "--config", str(path), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: No such file or directory: {path}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_review_count_overflow_before_rerank_names_product(self, capsys, tmp_path):
+        # X (demand 0.999) is bought by the first customer, so its count passes
+        # 2**63 - 1 before the second re-rank, which needs it in an int64 column.
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"products": [
+            {"id": "X", "price": 1.0, "reviews": 2**63 - 1, "avg_rating": 3.0,
+             "lambda": 0.999, "true_quality": 3.0, "rating_noise": 0.5},
+            {"id": "Y", "price": 1.0, "reviews": 5, "avg_rating": 2.0, "lambda": 0.5},
+        ]}), encoding="utf-8")
+        config = sim_config(
+            tmp_path, slate=None, rerank_every=2, slot_count=1, horizon=3,
+            span="y=1", freeze_beliefs=False,
+        )
+        code, out, err = run(
+            capsys, "simulate", "--catalog", str(path),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: product 'X': simulated review count {2**63} exceeds the "
+            f"re-ranking limit of {2**63 - 1}\n"
+        )
 
     def test_missing_config_key_rejected(self, capsys, demo_path, tmp_path):
         path = tmp_path / "sim.json"
