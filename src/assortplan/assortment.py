@@ -125,31 +125,35 @@ class TwoStageTrace:
 class RankingColumns:
     """The inputs of a two-stage ranking as numpy columns in product-id order.
 
-    ``rating`` and ``reviews`` may be rewritten in place between rankings
-    (the simulator writes each purchase's review state into them); every
-    ``RankingPool`` built from the columns sorts them afresh.  Price and
-    pinned demand are fixed, so the price-desc rank of each product is
+    Built from a catalog's columns with one sort of the ids; no ``Product``
+    is read.  The columns are copies, so ``rating`` and ``reviews`` may be
+    rewritten in place between rankings (the simulator writes each
+    purchase's review state into them) while the catalog stays as it was;
+    every ``RankingPool`` built from the columns sorts them afresh.  Price
+    and pinned demand are fixed, so the price-desc rank of each product is
     computed once.
     """
 
-    def __init__(self, products: Sequence[Product], policy: str = POLICY_STAGE1_ORDER):
+    def __init__(self, catalog: Catalog, policy: str = POLICY_STAGE1_ORDER):
         if policy not in POLICIES:
             raise ValueError(f"unknown ordering policy {policy!r}")
-        if not products:
+        if not catalog.universe_size:
             raise ValueError("iteration pool is empty")
         self.policy = policy
-        products = sorted(products, key=lambda p: p.id)
-        self.ids = np.array([p.id for p in products], dtype=object)
-        self.rating = np.array([p.avg_rating for p in products], dtype=np.float64)
-        self.reviews = np.array([p.review_count for p in products], dtype=np.int64)
-        self.price = np.array([p.price for p in products], dtype=np.float64)
+        columns = catalog.columns
+        # A stable sort: products sharing an id keep their listing order.
+        order = sorted(range(catalog.universe_size), key=columns.ids.__getitem__)
+        self.ids = np.array(columns.ids, dtype=object)[order]
+        self.rating = columns.rating[order]
+        self.reviews = columns.reviews[order]
+        self.price = columns.price[order]
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
             # Each product's rank under (price desc, pinned demand desc, id asc);
             # lexsort is stable and the columns list ids ascending.
-            demand = np.array([p.demand_override or 0.0 for p in products], dtype=np.float64)
-            self.price_desc_rank = np.empty(len(products), dtype=np.intp)
-            self.price_desc_rank[np.lexsort((-demand, -self.price))] = np.arange(len(products))
+            demand = columns.demand[order]
+            self.price_desc_rank = np.empty(len(order), dtype=np.intp)
+            self.price_desc_rank[np.lexsort((-demand, -self.price))] = np.arange(len(order))
 
 
 class RankingPool:
@@ -229,7 +233,7 @@ class RankingPool:
 
 def run_iteration(pool: Sequence[Product], policy: str = POLICY_STAGE1_ORDER) -> IterationRecord:
     """Run one selection round over a pool of remaining products."""
-    return RankingPool(RankingColumns(pool, policy)).peek()
+    return RankingPool(RankingColumns(Catalog(pool), policy)).peek()
 
 
 def two_stage_select(
@@ -246,9 +250,9 @@ def two_stage_select(
     """
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
-    if not catalog.products:
+    if not catalog.universe_size:
         raise ValueError("catalog is empty")
-    pool = RankingPool(RankingColumns(catalog.products, policy))
+    pool = RankingPool(RankingColumns(catalog, policy))
     iterations = tuple(pool.take() for _ in range(min(slot_count, catalog.universe_size)))
     slots = tuple(rec.selected for rec in iterations)
     return Ranking(slots, slot_count), TwoStageTrace(iterations)

@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import is_
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 
 # Review counts are ranked as an int64 column, so they must fit one.
@@ -68,16 +73,100 @@ class BeliefPrior:
         return self.prior_var / self.noise_var
 
 
-@dataclass(frozen=True)
+class CatalogColumns(NamedTuple):
+    """A catalog's fields as read-only columns, in listing order.
+
+    An absent ``true_quality`` or ``rating_noise`` is NaN and an absent
+    ``lambda`` is 0.0 in ``demand``: a checked document has only finite
+    numbers, and a pinned demand lies strictly inside (0, 1).
+    """
+
+    ids: tuple[str, ...]
+    price: np.ndarray
+    reviews: np.ndarray
+    rating: np.ndarray
+    share: np.ndarray
+    true_quality: np.ndarray
+    rating_noise: np.ndarray
+    demand: np.ndarray
+
+    @classmethod
+    def from_products(cls, products: Sequence[Product]) -> CatalogColumns:
+        def floats(values) -> np.ndarray:
+            return _read_only(np.array(values, dtype=np.float64))
+
+        return cls(
+            tuple(p.id for p in products),
+            floats([p.price for p in products]),
+            _read_only(np.array([p.review_count for p in products], dtype=np.int64)),
+            floats([p.avg_rating for p in products]),
+            floats([p.revenue_share for p in products]),
+            floats([p.true_quality for p in products]),
+            floats([p.rating_noise for p in products]),
+            floats([p.demand_override or 0.0 for p in products]),
+        )
+
+    def products(self) -> tuple[Product, ...]:
+        """One ``Product`` per row; valid only for columns of a checked document."""
+
+        def optional(column: np.ndarray) -> list[float | None]:
+            return [None if v != v else v for v in column.tolist()]
+
+        return tuple(
+            map(
+                Product,
+                self.ids,
+                self.price.tolist(),
+                self.reviews.tolist(),
+                self.rating.tolist(),
+                self.share.tolist(),
+                optional(self.true_quality),
+                optional(self.rating_noise),
+                [v or None for v in self.demand.tolist()],
+            )
+        )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class Catalog:
-    """Immutable ordered universe of products."""
+    """Immutable ordered universe of products.
 
-    products: tuple[Product, ...]
-    display_scale: tuple[float, float] | None = None
+    A catalog has its products as ``Product`` objects and as
+    ``CatalogColumns``.  One from ``load_catalog`` starts from its checked
+    columns and builds ``products`` on first access; one built from products
+    derives its columns on first access.  Either is built at most once.
+    """
 
-    @property
-    def universe_size(self) -> int:
-        return len(self.products)
+    def __init__(
+        self, products: Iterable[Product], display_scale: tuple[float, float] | None = None
+    ):
+        products = tuple(products)
+        self.__dict__.update(
+            products=products, display_scale=display_scale, universe_size=len(products)
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, columns: CatalogColumns, display_scale: tuple[float, float] | None
+    ) -> Catalog:
+        catalog = cls.__new__(cls)
+        catalog.__dict__.update(
+            columns=columns, display_scale=display_scale, universe_size=len(columns.ids)
+        )
+        return catalog
+
+    # Each of these two is set at construction or built from the other.
+    @cached_property
+    def products(self) -> tuple[Product, ...]:
+        return self.columns.products()
+
+    @cached_property
+    def columns(self) -> CatalogColumns:
+        return CatalogColumns.from_products(self.products)
 
     @cached_property
     def by_id(self) -> dict[str, Product]:
@@ -89,9 +178,33 @@ class Catalog:
         except KeyError:
             raise KeyError(f"unknown product id {product_id!r}") from None
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.products, self.display_scale) == (other.products, other.display_scale)
+
+    def __hash__(self):
+        return hash((self.products, self.display_scale))
+
+    def __repr__(self):
+        return f"Catalog(products={self.products!r}, display_scale={self.display_scale!r})"
+
 
 _REQUIRED_KEYS = ("id", "price", "reviews", "avg_rating")
-_OPTIONAL_KEYS = ("omega", "true_quality", "rating_noise", "lambda")
+_FLOAT_KINDS = frozenset((int, float, type(None)))
+
+
+class _Missing:
+    """Stands in for a key an entry lacks."""
+
+
+_MISSING = _Missing()
 
 
 def _finite(value) -> float | None:
@@ -110,13 +223,164 @@ def _finite(value) -> float | None:
     return None
 
 
-def _require_number(entry: dict, key: str, product_id: str) -> float:
-    number = _finite(entry[key])
-    if number is None:
+class _Column:
+    """One key's values across the entries, ``fill`` where an entry lacks the key.
+
+    ``kinds`` is the set of the values' types; the checks take their fast
+    path when it shows every value is of the expected kind.
+    """
+
+    def __init__(self, entries: list, key: str, fill=_MISSING):
+        values = list(map(dict.get, entries, repeat(key), repeat(_MISSING)))
+        kinds = set(map(type, values))
+        if _Missing in kinds and fill is not _MISSING:
+            values = [fill if v is _MISSING else v for v in values]
+            kinds = (kinds - {_Missing}) | {type(fill)}
+        self.values, self.kinds = values, kinds
+
+    def holds(self, marker) -> np.ndarray:
+        """Mask of the rows whose value is ``marker``."""
+        n = len(self.values)
+        if type(marker) not in self.kinds:
+            return np.zeros(n, dtype=bool)
+        if len(self.kinds) == 1:
+            return np.ones(n, dtype=bool)
+        return np.fromiter(map(is_, self.values, repeat(marker)), dtype=bool, count=n)
+
+    def floats(self) -> np.ndarray:
+        """The values as float64, NaN wherever a value is not a finite number.
+
+        numpy converts an integer exactly as ``float(int)`` does and raises
+        OverflowError for one beyond float range; the column is then
+        converted value by value.
+        """
+        if self.kinds <= _FLOAT_KINDS:
+            try:
+                return _read_only(np.array(self.values, dtype=np.float64))
+            except OverflowError:
+                pass
+        return _read_only(np.array(list(map(_finite, self.values)), dtype=np.float64))
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """The values as int64 review counts, with the masks of non-integers
+        (None when there is none) and of integers outside [0, 2**63)."""
+        values = self.values
+        if self.kinds <= {int}:
+            try:
+                counts = np.array(values, dtype=np.int64)
+                return _read_only(counts), None, counts < 0
+            except OverflowError:
+                pass
+        is_int = np.array([type(v) is int for v in values], dtype=bool)
+        fits = [bool(ok) and 0 <= v < MAX_REVIEWS for v, ok in zip(values, is_int)]
+        counts = np.array([v if ok else 0 for v, ok in zip(values, fits)], dtype=np.int64)
+        return _read_only(counts), ~is_int, is_int & ~np.array(fits, dtype=bool)
+
+
+# The optional number keys in check order: the value an absent key stands
+# for, and the range a given value must lie in (None: any finite number).
+# A null omega is rejected; any other null optional value counts as absent.
+_OPTIONAL_RANGES = (
+    ("omega", 1.0, "lie in (0, 1]", lambda x: (x <= 0) | (x > 1)),
+    ("true_quality", None, None, None),
+    ("rating_noise", None, "be positive", lambda x: x <= 0),
+    ("lambda", None, "lie strictly in (0, 1)", lambda x: (x <= 0) | (x >= 1)),
+)
+_KEYS = frozenset(_REQUIRED_KEYS + tuple(key for key, *_ in _OPTIONAL_RANGES))
+
+
+def _product_columns(raw: list) -> CatalogColumns:
+    """Check the product entries column by column and keep the columns.
+
+    ``rules`` lists each check as a row mask (None when no row breaks it)
+    and a message, in the order the checks apply to one entry.  A document
+    that breaks any of them is rejected for its first faulty entry and that
+    entry's first broken rule, so a mask may hold anything in a row that an
+    earlier rule rejects.
+    """
+    n = len(raw)
+    if set(map(type, raw)) <= {dict}:
+        entries, not_object = raw, None
+    else:
+        entries = [e if type(e) is dict else {} for e in raw]
+        not_object = np.array([type(e) is not dict for e in raw], dtype=bool)
+    keys = set().union(*entries)
+    unknown = None
+    if not keys <= _KEYS:
+        unknown = np.array([not _KEYS.issuperset(e) for e in entries], dtype=bool)
+
+    id_column = _Column(entries, "id", None)
+    ids = id_column.values
+    bad_id, names = None, ids
+    if not (id_column.kinds <= {str} and all(ids)):
+        bad_id = np.array([type(v) is not str or not v for v in ids], dtype=bool)
+        names = [v if not bad else "" for v, bad in zip(ids, bad_id.tolist())]
+    duplicate = None
+    if len(set(names)) < n:
+        # Each id's first row: zipping in reverse lets the earliest row win.
+        first = dict(zip(reversed(names), range(n - 1, -1, -1)))
+        rows = np.fromiter(map(first.__getitem__, names), dtype=np.intp, count=n)
+        duplicate = rows != np.arange(n)
+    required = {key: _Column(entries, key) for key in _REQUIRED_KEYS[1:]}
+    absent = [c.holds(_MISSING) for c in required.values() if _Missing in c.kinds]
+    missing = np.logical_or.reduce(absent) if absent else None
+    price = required["price"].floats()
+    reviews, not_int, out_of_range = required["reviews"].counts()
+    rating = required["avg_rating"].floats()
+
+    def fault(text):
+        return lambda i: f"product {ids[i]!r}: {text(i)}"
+
+    def not_finite(key: str):
+        return fault(lambda i: f"{key} must be a finite number, got {entries[i][key]!r}")
+
+    def outside(key: str, rule: str, values: np.ndarray):
+        return fault(lambda i: f"{key} must {rule}, got {values[i].item()}")
+
+    def first_missing(i: int) -> str:
+        return next(key for key in _REQUIRED_KEYS if key not in entries[i])
+
+    def reviews_of(i: int):
+        return entries[i]["reviews"]
+
+    rules = [
+        (not_object, lambda i: f"product entries must be objects, got {raw[i]!r}"),
+        (bad_id, lambda i: f"product id must be a nonempty string, got {ids[i]!r}"),
+        (missing, fault(lambda i: f"missing required key {first_missing(i)!r}")),
+        (unknown, fault(lambda i: f"unknown keys {sorted(set(entries[i]) - _KEYS)}")),
+        (duplicate, lambda i: f"duplicate product id {ids[i]!r}"),
+        (~np.isfinite(price), not_finite("price")),
+        (price < 0, outside("price", "be nonnegative", price)),
+        (not_int, fault(lambda i: f"reviews must be an integer, got {reviews_of(i)!r}")),
+        (out_of_range, fault(lambda i: f"reviews must lie in [0, 2**63), got {reviews_of(i)}")),
+        (~np.isfinite(rating), not_finite("avg_rating")),
+        ((reviews == 0) & (rating != 0), outside("avg_rating", "be 0 when reviews is 0", rating)),
+    ]
+    optional = {}
+    for key, fill, rule, breaks in _OPTIONAL_RANGES:
+        if key not in keys:
+            optional[key] = _read_only(np.full(n, np.nan if fill is None else fill)), None
+            continue
+        column = _Column(entries, key, fill)
+        values = column.floats()
+        given = ~column.holds(None) if fill is None else np.ones(n, dtype=bool)
+        optional[key] = values, given
+        rules.append((given & ~np.isfinite(values), not_finite(key)))
+        if breaks is not None:
+            rules.append((given & breaks(values), outside(key, rule, values)))
+    masks = [mask for mask, _ in rules if mask is not None]
+    faulty = np.logical_or.reduce(masks)
+    if faulty.any():
+        row = int(faulty.argmax())
         raise CatalogError(
-            f"product {product_id!r}: {key} must be a finite number, got {entry[key]!r}"
+            next(message(row) for mask, message in rules if mask is not None and mask[row])
         )
-    return number
+    demand, has_demand = optional["lambda"]
+    demand = np.zeros(n) if has_demand is None else np.where(has_demand, demand, 0.0)
+    return CatalogColumns(
+        tuple(ids), price, reviews, rating, optional["omega"][0],
+        optional["true_quality"][0], optional["rating_noise"][0], _read_only(demand),
+    )
 
 
 def load_catalog(source: bytes | str) -> Catalog:
@@ -126,6 +390,8 @@ def load_catalog(source: bytes | str) -> Catalog:
     are not finite (NaN, infinities, integers beyond float range), negative
     prices, review counts outside [0, 2**63), nonzero ratings with zero
     reviews, shares outside (0, 1], or demand overrides outside (0, 1).
+    The products are checked as columns; the returned catalog builds its
+    ``Product`` objects only when they are asked for.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -147,77 +413,7 @@ def load_catalog(source: bytes | str) -> Catalog:
             raise CatalogError("'display_scale' must be a [low, high] finite number pair")
         display_scale = (numbers[0], numbers[1])
 
-    products: list[Product] = []
-    seen: set[str] = set()
-    for entry in raw_products:
-        if not isinstance(entry, dict):
-            raise CatalogError(f"product entries must be objects, got {entry!r}")
-        pid = entry.get("id")
-        if not isinstance(pid, str) or not pid:
-            raise CatalogError(f"product id must be a nonempty string, got {pid!r}")
-        for key in _REQUIRED_KEYS:
-            if key not in entry:
-                raise CatalogError(f"product {pid!r}: missing required key {key!r}")
-        unknown = set(entry) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
-        if unknown:
-            raise CatalogError(f"product {pid!r}: unknown keys {sorted(unknown)}")
-        if pid in seen:
-            raise CatalogError(f"duplicate product id {pid!r}")
-        seen.add(pid)
-
-        price = _require_number(entry, "price", pid)
-        if price < 0:
-            raise CatalogError(f"product {pid!r}: price must be nonnegative, got {price}")
-        reviews = entry["reviews"]
-        if isinstance(reviews, bool) or not isinstance(reviews, int):
-            raise CatalogError(f"product {pid!r}: reviews must be an integer, got {reviews!r}")
-        if not 0 <= reviews < MAX_REVIEWS:
-            raise CatalogError(
-                f"product {pid!r}: reviews must lie in [0, 2**63), got {reviews}"
-            )
-        avg_rating = _require_number(entry, "avg_rating", pid)
-        if reviews == 0 and avg_rating != 0:
-            raise CatalogError(
-                f"product {pid!r}: avg_rating must be 0 when reviews is 0, got {avg_rating}"
-            )
-
-        omega = 1.0
-        if "omega" in entry:
-            omega = _require_number(entry, "omega", pid)
-            if not 0 < omega <= 1:
-                raise CatalogError(f"product {pid!r}: omega must lie in (0, 1], got {omega}")
-
-        true_quality = None
-        if entry.get("true_quality") is not None:
-            true_quality = _require_number(entry, "true_quality", pid)
-        rating_noise = None
-        if entry.get("rating_noise") is not None:
-            rating_noise = _require_number(entry, "rating_noise", pid)
-            if rating_noise <= 0:
-                raise CatalogError(
-                    f"product {pid!r}: rating_noise must be positive, got {rating_noise}"
-                )
-        demand_override = None
-        if entry.get("lambda") is not None:
-            demand_override = _require_number(entry, "lambda", pid)
-            if not 0 < demand_override < 1:
-                raise CatalogError(
-                    f"product {pid!r}: lambda must lie strictly in (0, 1), got {demand_override}"
-                )
-
-        products.append(
-            Product(
-                id=pid,
-                price=price,
-                review_count=reviews,
-                avg_rating=avg_rating,
-                revenue_share=omega,
-                true_quality=true_quality,
-                rating_noise=rating_noise,
-                demand_override=demand_override,
-            )
-        )
-    return Catalog(products=tuple(products), display_scale=display_scale)
+    return Catalog._from_columns(_product_columns(raw_products), display_scale)
 
 
 def serialize_catalog(catalog: Catalog) -> str:

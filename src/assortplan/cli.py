@@ -26,6 +26,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -79,7 +80,10 @@ def parse_span_spec(spec: str) -> AttentionSpanDist:
             span_text, _, prob_text = piece.partition(":")
             if not prob_text:
                 raise ValueError(f"bad pmf entry {piece!r} in span spec {spec!r}")
-            entries[int(span_text)] = float(prob_text)
+            span = int(span_text)
+            if span in entries:
+                raise ValueError(f"repeated span {span} in span spec {spec!r}")
+            entries[span] = float(prob_text)
         return AttentionSpanDist.from_pmf(entries)
     raise ValueError(f"span spec must start with 'y=' or 'pmf=', got {spec!r}")
 
@@ -115,9 +119,47 @@ def _parse_slate(text: str) -> list[str]:
     return ids
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(pad: str):
+    """json's C encoder, with each item of a container on its own line at ``pad``."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+
+
+def _json_indented(value, pad: str = "") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, at C-encoder speed for long lists.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set.  Here a list or dict of scalars goes through the C encoder in one
+    call, with a newline and the indent as its item separator; only nested
+    containers are walked in Python.  Dict keys must be strings, as every
+    report key is.
+    """
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    inner = pad + "  "
+    if _SCALARS.issuperset(map(type, items)):
+        body = _flat_encoder(inner)(value)[1:-1]
+    elif brackets == "{}":
+        body = (",\n" + inner).join(
+            f"{encode_basestring_ascii(k)}: {_json_indented(v, inner)}" for k, v in value.items()
+        )
+    else:
+        body = (",\n" + inner).join(_json_indented(v, inner) for v in value)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def _emit(args, manifest: RunManifest, body: dict, text_lines: list[str]) -> None:
     if args.format == "structured":
-        print(json.dumps({"manifest": manifest.to_dict(), **body}, indent=2))
+        print(_json_indented({"manifest": manifest.to_dict(), **body}))
     else:
         for line in text_lines:
             print(line)
@@ -345,12 +387,11 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.tsv").write_text(trace_table(trace), encoding="utf-8")
-    summary_doc = {"manifest": manifest.to_dict(), **summary_document(trace)}
+    body = summary_document(trace)
     (out_dir / "summary.json").write_text(
-        json.dumps(summary_doc, indent=2) + "\n", encoding="utf-8"
+        _json_indented({"manifest": manifest.to_dict(), **body}) + "\n", encoding="utf-8"
     )
     summary = trace.summary
-    body = summary_document(trace)
     lines = [
         f"customers {cfg.horizon}",
         f"purchases {summary.purchase_count}",

@@ -176,7 +176,7 @@ def audit_ranking(
 
     # Threshold replay: pool at slot i is the catalog minus earlier displayed
     # products, matching the elimination order a compliant run would follow.
-    columns = RankingColumns(catalog.products, policy)
+    columns = RankingColumns(catalog, policy)
     replay = RankingPool(columns)
     for slot, pid in enumerate(displayed, start=1):
         record = replay.peek()

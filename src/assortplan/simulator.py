@@ -137,7 +137,7 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
                     f"product {product.id!r} needs true_quality and rating_noise "
                     "for an unfrozen run with computed demand"
                 )
-    if cfg.rerank_every is not None and not catalog.products:
+    if cfg.rerank_every is not None and not catalog.universe_size:
         raise ValueError("catalog is empty")
 
 
@@ -258,9 +258,9 @@ class _Reranker:
     """Two-stage re-ranking over review columns that purchases update in place."""
 
     def __init__(self, catalog: Catalog, cfg: SimConfig):
-        self.columns = RankingColumns(catalog.products, cfg.policy)
+        self.columns = RankingColumns(catalog, cfg.policy)
         self.row = {pid: i for i, pid in enumerate(self.columns.ids.tolist())}
-        self.slot_count = min(cfg.slot_count, len(catalog.products))
+        self.slot_count = min(cfg.slot_count, catalog.universe_size)
         self.overflow: tuple[str, int] | None = None
 
     def record(self, product_id: str, state: ReviewState) -> None:

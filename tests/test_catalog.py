@@ -1,9 +1,10 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from assortplan.assortment import POLICY_PRICE_DESC, two_stage_select
 from assortplan.catalog import (
     BeliefPrior,
     Catalog,
@@ -125,6 +126,39 @@ class TestLoadCatalog:
     def test_bad_display_scale_rejected(self):
         with pytest.raises(CatalogError, match="display_scale"):
             load_catalog(doc([], display_scale=[1]))
+
+
+class TestLazyProducts:
+    def test_ranking_a_loaded_catalog_builds_no_product(self, monkeypatch):
+        text = serialize_catalog(demo_catalog())
+        built = []
+        init = Product.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Product, "__init__", counting_init)
+        catalog = load_catalog(text)
+        assert catalog.universe_size == 10
+        assert two_stage_select(catalog, 3)[0].slots == ("A", "B", "F")
+        two_stage_select(catalog, 10, POLICY_PRICE_DESC)
+        assert built == []
+        assert catalog.get("A").price == 629.0
+        assert catalog.products is catalog.products
+        assert len(built) == 10
+
+    def test_catalog_surface_is_unchanged(self):
+        built = demo_catalog()
+        loaded = load_catalog(serialize_catalog(built))
+        assert loaded == built and hash(loaded) == hash(built)
+        assert repr(loaded) == repr(built)
+        assert repr(built).startswith("Catalog(products=(Product(id='A', price=629.0")
+        assert built.columns is built.columns
+        with pytest.raises(FrozenInstanceError):
+            loaded.display_scale = (1.0, 5.0)
+        with pytest.raises(FrozenInstanceError):
+            del built.products
 
 
 class TestRoundTrip:

@@ -2,9 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from assortplan.catalog import Catalog, demo_catalog
-from assortplan.cli import main, parse_omega_spec, parse_prior_spec, parse_span_spec
+from assortplan.cli import (
+    _json_indented,
+    main,
+    parse_omega_spec,
+    parse_prior_spec,
+    parse_span_spec,
+)
 from assortplan.revenue import AttentionSpanDist
 from helpers import random_catalog
 
@@ -54,6 +61,36 @@ class TestSpecParsers:
     def test_prior_spec(self):
         prior = parse_prior_spec("2.0,0.5,1.0")
         assert (prior.prior_mean, prior.prior_var, prior.noise_var) == (2.0, 0.5, 1.0)
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324])
+    | st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é中😀", "\ud800", "</script>"])
+)
+KEYS = st.text(max_size=4) | st.sampled_from(["", '"', "é", "\n"])
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(KEYS, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(DOCUMENTS)
+def test_indented_json_matches_json_dumps(document):
+    assert _json_indented(document) == json.dumps(document, indent=2)
+
+
+def test_indented_json_of_empty_and_long_containers():
+    document = {"a": [], "b": {}, "c": [[]], "d": list(range(1000)), "e": {"x": [{}]}}
+    assert _json_indented(document) == json.dumps(document, indent=2)
+    assert _json_indented([]) == "[]" and _json_indented({}) == "{}"
 
 
 class TestRank:
@@ -358,6 +395,25 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_span_flag_rejected(self, capsys, demo_path):
+        spec = "pmf=1:0.5,2:0.5,1:0.5"
+        code, out, err = run(
+            capsys, "expected-revenue", "--catalog", str(demo_path), "--slate", "A,B",
+            "--span", spec,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: repeated span 1 in span spec {spec!r}\n"
+
+    def test_repeated_span_config_rejected(self, capsys, demo_path, tmp_path):
+        config = sim_config(tmp_path, span="pmf=3:0.5,2:0.25,03:0.25")
+        code, out, err = run(
+            capsys, "simulate", "--catalog", str(demo_path),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: repeated span 3 in span spec 'pmf=3:0.5,2:0.25,03:0.25'\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_catalog_price_rejected(self, capsys, tmp_path):

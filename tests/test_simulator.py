@@ -1,11 +1,19 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
-from assortplan.catalog import BeliefPrior, Catalog, Product
+from assortplan.catalog import BeliefPrior, Catalog, Product, load_catalog
 from assortplan.demand import CostModel, ReviewState, update_review_state
 from assortplan.revenue import AttentionSpanDist, cascade_probs
-from assortplan.simulator import SimConfig, simulate, summarize, trace_table
+from assortplan.simulator import (
+    SimConfig,
+    simulate,
+    summarize,
+    summary_document,
+    trace_table,
+)
 
 PRIOR = BeliefPrior(0.0, 1.0, 1.0)
 DIST3 = AttentionSpanDist.deterministic(3)
@@ -271,6 +279,30 @@ class TestConvergence:
         trace = simulate(catalog, cfg)
         assert trace.summary.purchase_count == 1500
         assert abs(trace.summary.posterior_means["X"] - 4.0) < 0.05
+
+
+    def test_live_rerank_leaves_loaded_catalog_unchanged(self):
+        # The re-ranker writes review states into its ranking columns in
+        # place; they must be copies, never the catalog's own columns.
+        rows = [
+            {"id": f"P{i}", "price": 2.0 + i % 3, "reviews": 10 + 7 * i,
+             "avg_rating": 3.0 + (i % 4) / 2, "true_quality": 1.0 + i % 5, "rating_noise": 0.5}
+            for i in range(12)
+        ]
+        catalog = load_catalog(json.dumps({"products": rows}))
+        before = [np.array(column) for column in catalog.columns]
+        cfg = SimConfig(
+            horizon=400, seed=3, dist=AttentionSpanDist.deterministic(3),
+            prior=BeliefPrior(3.0, 1.0, 1.0), rerank_every=5, slot_count=3,
+        )
+        first = simulate(catalog, cfg)
+        assert any(r.post_state is not None for r in first.records)
+        for old, new in zip(before, catalog.columns):
+            np.testing.assert_array_equal(np.array(new), old)
+        assert not catalog.columns.reviews.flags.writeable
+        second = simulate(catalog, cfg)
+        assert trace_table(second) == trace_table(first)
+        assert json.dumps(summary_document(second)) == json.dumps(summary_document(first))
 
 
 class TestTraceTable:
