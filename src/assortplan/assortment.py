@@ -6,11 +6,11 @@ price-weighted cutoff over that shortlist, filters again, and selects the
 first survivor before eliminating it from the pool.  Revenue shares are
 never read, so the resulting order cannot favor the platform's own cut.
 
-Both cutoffs are exactly rounded (``math.fsum``), so neither depends on
-the order products are listed in.  ``RankingPool`` sorts the products once
-by the stage-1 key and keeps them as columns in that order: every round's
-shortlist is then a mask over the sorted columns, and a ranking of k slots
-out of n products costs O(n log n + k*n).
+Both cutoffs are exactly rounded sums (bit for bit ``math.fsum``), so
+neither depends on the order products are listed in.  ``RankingPool``
+sorts the products once by the stage-1 key; a round's shortlist is a mask
+over those columns, stage 1's sums are exact integers updated as products
+leave, and a ranking of k slots out of n products costs O(n log n + k*n).
 """
 
 from __future__ import annotations
@@ -28,12 +28,47 @@ POLICY_PRICE_DESC = "price-desc"
 POLICIES = (POLICY_STAGE1_ORDER, POLICY_PRICE_DESC)
 
 
-def _weighted_mean(weights: list[float], weighted: list[float]) -> float | None:
-    """fsum(weighted) / fsum(weights), or None when the weights sum to zero."""
-    mass = math.fsum(weights)
-    if mass == 0:
-        return None
-    return math.fsum(weighted) / mass
+# Below this many addends math.fsum over a list is faster than the kernel.
+_EXACT_SUM_MIN = 1000
+# Every float is a multiple of 2^-1074, the least subnormal.
+_SCALE = 2**1074
+
+
+def _scaled_sum(x: np.ndarray) -> int | None:
+    """Σx * 2^1074 of a non-empty x as an exact int, or None unless Σ|x| < 2^1000.
+
+    ``np.frexp`` gives each addend as mant * 2^(exp-53), mant an integer below
+    2^53.  Split into 26-bit halves, the mantissas are summed per exponent by
+    ``np.bincount``, exactly while there are fewer than 2^26 addends, and the
+    bins are combined in Python ints, whose true division rounds correctly.
+    Larger sums are left to math.fsum, to keep its inf, NaN and overflow.
+    """
+    with np.errstate(over="ignore"):
+        if not np.abs(x).sum() < 2.0**1000:
+            return None
+    mant, exp = np.frexp(x)
+    mant = (mant * 2.0**53).astype(np.int64)
+    low = int(exp.min())
+    high = np.bincount(exp - low, weights=mant >> 26).tolist()
+    rest = np.bincount(exp - low, weights=mant & (2**26 - 1)).tolist()
+    total = 0
+    for h, r in zip(reversed(high), reversed(rest)):
+        total = (total << 1) + (int(h) << 26) + int(r)
+    # x * 2^1074 = mant * 2^(exp+1021); a negative shift drops only zero bits.
+    shift = low + 1021
+    return total << shift if shift >= 0 else total >> -shift
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())`` bit for bit; fsum keeps the sign of an exact zero."""
+    total = _scaled_sum(x) if len(x) >= _EXACT_SUM_MIN else None
+    return total / _SCALE if total else math.fsum(x.tolist())
+
+
+def _weighted_mean(weights: np.ndarray, weighted: np.ndarray) -> float | None:
+    """Σweighted / Σweights, each exactly rounded, or None when Σweights is zero."""
+    mass = _exact_sum(weights)
+    return _exact_sum(weighted) / mass if mass else None
 
 
 def stage1_threshold(products: Iterable[Product]) -> float:
@@ -45,7 +80,8 @@ def stage1_threshold(products: Iterable[Product]) -> float:
     """
     products = list(products)
     cutoff = _weighted_mean(
-        [p.avg_rating for p in products], [p.avg_rating * p.review_count for p in products]
+        np.array([p.avg_rating for p in products], dtype=np.float64),
+        np.array([p.avg_rating * p.review_count for p in products], dtype=np.float64),
     )
     if cutoff is None:
         raise ValueError("stage-1 threshold undefined: all ratings are zero")
@@ -59,7 +95,8 @@ def stage2_threshold(products: Iterable[Product]) -> float:
     """
     products = list(products)
     cutoff = _weighted_mean(
-        [p.price for p in products], [p.price * p.review_count for p in products]
+        np.array([p.price for p in products], dtype=np.float64),
+        np.array([p.price * p.review_count for p in products], dtype=np.float64),
     )
     if cutoff is None:
         raise ValueError("stage-2 threshold undefined: all prices are zero")
@@ -142,7 +179,7 @@ class RankingColumns:
         self.policy = policy
         columns = catalog.columns
         # A stable sort: products sharing an id keep their listing order.
-        order = sorted(range(catalog.universe_size), key=columns.ids.__getitem__)
+        order = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
         self.ids = np.array(columns.ids, dtype=object)[order]
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
@@ -180,55 +217,79 @@ class RankingPool:
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
         self.price = columns.price[order]
+        # The elementwise products the cutoffs sum, formed once.
+        self.weighted = self.rating * self.reviews
+        self.price_weighted = self.price * self.reviews
         self.alive = np.ones(len(order), dtype=bool)
+        # Σrating and Σrating*reviews over the alive products, exact and scaled
+        # by 2^1074; None leaves that sum to math.fsum in every round.
+        self.sums = [_scaled_sum(self.rating), _scaled_sum(self.weighted)]
         if columns.price_desc_rank is not None:
             self.price_desc_rank = columns.price_desc_rank[order]
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.alive))
 
+    def _drop(self, row: int) -> None:
+        self.alive[row] = False
+        for i, column in enumerate((self.rating, self.weighted)):
+            if self.sums[i] is not None:
+                num, den = column[row].as_integer_ratio()
+                self.sums[i] -= num * (_SCALE // den)
+
+    def _stage1_sum(self, i: int, column: np.ndarray, live: np.ndarray) -> float:
+        total = self.sums[i]
+        # An exact zero goes to fsum for its sign, as in _exact_sum.
+        return total / _SCALE if total else _exact_sum(column[live])
+
     def remove(self, product_id: str) -> None:
         """Drop a product from the pool without running a round."""
-        self.alive[self.ids == product_id] = False
+        for row in np.flatnonzero(self.alive & (self.ids == product_id)).tolist():
+            self._drop(row)
 
-    def _round(self) -> tuple[IterationRecord, int]:
-        """One selection round over the pool: its record and the selected column."""
+    def _select(self) -> tuple:
+        """One round: its cutoffs, shortlist, ordered passers and pick, as columns."""
         live = np.flatnonzero(self.alive)
         if not live.size:
             raise ValueError("iteration pool is empty")
-        rating, reviews = self.rating[live], self.reviews[live]
-        cutoff1 = _weighted_mean(rating.tolist(), (rating * reviews).tolist())
+        mass = self._stage1_sum(0, self.rating, live)
+        cutoff1 = self._stage1_sum(1, self.weighted, live) / mass if mass else None
         if cutoff1 is None:
             shortlist = live[:0]
         else:
-            shortlist = live[reviews >= _review_bound(cutoff1)]
+            shortlist = live[self.reviews[live] >= _review_bound(cutoff1)]
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
-            pick = live[np.argmax(reviews)]
-            return IterationRecord(cutoff1, (), None, (), self.ids[pick], True), pick
-        price, reviews = self.price[shortlist], self.reviews[shortlist]
-        cutoff2 = _weighted_mean(price.tolist(), (price * reviews).tolist())
+            return cutoff1, shortlist, None, shortlist, live[np.argmax(self.reviews[live])]
+        cutoff2 = _weighted_mean(self.price[shortlist], self.price_weighted[shortlist])
         if cutoff2 is None:
             passers = shortlist[:0]
         else:
-            passers = shortlist[reviews >= _review_bound(cutoff2)]
+            passers = shortlist[self.reviews[shortlist] >= _review_bound(cutoff2)]
         if self.policy == POLICY_PRICE_DESC:
             passers = passers[np.argsort(self.price_desc_rank[passers])]
+        return cutoff1, shortlist, cutoff2, passers, passers[0] if passers.size else shortlist[0]
+
+    def _record(self, cutoff1, shortlist, cutoff2, passers, pick) -> IterationRecord:
         order = tuple(self.ids[shortlist].tolist())
-        if passers.size:
-            passed = tuple(self.ids[passers].tolist())
-            return IterationRecord(cutoff1, order, cutoff2, passed, passed[0], False), passers[0]
-        return IterationRecord(cutoff1, order, cutoff2, (), order[0], True), shortlist[0]
+        passed = tuple(self.ids[passers].tolist())
+        return IterationRecord(cutoff1, order, cutoff2, passed, self.ids[pick], not passed)
 
     def peek(self) -> IterationRecord:
         """Run one selection round over the pool as it stands."""
-        return self._round()[0]
+        return self._record(*self._select())
 
     def take(self) -> IterationRecord:
         """Run one selection round and eliminate the product it selected."""
-        record, pick = self._round()
-        self.alive[pick] = False
-        return record
+        selection = self._select()
+        self._drop(selection[-1])
+        return self._record(*selection)
+
+    def take_id(self) -> str:
+        """``take().selected``, without building the round's record."""
+        pick = self._select()[-1]
+        self._drop(pick)
+        return self.ids[pick]
 
 
 def run_iteration(pool: Sequence[Product], policy: str = POLICY_STAGE1_ORDER) -> IterationRecord:

@@ -106,25 +106,18 @@ class CatalogColumns(NamedTuple):
             floats([p.demand_override or 0.0 for p in products]),
         )
 
-    def products(self) -> tuple[Product, ...]:
-        """One ``Product`` per row; valid only for columns of a checked document."""
+    def fields(self) -> list[list]:
+        """``Product``'s fields as lists; valid only for columns of a checked document."""
 
         def optional(column: np.ndarray) -> list[float | None]:
             return [None if v != v else v for v in column.tolist()]
 
-        return tuple(
-            map(
-                Product,
-                self.ids,
-                self.price.tolist(),
-                self.reviews.tolist(),
-                self.rating.tolist(),
-                self.share.tolist(),
-                optional(self.true_quality),
-                optional(self.rating_noise),
-                [v or None for v in self.demand.tolist()],
-            )
-        )
+        numbers = [c.tolist() for c in (self.price, self.reviews, self.rating, self.share)]
+        demand = [v or None for v in self.demand.tolist()]
+        return [self.ids, *numbers, optional(self.true_quality), optional(self.rating_noise), demand]
+
+    def products(self) -> tuple[Product, ...]:
+        return tuple(map(Product, *self.fields()))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -139,6 +132,7 @@ class Catalog:
     ``CatalogColumns``.  One from ``load_catalog`` starts from its checked
     columns and builds ``products`` on first access; one built from products
     derives its columns on first access.  Either is built at most once.
+    ``get`` on a loaded catalog builds only the product it returns.
     """
 
     def __init__(
@@ -172,11 +166,24 @@ class Catalog:
     def by_id(self) -> dict[str, Product]:
         return {p.id: p for p in self.products}
 
+    @cached_property
+    def _got(self) -> dict[str, Product]:
+        """Every product by id, or for a loaded catalog those ``get`` has built."""
+        return self.by_id if "products" in self.__dict__ else {}
+
+    @cached_property
+    def _rows(self) -> dict[str, tuple]:
+        return {fields[0]: fields for fields in zip(*self.columns.fields())}
+
     def get(self, product_id: str) -> Product:
         try:
-            return self.by_id[product_id]
+            return self._got[product_id]
         except KeyError:
-            raise KeyError(f"unknown product id {product_id!r}") from None
+            pass
+        if product_id not in self._rows:
+            raise KeyError(f"unknown product id {product_id!r}")
+        # A loaded catalog builds only the products asked for, each once.
+        return self._got.setdefault(product_id, Product(*self._rows[product_id]))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -177,8 +177,10 @@ def _cmd_rank(args) -> int:
     )
     body: dict = {"ranking": list(ranking.slots)}
     lines = [" ".join(ranking.slots)]
-    if args.trace:
+    # Each format builds only its own trace: a round lists thousands of ids.
+    if args.trace and args.format == "structured":
         body["trace"] = trace.to_report()
+    elif args.trace:
         for i, rec in enumerate(trace.iterations, start=1):
             cutoff1 = _fmt(rec.stage1_threshold) if rec.stage1_threshold is not None else "-"
             cutoff2 = _fmt(rec.stage2_threshold) if rec.stage2_threshold is not None else "-"

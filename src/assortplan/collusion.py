@@ -219,7 +219,7 @@ def audit_ranking(
     unplaced = set(displayed)
     ref_pos: dict[str, int] = {}
     while len(compliant) and (unplaced or len(ref_pos) < slot_count):
-        pid = compliant.take().selected
+        pid = compliant.take_id()
         ref_pos[pid] = len(ref_pos)
         unplaced.discard(pid)
 

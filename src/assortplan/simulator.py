@@ -280,7 +280,7 @@ class _Reranker:
                 f"re-ranking limit of {MAX_REVIEWS - 1}"
             )
         pool = RankingPool(self.columns)
-        return tuple(pool.take().selected for _ in range(self.slot_count))
+        return tuple(pool.take_id() for _ in range(self.slot_count))
 
 
 def _purchase_chance(product: Product, state: ReviewState, position: int, cfg: SimConfig) -> float:

@@ -15,6 +15,8 @@ from assortplan.catalog import (
     serialize_catalog,
     validate_catalog,
 )
+from assortplan.collusion import audit_ranking
+from assortplan.revenue import AttentionSpanDist
 
 
 def doc(products, **extra) -> str:
@@ -129,8 +131,9 @@ class TestLoadCatalog:
 
 
 class TestLazyProducts:
-    def test_ranking_a_loaded_catalog_builds_no_product(self, monkeypatch):
-        text = serialize_catalog(demo_catalog())
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        """Every ``Product`` built while the test runs."""
         built = []
         init = Product.__init__
 
@@ -139,14 +142,36 @@ class TestLazyProducts:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Product, "__init__", counting_init)
-        catalog = load_catalog(text)
+        return built
+
+    def test_ranking_a_loaded_catalog_builds_no_product(self, built):
+        catalog = load_catalog(serialize_catalog(demo_catalog()))
+        built.clear()
         assert catalog.universe_size == 10
         assert two_stage_select(catalog, 3)[0].slots == ("A", "B", "F")
         two_stage_select(catalog, 10, POLICY_PRICE_DESC)
         assert built == []
+        # get builds only the product it returns, and only once.
         assert catalog.get("A").price == 629.0
+        assert catalog.get("A") is catalog.get("A")
+        assert len(built) == 1
+        with pytest.raises(KeyError, match="unknown product id 'Z'"):
+            catalog.get("Z")
         assert catalog.products is catalog.products
-        assert len(built) == 10
+        assert len(built) == 11
+        assert catalog.get("A") == catalog.products[0] == demo_catalog().get("A")
+
+    def test_auditing_a_loaded_catalog_builds_at_most_the_displayed_products(self, built):
+        catalog = load_catalog(serialize_catalog(demo_catalog()))
+        built.clear()
+        span = AttentionSpanDist.deterministic(3)
+        assert audit_ranking(catalog, ["A", "B", "F"], 3, span, omega=1.0) == []
+        assert sorted(p.id for p in built) == ["A", "B", "F"]
+        # A perturbed slate also reads the compliant slate A, B, F.
+        catalog = load_catalog(serialize_catalog(demo_catalog()))
+        built.clear()
+        assert audit_ranking(catalog, ["A", "D", "F"], 3, span, omega=1.0)
+        assert sorted(p.id for p in built) == ["A", "B", "D", "F"]
 
     def test_catalog_surface_is_unchanged(self):
         built = demo_catalog()
