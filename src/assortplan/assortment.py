@@ -65,10 +65,10 @@ def _exact_sum(x: np.ndarray) -> float:
     return total / _SCALE if total else math.fsum(x.tolist())
 
 
-def _weighted_mean(weights: np.ndarray, weighted: np.ndarray) -> float | None:
+def _weighted_mean(weights, weighted) -> float | None:
     """Σweighted / Σweights, each exactly rounded, or None when Σweights is zero."""
-    mass = _exact_sum(weights)
-    return _exact_sum(weighted) / mass if mass else None
+    mass = _exact_sum(np.asarray(weights, dtype=np.float64))
+    return _exact_sum(np.asarray(weighted, dtype=np.float64)) / mass if mass else None
 
 
 def stage1_threshold(products: Iterable[Product]) -> float:
@@ -80,8 +80,7 @@ def stage1_threshold(products: Iterable[Product]) -> float:
     """
     products = list(products)
     cutoff = _weighted_mean(
-        np.array([p.avg_rating for p in products], dtype=np.float64),
-        np.array([p.avg_rating * p.review_count for p in products], dtype=np.float64),
+        [p.avg_rating for p in products], [p.avg_rating * p.review_count for p in products]
     )
     if cutoff is None:
         raise ValueError("stage-1 threshold undefined: all ratings are zero")
@@ -95,8 +94,7 @@ def stage2_threshold(products: Iterable[Product]) -> float:
     """
     products = list(products)
     cutoff = _weighted_mean(
-        np.array([p.price for p in products], dtype=np.float64),
-        np.array([p.price * p.review_count for p in products], dtype=np.float64),
+        [p.price for p in products], [p.price * p.review_count for p in products]
     )
     if cutoff is None:
         raise ValueError("stage-2 threshold undefined: all prices are zero")
@@ -217,12 +215,10 @@ class RankingPool:
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
         self.price = columns.price[order]
-        # The elementwise products the cutoffs sum, formed once.
         self.weighted = self.rating * self.reviews
-        self.price_weighted = self.price * self.reviews
         self.alive = np.ones(len(order), dtype=bool)
-        # Σrating and Σrating*reviews over the alive products, exact and scaled
-        # by 2^1074; None leaves that sum to math.fsum in every round.
+        # Σrating and Σweighted over the alive products, exact and scaled by
+        # 2^1074; None leaves that sum to math.fsum in every round.
         self.sums = [_scaled_sum(self.rating), _scaled_sum(self.weighted)]
         if columns.price_desc_rank is not None:
             self.price_desc_rank = columns.price_desc_rank[order]
@@ -261,11 +257,12 @@ class RankingPool:
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
             return cutoff1, shortlist, None, shortlist, live[np.argmax(self.reviews[live])]
-        cutoff2 = _weighted_mean(self.price[shortlist], self.price_weighted[shortlist])
+        price, reviews = self.price[shortlist], self.reviews[shortlist]
+        cutoff2 = _weighted_mean(price, price * reviews)
         if cutoff2 is None:
             passers = shortlist[:0]
         else:
-            passers = shortlist[self.reviews[shortlist] >= _review_bound(cutoff2)]
+            passers = shortlist[reviews >= _review_bound(cutoff2)]
         if self.policy == POLICY_PRICE_DESC:
             passers = passers[np.argsort(self.price_desc_rank[passers])]
         return cutoff1, shortlist, cutoff2, passers, passers[0] if passers.size else shortlist[0]

@@ -106,18 +106,25 @@ class CatalogColumns(NamedTuple):
             floats([p.demand_override or 0.0 for p in products]),
         )
 
-    def fields(self) -> list[list]:
-        """``Product``'s fields as lists; valid only for columns of a checked document."""
+    def products(self, rows: slice = slice(None)) -> tuple[Product, ...]:
+        """One ``Product`` per row in ``rows``; valid only for columns of a checked document."""
 
         def optional(column: np.ndarray) -> list[float | None]:
-            return [None if v != v else v for v in column.tolist()]
+            return [None if v != v else v for v in column[rows].tolist()]
 
-        numbers = [c.tolist() for c in (self.price, self.reviews, self.rating, self.share)]
-        demand = [v or None for v in self.demand.tolist()]
-        return [self.ids, *numbers, optional(self.true_quality), optional(self.rating_noise), demand]
-
-    def products(self) -> tuple[Product, ...]:
-        return tuple(map(Product, *self.fields()))
+        return tuple(
+            map(
+                Product,
+                self.ids[rows],
+                self.price[rows].tolist(),
+                self.reviews[rows].tolist(),
+                self.rating[rows].tolist(),
+                self.share[rows].tolist(),
+                optional(self.true_quality),
+                optional(self.rating_noise),
+                [v or None for v in self.demand[rows].tolist()],
+            )
+        )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -132,7 +139,6 @@ class Catalog:
     ``CatalogColumns``.  One from ``load_catalog`` starts from its checked
     columns and builds ``products`` on first access; one built from products
     derives its columns on first access.  Either is built at most once.
-    ``get`` on a loaded catalog builds only the product it returns.
     """
 
     def __init__(
@@ -149,7 +155,7 @@ class Catalog:
     ) -> Catalog:
         catalog = cls.__new__(cls)
         catalog.__dict__.update(
-            columns=columns, display_scale=display_scale, universe_size=len(columns.ids)
+            columns=columns, display_scale=display_scale, universe_size=len(columns.ids), _built={}
         )
         return catalog
 
@@ -167,23 +173,20 @@ class Catalog:
         return {p.id: p for p in self.products}
 
     @cached_property
-    def _got(self) -> dict[str, Product]:
-        """Every product by id, or for a loaded catalog those ``get`` has built."""
-        return self.by_id if "products" in self.__dict__ else {}
-
-    @cached_property
-    def _rows(self) -> dict[str, tuple]:
-        return {fields[0]: fields for fields in zip(*self.columns.fields())}
+    def _rows(self) -> dict[str, int]:
+        return {product_id: row for row, product_id in enumerate(self.columns.ids)}
 
     def get(self, product_id: str) -> Product:
         try:
-            return self._got[product_id]
+            if "products" in self.__dict__:
+                return self.by_id[product_id]
+            row = self._rows[product_id]
         except KeyError:
-            pass
-        if product_id not in self._rows:
-            raise KeyError(f"unknown product id {product_id!r}")
+            raise KeyError(f"unknown product id {product_id!r}") from None
         # A loaded catalog builds only the products asked for, each once.
-        return self._got.setdefault(product_id, Product(*self._rows[product_id]))
+        if product_id not in self._built:
+            self._built[product_id] = self.columns.products(slice(row, row + 1))[0]
+        return self._built[product_id]
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

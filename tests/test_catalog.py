@@ -145,8 +145,9 @@ class TestLazyProducts:
         return built
 
     def test_ranking_a_loaded_catalog_builds_no_product(self, built):
-        catalog = load_catalog(serialize_catalog(demo_catalog()))
+        text = serialize_catalog(demo_catalog())
         built.clear()
+        catalog = load_catalog(text)
         assert catalog.universe_size == 10
         assert two_stage_select(catalog, 3)[0].slots == ("A", "B", "F")
         two_stage_select(catalog, 10, POLICY_PRICE_DESC)
@@ -160,16 +161,26 @@ class TestLazyProducts:
         assert catalog.products is catalog.products
         assert len(built) == 11
         assert catalog.get("A") == catalog.products[0] == demo_catalog().get("A")
+        # Once products exist, get answers with them.
+        assert catalog.get("B") is catalog.products[1]
+
+    def test_get_on_a_catalog_of_products_derives_no_columns(self):
+        catalog = demo_catalog()
+        assert catalog.get("B") is catalog.products[1]
+        with pytest.raises(KeyError, match="unknown product id 'Z'"):
+            catalog.get("Z")
+        assert "columns" not in catalog.__dict__
 
     def test_auditing_a_loaded_catalog_builds_at_most_the_displayed_products(self, built):
-        catalog = load_catalog(serialize_catalog(demo_catalog()))
+        text = serialize_catalog(demo_catalog())
         built.clear()
+        catalog = load_catalog(text)
         span = AttentionSpanDist.deterministic(3)
         assert audit_ranking(catalog, ["A", "B", "F"], 3, span, omega=1.0) == []
         assert sorted(p.id for p in built) == ["A", "B", "F"]
         # A perturbed slate also reads the compliant slate A, B, F.
-        catalog = load_catalog(serialize_catalog(demo_catalog()))
         built.clear()
+        catalog = load_catalog(text)
         assert audit_ranking(catalog, ["A", "D", "F"], 3, span, omega=1.0)
         assert sorted(p.id for p in built) == ["A", "B", "D", "F"]
 
