@@ -7,10 +7,10 @@ first survivor before eliminating it from the pool.  Revenue shares are
 never read, so the resulting order cannot favor the platform's own cut.
 
 Both cutoffs are exactly rounded sums (bit for bit ``math.fsum``), so
-neither depends on the order products are listed in.  ``RankingPool``
-sorts the products once by the stage-1 key; a round's shortlist is a mask
-over those columns, stage 1's sums are exact integers updated as products
-leave, and a ranking of k slots out of n products costs O(n log n + k*n).
+neither depends on the order products are listed in.  Stage 1's sums are
+exact integers, patched as review states are rewritten and products leave,
+so a ``RankingPool`` set-up is one O(n log n) sort with no O(n) sum, and a
+ranking of k slots out of n products costs O(n log n + k*n).
 """
 
 from __future__ import annotations
@@ -32,20 +32,28 @@ POLICIES = (POLICY_STAGE1_ORDER, POLICY_PRICE_DESC)
 _EXACT_SUM_MIN = 1000
 # Every float is a multiple of 2^-1074, the least subnormal.
 _SCALE = 2**1074
+# Fewer than 2^26 addends, each of magnitude below this, sum below 2^1000.
+_ADDEND_MAX = 2.0**974
+
+
+def _scaled(x: float) -> int:
+    """x * 2^1074 as an exact int (x finite); its ratio's denominator is a power of two."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
 
 def _scaled_sum(x: np.ndarray) -> int | None:
-    """Σx * 2^1074 of a non-empty x as an exact int, or None unless Σ|x| < 2^1000.
+    """Σx * 2^1074 of a non-empty x as an exact int, or None unless every |x| < 2^974.
 
     ``np.frexp`` gives each addend as mant * 2^(exp-53), mant an integer below
     2^53.  Split into 26-bit halves, the mantissas are summed per exponent by
     ``np.bincount``, exactly while there are fewer than 2^26 addends, and the
     bins are combined in Python ints, whose true division rounds correctly.
-    Larger sums are left to math.fsum, to keep its inf, NaN and overflow.
+    Addends that could bring Σ|x| to 2^1000 are left to math.fsum, to keep
+    its inf, NaN and overflow.
     """
-    with np.errstate(over="ignore"):
-        if not np.abs(x).sum() < 2.0**1000:
-            return None
+    if len(x) >= 2**26 or not np.abs(x).max() < _ADDEND_MAX:
+        return None
     mant, exp = np.frexp(x)
     mant = (mant * 2.0**53).astype(np.int64)
     low = int(exp.min())
@@ -65,10 +73,10 @@ def _exact_sum(x: np.ndarray) -> float:
     return total / _SCALE if total else math.fsum(x.tolist())
 
 
-def _weighted_mean(weights, weighted) -> float | None:
+def _weighted_mean(weights: np.ndarray, weighted: np.ndarray) -> float | None:
     """Σweighted / Σweights, each exactly rounded, or None when Σweights is zero."""
-    mass = _exact_sum(np.asarray(weights, dtype=np.float64))
-    return _exact_sum(np.asarray(weighted, dtype=np.float64)) / mass if mass else None
+    mass = _exact_sum(weights)
+    return _exact_sum(weighted) / mass if mass else None
 
 
 def stage1_threshold(products: Iterable[Product]) -> float:
@@ -80,7 +88,8 @@ def stage1_threshold(products: Iterable[Product]) -> float:
     """
     products = list(products)
     cutoff = _weighted_mean(
-        [p.avg_rating for p in products], [p.avg_rating * p.review_count for p in products]
+        np.array([p.avg_rating for p in products], dtype=np.float64),
+        np.array([p.avg_rating * p.review_count for p in products], dtype=np.float64),
     )
     if cutoff is None:
         raise ValueError("stage-1 threshold undefined: all ratings are zero")
@@ -94,7 +103,8 @@ def stage2_threshold(products: Iterable[Product]) -> float:
     """
     products = list(products)
     cutoff = _weighted_mean(
-        [p.price for p in products], [p.price * p.review_count for p in products]
+        np.array([p.price for p in products], dtype=np.float64),
+        np.array([p.price * p.review_count for p in products], dtype=np.float64),
     )
     if cutoff is None:
         raise ValueError("stage-2 threshold undefined: all prices are zero")
@@ -161,12 +171,12 @@ class RankingColumns:
     """The inputs of a two-stage ranking as numpy columns in product-id order.
 
     Built from a catalog's columns with one sort of the ids; no ``Product``
-    is read.  The columns are copies, so ``rating`` and ``reviews`` may be
-    rewritten in place between rankings (the simulator writes each
-    purchase's review state into them) while the catalog stays as it was;
-    every ``RankingPool`` built from the columns sorts them afresh.  Price
-    and pinned demand are fixed, so the price-desc rank of each product is
-    computed once.
+    is read.  The columns are copies, so ``set_review_state`` may rewrite a
+    product's review state between rankings (the simulator writes each
+    purchase's) while the catalog stays as it was; ``weighted`` (rating *
+    reviews), ``price_weighted`` and the exact ``sums`` follow, so every
+    ``RankingPool`` re-sorts the columns but sums nothing.  Price and pinned
+    demand are fixed, so the price-desc rank of each product is computed once.
     """
 
     def __init__(self, catalog: Catalog, policy: str = POLICY_STAGE1_ORDER):
@@ -182,6 +192,11 @@ class RankingColumns:
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
         self.price = columns.price[order]
+        with np.errstate(over="ignore"):  # a product past the float range is inf
+            self.weighted = self.rating * self.reviews
+            self.price_weighted = self.price * self.reviews
+        self._sums = [_scaled_sum(self.rating), _scaled_sum(self.weighted)]
+        self._counted: dict[int, tuple[float, float]] = {}  # row -> values in _sums
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
             # Each product's rank under (price desc, pinned demand desc, id asc);
@@ -189,6 +204,29 @@ class RankingColumns:
             demand = columns.demand[order]
             self.price_desc_rank = np.empty(len(order), dtype=np.intp)
             self.price_desc_rank[np.lexsort((-demand, -self.price))] = np.arange(len(order))
+
+    def set_review_state(self, row: int, mean: float, count: int) -> None:
+        """Rewrite one product's rating and review count (count < 2^63)."""
+        if row not in self._counted:
+            self._counted[row] = (self.rating.item(row), self.weighted.item(row))
+        self.rating[row] = mean
+        self.reviews[row] = count
+        self.weighted[row] = mean * count
+        self.price_weighted[row] = self.price.item(row) * count
+
+    @property
+    def sums(self) -> tuple[int | None, int | None]:
+        """Exact Σrating and Σweighted, as ``_scaled_sum`` would give them now; rows
+        rewritten since the last read are patched, or their column recounted."""
+        for i, column in enumerate((self.rating, self.weighted)):
+            for row, counted in self._counted.items():
+                new = column.item(row)
+                if self._sums[i] is None or not abs(new) < _ADDEND_MAX:
+                    self._sums[i] = _scaled_sum(column)
+                    break
+                self._sums[i] += _scaled(new) - _scaled(counted[i])
+        self._counted.clear()
+        return tuple(self._sums)
 
 
 class RankingPool:
@@ -215,11 +253,12 @@ class RankingPool:
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
         self.price = columns.price[order]
-        self.weighted = self.rating * self.reviews
+        self.weighted = columns.weighted[order]
+        self.price_weighted = columns.price_weighted[order]
         self.alive = np.ones(len(order), dtype=bool)
         # Σrating and Σweighted over the alive products, exact and scaled by
         # 2^1074; None leaves that sum to math.fsum in every round.
-        self.sums = [_scaled_sum(self.rating), _scaled_sum(self.weighted)]
+        self.sums = list(columns.sums)
         if columns.price_desc_rank is not None:
             self.price_desc_rank = columns.price_desc_rank[order]
 
@@ -230,8 +269,7 @@ class RankingPool:
         self.alive[row] = False
         for i, column in enumerate((self.rating, self.weighted)):
             if self.sums[i] is not None:
-                num, den = column[row].as_integer_ratio()
-                self.sums[i] -= num * (_SCALE // den)
+                self.sums[i] -= _scaled(column.item(row))
 
     def _stage1_sum(self, i: int, column: np.ndarray, live: np.ndarray) -> float:
         total = self.sums[i]
@@ -245,26 +283,31 @@ class RankingPool:
 
     def _select(self) -> tuple:
         """One round: its cutoffs, shortlist, ordered passers and pick, as columns."""
-        live = np.flatnonzero(self.alive)
+        live = self.alive.nonzero()[0]
         if not live.size:
             raise ValueError("iteration pool is empty")
-        mass = self._stage1_sum(0, self.rating, live)
-        cutoff1 = self._stage1_sum(1, self.weighted, live) / mass if mass else None
+        try:
+            mass = self._stage1_sum(0, self.rating, live)
+            cutoff1 = self._stage1_sum(1, self.weighted, live) / mass if mass else None
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"stage-1 threshold sum: {exc}") from None
         if cutoff1 is None:
             shortlist = live[:0]
         else:
             shortlist = live[self.reviews[live] >= _review_bound(cutoff1)]
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
-            return cutoff1, shortlist, None, shortlist, live[np.argmax(self.reviews[live])]
-        price, reviews = self.price[shortlist], self.reviews[shortlist]
-        cutoff2 = _weighted_mean(price, price * reviews)
+            return cutoff1, shortlist, None, shortlist, live[self.reviews[live].argmax()]
+        try:
+            cutoff2 = _weighted_mean(self.price[shortlist], self.price_weighted[shortlist])
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"stage-2 threshold sum: {exc}") from None
         if cutoff2 is None:
             passers = shortlist[:0]
         else:
-            passers = shortlist[reviews >= _review_bound(cutoff2)]
+            passers = shortlist[self.reviews[shortlist] >= _review_bound(cutoff2)]
         if self.policy == POLICY_PRICE_DESC:
-            passers = passers[np.argsort(self.price_desc_rank[passers])]
+            passers = passers[self.price_desc_rank[passers].argsort()]
         return cutoff1, shortlist, cutoff2, passers, passers[0] if passers.size else shortlist[0]
 
     def _record(self, cutoff1, shortlist, cutoff2, passers, pick) -> IterationRecord:

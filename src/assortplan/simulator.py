@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +67,7 @@ class SimConfig:
     clamp_ratings: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class CustomerRecord:
+class CustomerRecord(NamedTuple):
     """One arrival: span drawn, slots viewed, and the purchase outcome.
 
     ``post_state`` is the (count, mean) review state of the purchased
@@ -268,9 +269,7 @@ class _Reranker:
             # The int64 column cannot hold the count; the next re-rank fails.
             self.overflow = self.overflow or (product_id, state.count)
             return
-        i = self.row[product_id]
-        self.columns.rating[i] = state.mean
-        self.columns.reviews[i] = state.count
+        self.columns.set_review_state(self.row[product_id], state.mean, state.count)
 
     def rank(self) -> tuple[str, ...]:
         if self.overflow is not None:
@@ -346,12 +345,8 @@ def _frozen_records(
         bought = hit.any(axis=1)
         slot = np.where(bought, hit.argmax(axis=1), reach)
         viewed = np.where(bought, slot + 1, limit)
-        records.extend(
-            CustomerRecord(t, span, v, pid, None, None)
-            for t, span, v, pid in zip(
-                range(first, first + len(index)), span_values[index], viewed.tolist(), ids[slot]
-            )
-        )
+        columns = (range(first, first + len(index)), span_values[index], viewed.tolist(), ids[slot])
+        records.extend(map(CustomerRecord._make, zip(*columns, repeat(None), repeat(None))))
     return records
 
 

@@ -39,11 +39,15 @@ from assortplan.revenue import (
 )
 
 
+class ThresholdUndefined(ValueError):
+    """A stage's weights sum to zero, so it has no cutoff (a fallback pick)."""
+
+
 def stage1_threshold(products: Iterable[Product]) -> float:
     products = list(products)
     rating_mass = math.fsum(p.avg_rating for p in products)
     if rating_mass == 0:
-        raise ValueError("stage-1 threshold undefined: all ratings are zero")
+        raise ThresholdUndefined("stage-1 threshold undefined: all ratings are zero")
     return math.fsum(p.avg_rating * p.review_count for p in products) / rating_mass
 
 
@@ -51,8 +55,19 @@ def stage2_threshold(products: Iterable[Product]) -> float:
     products = list(products)
     price_mass = math.fsum(p.price for p in products)
     if price_mass == 0:
-        raise ValueError("stage-2 threshold undefined: all prices are zero")
+        raise ThresholdUndefined("stage-2 threshold undefined: all prices are zero")
     return math.fsum(p.price * p.review_count for p in products) / price_mass
+
+
+def _cutoff(stage: int, products: Sequence[Product]) -> float | None:
+    """The stage's cutoff, None when undefined; fsum's overflow and inf - inf name the stage."""
+    threshold = stage1_threshold if stage == 1 else stage2_threshold
+    try:
+        return threshold(products)
+    except ThresholdUndefined:
+        return None
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"stage-{stage} threshold sum: {exc}") from None
 
 
 def stage1_rank(products: Iterable[Product], threshold: float) -> list[str]:
@@ -91,18 +106,12 @@ def run_iteration(pool: Sequence[Product], policy: str = POLICY_STAGE1_ORDER) ->
     if not pool:
         raise ValueError("iteration pool is empty")
     by_id = {p.id: p for p in pool}
-    try:
-        cutoff1: float | None = stage1_threshold(pool)
-    except ValueError:
-        cutoff1 = None
+    cutoff1 = _cutoff(1, pool)
     shortlist = stage1_rank(pool, cutoff1) if cutoff1 is not None else []
     if not shortlist:
         pick = sorted(pool, key=lambda p: (-p.review_count, -p.avg_rating, p.id))[0]
         return IterationRecord(cutoff1, (), None, (), pick.id, True)
-    try:
-        cutoff2: float | None = stage2_threshold([by_id[pid] for pid in shortlist])
-    except ValueError:
-        cutoff2 = None
+    cutoff2 = _cutoff(2, [by_id[pid] for pid in shortlist])
     passers = (
         stage2_filter(shortlist, cutoff2, by_id, policy) if cutoff2 is not None else []
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from assortplan.catalog import Catalog, demo_catalog
+from assortplan.catalog import Catalog, Product, demo_catalog
 from assortplan.cli import (
     _json_indented,
     main,
@@ -128,6 +128,33 @@ class TestRank:
         code, _, err = run(capsys, "rank", "--catalog", str(path), "--slots", "3")
         assert code == 2
         assert "malformed" in err
+
+    # Valid catalogs whose threshold sums fail in math.fsum: part-way overflow
+    # of the stage-2 price sum, and inf - inf among stage 1's rating * reviews.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                [("X", 1e308, 10, 4.0), ("Y", 1e308, 10, 4.0), ("Z", 2.0, 5, 3.0)],
+                "stage-2 threshold sum: intermediate overflow in fsum",
+            ),
+            (
+                [("X", 1.0, 3, 1e308), ("Y", 2.0, 5, -1e308), ("Z", 3.0, 50, 3.0)],
+                "stage-1 threshold sum: -inf + inf in fsum",
+            ),
+        ],
+    )
+    def test_overflowing_threshold_sum_is_one_error_line(
+        self, capsys, write_catalog, rows, message
+    ):
+        path = write_catalog(
+            Catalog(tuple(Product(id=i, price=p, review_count=n, avg_rating=r) for i, p, n, r in rows))
+        )
+        code, out, err = run(capsys, "rank", "--catalog", str(path), "--slots", "3", "--trace")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_structured_format(self, capsys, demo_path):
         code, out, _ = run(

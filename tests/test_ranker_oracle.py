@@ -7,6 +7,7 @@ rankings, equal traces (thresholds bit for bit) and equal findings.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from assortplan.assortment import (
     run_iteration,
     two_stage_select,
 )
-from assortplan.catalog import Catalog, Product
+from assortplan.catalog import MAX_REVIEWS, Catalog, Product
 from assortplan.collusion import audit_ranking
 from assortplan.revenue import AttentionSpanDist
 
@@ -203,11 +204,11 @@ def sum_inputs(draw) -> np.ndarray:
 
 
 def _outcome(call):
-    """What a call returns, or the type of the exception it raised."""
+    """What a call returns, or the type and message of the exception it raised."""
     try:
         return call()
     except (OverflowError, ValueError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @given(sum_inputs())
@@ -229,16 +230,21 @@ def test_exact_sum_matches_fsum_bit_for_bit(x):
 
 
 # Products or sums past the float range: the cutoffs must keep math.fsum's
-# inf, its ValueError on inf - inf and its OverflowError part-way.
+# inf, and its ValueError on inf - inf and OverflowError part-way become one
+# ValueError naming the stage.
 OVERFLOW_CASES = {
     "inf-weighted": _catalog(("X", 1.0, 10**10, 1e300), ("Y", 2.0, 5, 4.0), ("Z", 3.0, 50, 3.0)),
     # Σ|rating| is inf, so stage 1 is summed by fsum; the ratings cancel.
     "huge-ratings": _catalog(("X", 1.0, 0, 1e308), ("Y", 2.0, 0, -1e308), ("Z", 3.0, 50, 3.0)),
+    # rating * reviews is inf and -inf: fsum's inf - inf in stage 1.
+    "huge-ratings-reviewed": _catalog(
+        ("X", 1.0, 3, 1e308), ("Y", 2.0, 5, -1e308), ("Z", 3.0, 50, 3.0)
+    ),
     "huge-prices": _catalog(("X", 1e308, 10, 4.0), ("Y", 1e308, 10, 4.0), ("Z", 2.0, 5, 3.0)),
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")  # the engine's own products overflow quietly
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("name", sorted(OVERFLOW_CASES))
 def test_overflowing_sums_match_oracle(name, policy):
@@ -314,3 +320,71 @@ def test_perturbed_audit_above_crossover_matches_oracle(policy):
     findings = audit_ranking(catalog, displayed, 10, DIST, policy)
     assert findings == ref.audit_ranking(catalog, displayed, 10, DIST, policy)
     assert {f.kind for f in findings} >= {"order-violation"}
+
+
+# Review states a write may set: ratings near ±1e308, where rating * count is
+# inf or -inf, counts up to 2^63 - 1, and heavy ties among small counts.
+WRITE_RATINGS = RATINGS | st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 2.0**974])
+WRITE_COUNTS = st.integers(0, 3) | REVIEWS | st.just(MAX_REVIEWS - 1)
+
+
+def _hexed(record):
+    """A round's record with its thresholds' bits, so that 0.0 and -0.0 differ."""
+    cutoffs = (record.stage1_threshold, record.stage2_threshold)
+    return record, [None if c is None else c.hex() for c in cutoffs]
+
+
+@given(catalogs(), st.data(), st.sampled_from(POLICIES))
+def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
+    # ``twin`` takes the same writes but is read only at re-ranks, so that it
+    # patches several writes, some to one row, at once.
+    columns, twin = RankingColumns(catalog, policy), RankingColumns(catalog, policy)
+    rows = columns.ids.tolist()
+    states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
+    n = len(rows)
+    for _ in range(data.draw(st.integers(1, 8))):
+        row = data.draw(st.integers(0, n - 1))
+        mean, count = data.draw(WRITE_RATINGS), data.draw(WRITE_COUNTS)
+        if data.draw(st.booleans()):
+            # Cancel another row's values, so that the sums can reach zero.
+            other = data.draw(st.integers(0, n - 1))
+            mean, count = -columns.rating.item(other), columns.reviews.item(other)
+        columns.set_review_state(row, mean, count)
+        twin.set_review_state(row, mean, count)
+        states[rows[row]] = (count, mean)
+        with np.errstate(over="ignore"):
+            assert columns.weighted.tobytes() == (columns.rating * columns.reviews).tobytes()
+            assert columns.price_weighted.tobytes() == (columns.price * columns.reviews).tobytes()
+        assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
+        if not data.draw(st.booleans()):
+            continue
+        rebuilt = Catalog(
+            tuple(
+                dataclasses.replace(p, review_count=states[p.id][0], avg_rating=states[p.id][1])
+                for p in catalog.products
+            )
+        )
+        k = data.draw(st.integers(1, n))
+        expected = _outcome(lambda: two_stage_select(rebuilt, k, policy)[0].slots)
+        fresh = _outcome(lambda: _hexed(RankingPool(RankingColumns(rebuilt, policy)).peek()))
+        for written in (columns, twin):
+            pool = RankingPool(written)
+            assert _outcome(lambda: _hexed(pool.peek())) == fresh
+            assert _outcome(lambda: tuple(pool.take_id() for _ in range(k))) == expected
+        assert twin.sums == columns.sums
+
+
+def test_review_writes_move_sums_off_and_back_onto_the_int_path():
+    columns = RankingColumns(CASES["order-sensitive-sum"])
+    assert None not in columns.sums
+    columns.set_review_state(1, 1e308, 5)  # rating past 2^974, rating * count inf
+    assert columns.sums == (None, None)
+    columns.set_review_state(1, -3.3, MAX_REVIEWS - 1)
+    assert columns.weighted[1] == -3.3 * float(MAX_REVIEWS - 1)
+    assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
+    assert None not in columns.sums
+    # Cancelling the other two ratings brings Σrating to exactly zero.
+    columns.set_review_state(0, 3.3, 39)
+    columns.set_review_state(2, 0.0, 26)
+    assert columns.sums[0] == 0
+    assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
