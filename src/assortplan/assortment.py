@@ -79,6 +79,24 @@ def _weighted_mean(weights: np.ndarray, weighted: np.ndarray) -> float | None:
     return _exact_sum(weighted) / mass if mass else None
 
 
+class _StageSum:
+    """Context of a stage's threshold sums: math.fsum's OverflowError part-way
+    and its ValueError on inf - inf leave it as one ValueError naming the stage."""
+
+    def __init__(self, stage: int):
+        self.stage = stage
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, (OverflowError, ValueError)):
+            raise ValueError(f"stage-{self.stage} threshold sum: {exc}") from None
+
+
+_STAGE1_SUM, _STAGE2_SUM = _StageSum(1), _StageSum(2)
+
+
 def stage1_threshold(products: Iterable[Product]) -> float:
     """Rating-weighted mean review count over the given products.
 
@@ -87,10 +105,11 @@ def stage1_threshold(products: Iterable[Product]) -> float:
     zero.
     """
     products = list(products)
-    cutoff = _weighted_mean(
-        np.array([p.avg_rating for p in products], dtype=np.float64),
-        np.array([p.avg_rating * p.review_count for p in products], dtype=np.float64),
-    )
+    with _STAGE1_SUM:
+        cutoff = _weighted_mean(
+            np.array([p.avg_rating for p in products], dtype=np.float64),
+            np.array([p.avg_rating * p.review_count for p in products], dtype=np.float64),
+        )
     if cutoff is None:
         raise ValueError("stage-1 threshold undefined: all ratings are zero")
     return cutoff
@@ -102,10 +121,11 @@ def stage2_threshold(products: Iterable[Product]) -> float:
     Undefined (raises) when every price is zero.
     """
     products = list(products)
-    cutoff = _weighted_mean(
-        np.array([p.price for p in products], dtype=np.float64),
-        np.array([p.price * p.review_count for p in products], dtype=np.float64),
-    )
+    with _STAGE2_SUM:
+        cutoff = _weighted_mean(
+            np.array([p.price for p in products], dtype=np.float64),
+            np.array([p.price * p.review_count for p in products], dtype=np.float64),
+        )
     if cutoff is None:
         raise ValueError("stage-2 threshold undefined: all prices are zero")
     return cutoff
@@ -286,11 +306,9 @@ class RankingPool:
         live = self.alive.nonzero()[0]
         if not live.size:
             raise ValueError("iteration pool is empty")
-        try:
+        with _STAGE1_SUM:
             mass = self._stage1_sum(0, self.rating, live)
             cutoff1 = self._stage1_sum(1, self.weighted, live) / mass if mass else None
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"stage-1 threshold sum: {exc}") from None
         if cutoff1 is None:
             shortlist = live[:0]
         else:
@@ -298,10 +316,8 @@ class RankingPool:
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
             return cutoff1, shortlist, None, shortlist, live[self.reviews[live].argmax()]
-        try:
+        with _STAGE2_SUM:
             cutoff2 = _weighted_mean(self.price[shortlist], self.price_weighted[shortlist])
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"stage-2 threshold sum: {exc}") from None
         if cutoff2 is None:
             passers = shortlist[:0]
         else:

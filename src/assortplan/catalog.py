@@ -176,13 +176,20 @@ class Catalog:
     def _rows(self) -> dict[str, int]:
         return {product_id: row for row, product_id in enumerate(self.columns.ids)}
 
-    def get(self, product_id: str) -> Product:
+    def row(self, product_id: str) -> int:
+        """The product's row in ``columns`` (the last one, should an id repeat)."""
         try:
-            if "products" in self.__dict__:
-                return self.by_id[product_id]
-            row = self._rows[product_id]
+            return self._rows[product_id]
         except KeyError:
             raise KeyError(f"unknown product id {product_id!r}") from None
+
+    def get(self, product_id: str) -> Product:
+        if "products" in self.__dict__:
+            try:
+                return self.by_id[product_id]
+            except KeyError:
+                raise KeyError(f"unknown product id {product_id!r}") from None
+        row = self.row(product_id)
         # A loaded catalog builds only the products asked for, each once.
         if product_id not in self._built:
             self._built[product_id] = self.columns.products(slice(row, row + 1))[0]
@@ -409,6 +416,8 @@ def load_catalog(source: bytes | str) -> Catalog:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"malformed catalog document: {exc}") from exc
+    except RecursionError:
+        raise CatalogError("malformed catalog document: nested too deeply") from None
     if not isinstance(doc, dict) or "products" not in doc:
         raise CatalogError("catalog document must be an object with a 'products' array")
     raw_products = doc["products"]

@@ -340,6 +340,8 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed simulation config: {exc}") from exc
+    except RecursionError:
+        raise ValueError("malformed simulation config: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("simulation config must be a JSON object")
     for key in ("horizon", "seed", "span", "prior"):

@@ -13,13 +13,19 @@ numpy's own ``Generator(Philox(key=seed, counter=t << 128)).random()``.
 Frozen runs are then array code; live runs walk customers in order over the
 precomputed uniforms, ask numpy for the rating draw only, and re-rank by
 writing each purchase's review state into the ranking columns in place.
+
+The trace is columnar: per customer a span index, the slots viewed and the
+catalog row bought, and per rated purchase the rating and the review state
+after it.  ``CustomerRecord``s are built only when ``SimTrace.records`` is
+first read, and the catalog is read as columns, so a run builds no
+``Product``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +37,7 @@ from .assortment import (
     RankingPool,
     two_stage_select,
 )
-from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, Product
+from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns
 from .demand import (
     CostModel,
     ReviewState,
@@ -93,16 +99,66 @@ class SimSummary:
     posterior_means: dict[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
-    records: tuple[CustomerRecord, ...]
+    """A run as columns.
+
+    Per customer, customer t at index t-1: ``span_index`` into ``spans``,
+    the slots ``viewed``, and the catalog row ``purchased`` (-1 for none).
+    Per purchase that drew a rating, in customer order: the customer's
+    index in ``rated``, the rating, and the review state right after, as
+    ``post_counts`` and ``post_means``.  ``columns`` are the catalog's, for
+    ids, prices and shares.  ``records`` builds the ``CustomerRecord``s on
+    first read.
+    """
+
+    spans: tuple[int, ...]
+    span_index: np.ndarray
+    viewed: np.ndarray
+    purchased: np.ndarray
+    rated: list[int]
+    ratings: list[float]
+    post_counts: list[int]
+    post_means: list[float]
     final_states: dict[str, ReviewState]
     prior: BeliefPrior
-    product_params: dict[str, tuple[float, float]]
+    columns: CatalogColumns
+
+    @cached_property
+    def records(self) -> tuple[CustomerRecord, ...]:
+        horizon = len(self.viewed)
+        ids = [*self.columns.ids, None]
+        ratings: list[float | None] = [None] * horizon
+        post_states: list[tuple[int, float] | None] = [None] * horizon
+        rated = zip(self.rated, self.ratings, self.post_counts, self.post_means)
+        for i, rating, count, mean in rated:
+            ratings[i], post_states[i] = rating, (count, mean)
+        return tuple(
+            map(
+                CustomerRecord,
+                range(1, horizon + 1),
+                map(self.spans.__getitem__, self.span_index.tolist()),
+                self.viewed.tolist(),
+                map(ids.__getitem__, self.purchased.tolist()),
+                ratings,
+                post_states,
+            )
+        )
 
     @cached_property
     def summary(self) -> SimSummary:
         return summarize(self)
+
+    def _key(self) -> tuple:
+        c = self.columns
+        return (
+            self.records, self.final_states, self.prior, c.ids, c.price.tolist(), c.share.tolist()
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
 
 def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
@@ -126,25 +182,26 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
             raise ValueError("fixed slate is empty")
         if len(set(cfg.slate)) != len(cfg.slate):
             raise ValueError(f"fixed slate contains duplicate ids: {list(cfg.slate)}")
-        reachable = [catalog.get(pid) for pid in cfg.slate]
+        reachable = np.array([catalog.row(pid) for pid in cfg.slate], dtype=np.intp)
     else:
-        reachable = list(catalog.products)
+        reachable = np.arange(catalog.universe_size)
     if not cfg.freeze_beliefs:
-        for product in reachable:
-            if product.demand_override is None and (
-                product.true_quality is None or product.rating_noise is None
-            ):
-                raise ValueError(
-                    f"product {product.id!r} needs true_quality and rating_noise "
-                    "for an unfrozen run with computed demand"
-                )
+        columns = catalog.columns
+        unrated = (columns.demand[reachable] == 0) & (
+            np.isnan(columns.true_quality[reachable]) | np.isnan(columns.rating_noise[reachable])
+        )
+        if unrated.any():
+            raise ValueError(
+                f"product {columns.ids[reachable[unrated.argmax()]]!r} needs true_quality and "
+                "rating_noise for an unfrozen run with computed demand"
+            )
     if cfg.rerank_every is not None and not catalog.universe_size:
         raise ValueError("catalog is empty")
 
 
 # Customers per kernel call: the kernel's arrays hold this many customers'
 # draws at a time, however long the horizon.
-_BLOCK = 1024
+_BLOCK = 4096
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -155,12 +212,24 @@ _SHIFT32 = np.uint64(32)
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products ``m * x``, from 32-bit halves."""
+    """High and low words of the 128-bit products ``m * x``, from 32-bit halves.
+
+    The partial products are summed in place, in fresh arrays, to keep a
+    block's temporaries few.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
     lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
-    middle = ((x_lo * m_lo) >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
-    high = x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (middle >> _SHIFT32)
+    middle, high = x_lo, x_hi
+    middle *= m_lo
+    middle >>= _SHIFT32
+    high *= m_hi
+    for part in (lo_hi, hi_lo):
+        high += part >> _SHIFT32
+        part &= _LOW32
+        middle += part
+    middle >>= _SHIFT32
+    high += middle
     return high, x * np.uint64(m)
 
 
@@ -182,7 +251,11 @@ def philox_raw(seed: int, customers: np.ndarray, blocks: int) -> np.ndarray:
             k1 = (k1 + _PHILOX_W[1]) % 2**64
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        hi1 ^= c1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= c3
+        hi0 ^= np.uint64(k1)
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(customers), 4 * blocks)
 
 
@@ -282,10 +355,30 @@ class _Reranker:
         return tuple(pool.take_id() for _ in range(self.slot_count))
 
 
-def _purchase_chance(product: Product, state: ReviewState, position: int, cfg: SimConfig) -> float:
-    if product.demand_override is not None:
-        return product.demand_override
-    return logistic(expected_utility(cfg.prior, state, product.price, position, cfg.cost))
+def _purchase_chance(
+    columns: CatalogColumns, row: int, state: ReviewState, position: int, cfg: SimConfig
+) -> float:
+    """Row ``row``'s pinned demand, or the logistic of its posterior utility."""
+    demand = columns.demand.item(row)
+    if demand:
+        return demand
+    return logistic(expected_utility(cfg.prior, state, columns.price.item(row), position, cfg.cost))
+
+
+def _displayed(
+    catalog: Catalog,
+    states: dict[str, ReviewState],
+    slate: tuple[str, ...],
+    reach: int,
+    cfg: SimConfig,
+) -> tuple[list[int], list[float]]:
+    """The catalog rows of the slate's first ``reach`` products and their purchase chances."""
+    rows = [catalog.row(pid) for pid in slate[:reach]]
+    chance = [
+        _purchase_chance(catalog.columns, row, states[pid], j, cfg)
+        for j, (row, pid) in enumerate(zip(rows, slate), start=1)
+    ]
+    return rows, chance
 
 
 def simulate(catalog: Catalog, cfg: SimConfig) -> SimTrace:
@@ -294,33 +387,33 @@ def simulate(catalog: Catalog, cfg: SimConfig) -> SimTrace:
     Customer t sees the review states left by customer t-1.  At slot j the
     purchase chance is the product's pinned override or the logistic of its
     current posterior utility; the walk stops at the first purchase or when
-    the attention span runs out.
+    the attention span runs out.  The catalog is read as columns, by row.
     """
     _validate_config(catalog, cfg)
-    states: dict[str, ReviewState] = {
-        p.id: ReviewState(p.review_count, p.avg_rating) for p in catalog.products
-    }
+    columns = catalog.columns
+    states = dict(
+        zip(columns.ids, map(ReviewState, columns.reviews.tolist(), columns.rating.tolist()))
+    )
     spans = _SpanDraw(cfg.dist)
-    if cfg.freeze_beliefs:
-        records = _frozen_records(catalog, states, cfg, spans)
-    else:
-        records = _live_records(catalog, states, cfg, spans)
+    run = _frozen_columns if cfg.freeze_beliefs else _live_columns
     return SimTrace(
-        records=tuple(records),
+        spans=tuple(spans.values),
+        **run(catalog, states, cfg, spans),
         final_states=states,
         prior=cfg.prior,
-        product_params={p.id: (p.price, p.revenue_share) for p in catalog.products},
+        columns=columns,
     )
 
 
-def _frozen_records(
+def _frozen_columns(
     catalog: Catalog, states: dict[str, ReviewState], cfg: SimConfig, spans: _SpanDraw
-) -> list[CustomerRecord]:
+) -> dict:
     """Frozen beliefs: the slate and every slot's purchase chance never change.
 
     (Re-ranking unchanged review states gives the catalog's own ranking.)
     A customer buys at the first slot j within the span whose uniform falls
-    below the slot's chance.
+    below the slot's chance; no rating is drawn.  Returns the run's
+    ``SimTrace`` columns.
     """
     if cfg.slate is not None:
         slate = cfg.slate
@@ -328,100 +421,108 @@ def _frozen_records(
         slate = two_stage_select(catalog, cfg.slot_count, cfg.policy)[0].slots
     offset = int(spans.uses_uniform)
     reach = min(cfg.dist.max_span, len(slate))
-    chance = np.array(
-        [
-            _purchase_chance(product, states[product.id], j, cfg)
-            for j, product in enumerate(map(catalog.get, slate[:reach]), start=1)
-        ]
-    )
-    ids = np.array([*slate[:reach], None], dtype=object)
-    span_values = np.array(spans.values, dtype=object)
+    rows, chance = _displayed(catalog, states, slate, reach, cfg)
+    chance = np.array(chance)
+    bought_row = np.array([*rows, -1])
     span_limits = np.array([min(y, len(slate)) for y in spans.values])
-    records: list[CustomerRecord] = []
-    for first, _, uniforms in _draw_blocks(cfg.seed, cfg.horizon, offset + reach):
+    blocks = []
+    for _, _, uniforms in _draw_blocks(cfg.seed, cfg.horizon, offset + reach):
         index = spans.index(uniforms)
         limit = span_limits[index]
         hit = (uniforms[:, offset : offset + reach] < chance) & (np.arange(reach) < limit[:, None])
         bought = hit.any(axis=1)
         slot = np.where(bought, hit.argmax(axis=1), reach)
-        viewed = np.where(bought, slot + 1, limit)
-        columns = (range(first, first + len(index)), span_values[index], viewed.tolist(), ids[slot])
-        records.extend(map(CustomerRecord._make, zip(*columns, repeat(None), repeat(None))))
-    return records
+        blocks.append((index, np.where(bought, slot + 1, limit), bought_row[slot]))
+    span_index, viewed, purchased = map(np.concatenate, zip(*blocks))
+    return dict(
+        span_index=span_index, viewed=viewed, purchased=purchased,
+        rated=[], ratings=[], post_counts=[], post_means=[],
+    )
 
 
-def _live_records(
+def _live_columns(
     catalog: Catalog, states: dict[str, ReviewState], cfg: SimConfig, spans: _SpanDraw
-) -> list[CustomerRecord]:
+) -> dict:
     """Live beliefs: customers run in order, each purchase moving a review state.
 
     Slot chances are computed per slate and recomputed for the purchased
-    slot whenever its product's review state moves.
+    slot whenever its product's review state moves.  Returns the run's
+    ``SimTrace`` columns.
     """
+    columns = catalog.columns
     reranker = _Reranker(catalog, cfg) if cfg.rerank_every is not None else None
     slate_len = len(cfg.slate) if reranker is None else reranker.slot_count
     offset = int(spans.uses_uniform)
     reach = min(cfg.dist.max_span, slate_len)
-
-    def shown(slate: tuple[str, ...]) -> tuple[list[Product], list[float]]:
-        products = [catalog.get(pid) for pid in slate[:reach]]
-        chance = [
-            _purchase_chance(p, states[p.id], j, cfg) for j, p in enumerate(products, start=1)
-        ]
-        return products, chance
-
+    span_limits = [min(y, slate_len) for y in spans.values]
     if reranker is None:
-        products, chance = shown(cfg.slate)
-    ratings = _RatingDraws(cfg.seed)
-    records: list[CustomerRecord] = []
+        rows, chance = _displayed(catalog, states, cfg.slate, reach, cfg)
+    draws_after = _RatingDraws(cfg.seed)
+    span_blocks: list[np.ndarray] = []
+    viewed_column: list[int] = []
+    purchased_column: list[int] = []
+    rated: list[int] = []
+    ratings: list[float] = []
+    post_counts: list[int] = []
+    post_means: list[float] = []
     for first, raw, uniforms in _draw_blocks(cfg.seed, cfg.horizon, offset + reach):
-        for i, (k, draws) in enumerate(zip(spans.index(uniforms).tolist(), uniforms.tolist())):
+        index = spans.index(uniforms)
+        span_blocks.append(index)
+        for i, (k, draws) in enumerate(zip(index.tolist(), uniforms.tolist())):
             t = first + i
             if reranker is not None and (t - 1) % cfg.rerank_every == 0:
-                products, chance = shown(reranker.rank())
-            span = spans.values[k]
-            limit = min(span, slate_len)
-            purchased: str | None = None
-            rating: float | None = None
-            post_state: tuple[int, float] | None = None
-            viewed = limit
-            for j in range(limit):
+                rows, chance = _displayed(catalog, states, reranker.rank(), reach, cfg)
+            viewed, purchased = span_limits[k], -1
+            for j in range(viewed):
                 if draws[offset + j] < chance[j]:
-                    product = products[j]
-                    purchased = product.id
-                    viewed = j + 1
-                    if product.true_quality is not None and product.rating_noise is not None:
-                        rng = ratings.after(t, offset + viewed, raw[i])
-                        drawn = float(rng.normal(product.true_quality, product.rating_noise))
+                    viewed, purchased = j + 1, rows[j]
+                    quality = columns.true_quality.item(purchased)
+                    noise = columns.rating_noise.item(purchased)
+                    if quality == quality and noise == noise:  # both given
+                        rng = draws_after.after(t, offset + viewed, raw[i])
+                        rating = float(rng.normal(quality, noise))
                         if cfg.clamp_ratings is not None:
                             lo, hi = cfg.clamp_ratings
-                            drawn = min(max(drawn, lo), hi)
-                        rating = drawn
-                        new_state = update_review_state(states[product.id], rating)
-                        states[product.id] = new_state
-                        post_state = (new_state.count, new_state.mean)
-                        chance[j] = _purchase_chance(product, new_state, viewed, cfg)
+                            rating = min(max(rating, lo), hi)
+                        pid = columns.ids[purchased]
+                        state = states[pid] = update_review_state(states[pid], rating)
+                        chance[j] = _purchase_chance(columns, purchased, state, viewed, cfg)
                         if reranker is not None:
-                            reranker.record(product.id, new_state)
+                            reranker.record(pid, state)
+                        rated.append(t - 1)
+                        ratings.append(rating)
+                        post_counts.append(state.count)
+                        post_means.append(state.mean)
                     break
-            records.append(CustomerRecord(t, span, viewed, purchased, rating, post_state))
-    return records
+            viewed_column.append(viewed)
+            purchased_column.append(purchased)
+    return dict(
+        span_index=np.concatenate(span_blocks),
+        viewed=np.array(viewed_column, dtype=np.int64),
+        purchased=np.array(purchased_column, dtype=np.intp),
+        rated=rated, ratings=ratings, post_counts=post_counts, post_means=post_means,
+    )
 
 
 def summarize(trace: SimTrace) -> SimSummary:
-    """Totals and rates over a trace; platform revenue is share-weighted."""
+    """Totals and rates over a trace; platform revenue is share-weighted.
+
+    Revenues are added purchase by purchase, left to right, as floats.
+    """
+    columns = trace.columns
+    bought = trace.purchased[trace.purchased >= 0]
+    rows, first, counts = np.unique(bought, return_index=True, return_counts=True)
+    by_first = first.argsort()
+    per_product = dict(
+        zip([columns.ids[row] for row in rows[by_first].tolist()], counts[by_first].tolist())
+    )
+    price = columns.price[bought]
     gross = 0.0
     platform = 0.0
-    per_product: dict[str, int] = {}
-    for record in trace.records:
-        if record.purchased is None:
-            continue
-        price, share = trace.product_params[record.purchased]
-        gross += price
-        platform += share * price
-        per_product[record.purchased] = per_product.get(record.purchased, 0) + 1
-    count = sum(per_product.values())
-    horizon = len(trace.records)
+    for p, q in zip(price.tolist(), (columns.share[bought] * price).tolist()):
+        gross += p
+        platform += q
+    horizon = len(trace.viewed)
     final_states = {pid: (s.count, s.mean) for pid, s in trace.final_states.items()}
     posterior_means = {
         pid: posterior_mean(trace.prior, s) for pid, s in trace.final_states.items()
@@ -429,8 +530,8 @@ def summarize(trace: SimTrace) -> SimSummary:
     return SimSummary(
         gross_revenue=gross,
         platform_revenue=platform,
-        purchase_count=count,
-        purchase_rate=count / horizon if horizon else 0.0,
+        purchase_count=len(bought),
+        purchase_rate=len(bought) / horizon if horizon else 0.0,
         per_product_purchases=per_product,
         final_states=final_states,
         posterior_means=posterior_means,
@@ -438,23 +539,24 @@ def summarize(trace: SimTrace) -> SimSummary:
 
 
 def trace_table(trace: SimTrace) -> str:
-    """Columnar export: one tab-separated line per customer record."""
-    lines = ["t\tspan\tviewed\tpurchased\trating\tpost_reviews\tpost_avg_rating"]
-    for r in trace.records:
-        lines.append(
-            "\t".join(
-                (
-                    str(r.t),
-                    str(r.span),
-                    str(r.viewed),
-                    r.purchased if r.purchased is not None else "-",
-                    repr(r.rating) if r.rating is not None else "-",
-                    str(r.post_state[0]) if r.post_state is not None else "-",
-                    repr(r.post_state[1]) if r.post_state is not None else "-",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Columnar export: one tab-separated line per customer.
+
+    A line without a rating depends, after ``t``, only on the customer's
+    (span, viewed, purchased), so each distinct triple is formatted once;
+    the lines of rated purchases are formatted one by one.
+    """
+    horizon = len(trace.viewed)
+    ids = [*trace.columns.ids, "-"]
+    keys = list(zip(trace.span_index.tolist(), trace.viewed.tolist(), trace.purchased.tolist()))
+    middles = {key: f"\t{trace.spans[key[0]]}\t{key[1]}\t{ids[key[2]]}" for key in set(keys)}
+    unrated = {key: middle + "\t-\t-\t-\n" for key, middle in middles.items()}
+    suffixes = list(map(unrated.__getitem__, keys))
+    rated = zip(trace.rated, trace.ratings, trace.post_counts, trace.post_means)
+    for i, rating, count, mean in rated:
+        suffixes[i] = f"{middles[keys[i]]}\t{rating!r}\t{count}\t{mean!r}\n"
+    lines = chain.from_iterable(zip(range(1, horizon + 1), suffixes))
+    header = "t\tspan\tviewed\tpurchased\trating\tpost_reviews\tpost_avg_rating\n"
+    return header + ("%d%s" * horizon) % tuple(lines)
 
 
 def summary_document(trace: SimTrace) -> dict:

@@ -4,22 +4,45 @@ This is the straightforward loop the batched ``simulator.simulate``
 replaced: every customer builds its own numpy ``Generator`` on the Philox
 stream at counter ``t << 128`` and draws span, slot and rating values from
 it one at a time, and every re-rank rebuilds the catalog from the current
-review states.  Tests require the engine to produce the same records, the
-same final states and the same summary, bit for bit.
+review states.  Its trace is a tuple of ``CustomerRecord``s, one built per
+customer, which ``trace_table`` formats and ``summarize`` totals record by
+record.  Tests require the engine's columnar trace to give the same
+records, the same final states, the same trace bytes and the same summary,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from assortplan.assortment import two_stage_select
-from assortplan.catalog import Catalog
-from assortplan.demand import ReviewState, expected_utility, logistic, update_review_state
+from assortplan.catalog import BeliefPrior, Catalog
+from assortplan.demand import (
+    ReviewState,
+    expected_utility,
+    logistic,
+    posterior_mean,
+    update_review_state,
+)
 from assortplan.revenue import AttentionSpanDist
-from assortplan.simulator import CustomerRecord, SimConfig, SimTrace, _validate_config
+from assortplan.simulator import CustomerRecord, SimConfig, SimSummary, _validate_config
+
+
+@dataclass(frozen=True)
+class RecordTrace:
+    records: tuple[CustomerRecord, ...]
+    final_states: dict[str, ReviewState]
+    prior: BeliefPrior
+    product_params: dict[str, tuple[float, float]]
+
+    @cached_property
+    def summary(self) -> SimSummary:
+        return summarize(self)
 
 
 def _draw_span(dist: AttentionSpanDist, rng: np.random.Generator) -> int:
@@ -34,7 +57,7 @@ def _draw_span(dist: AttentionSpanDist, rng: np.random.Generator) -> int:
     return dist.pmf[-1][0]
 
 
-def simulate(catalog: Catalog, cfg: SimConfig) -> SimTrace:
+def simulate(catalog: Catalog, cfg: SimConfig) -> RecordTrace:
     _validate_config(catalog, cfg)
     states: dict[str, ReviewState] = {
         p.id: ReviewState(p.review_count, p.avg_rating) for p in catalog.products
@@ -90,7 +113,7 @@ def simulate(catalog: Catalog, cfg: SimConfig) -> SimTrace:
             )
         )
 
-    return SimTrace(
+    return RecordTrace(
         records=tuple(records),
         final_states=states,
         prior=cfg.prior,
@@ -109,3 +132,52 @@ def _rerank(
     )
     ranking, _ = two_stage_select(Catalog(refreshed), cfg.slot_count, cfg.policy)
     return ranking.slots
+
+
+def summarize(trace: RecordTrace) -> SimSummary:
+    """Totals and rates over a trace; platform revenue is share-weighted."""
+    gross = 0.0
+    platform = 0.0
+    per_product: dict[str, int] = {}
+    for record in trace.records:
+        if record.purchased is None:
+            continue
+        price, share = trace.product_params[record.purchased]
+        gross += price
+        platform += share * price
+        per_product[record.purchased] = per_product.get(record.purchased, 0) + 1
+    count = sum(per_product.values())
+    horizon = len(trace.records)
+    final_states = {pid: (s.count, s.mean) for pid, s in trace.final_states.items()}
+    posterior_means = {
+        pid: posterior_mean(trace.prior, s) for pid, s in trace.final_states.items()
+    }
+    return SimSummary(
+        gross_revenue=gross,
+        platform_revenue=platform,
+        purchase_count=count,
+        purchase_rate=count / horizon if horizon else 0.0,
+        per_product_purchases=per_product,
+        final_states=final_states,
+        posterior_means=posterior_means,
+    )
+
+
+def trace_table(trace: RecordTrace) -> str:
+    """One tab-separated line per customer record."""
+    lines = ["t\tspan\tviewed\tpurchased\trating\tpost_reviews\tpost_avg_rating"]
+    for r in trace.records:
+        lines.append(
+            "\t".join(
+                (
+                    str(r.t),
+                    str(r.span),
+                    str(r.viewed),
+                    r.purchased if r.purchased is not None else "-",
+                    repr(r.rating) if r.rating is not None else "-",
+                    str(r.post_state[0]) if r.post_state is not None else "-",
+                    repr(r.post_state[1]) if r.post_state is not None else "-",
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"

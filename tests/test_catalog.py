@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from assortplan import simulator
 from assortplan.assortment import POLICY_PRICE_DESC, two_stage_select
 from assortplan.catalog import (
     BeliefPrior,
@@ -15,8 +16,10 @@ from assortplan.catalog import (
     serialize_catalog,
     validate_catalog,
 )
+from assortplan.cli import main
 from assortplan.collusion import audit_ranking
 from assortplan.revenue import AttentionSpanDist
+from assortplan.simulator import SimConfig, simulate, summary_document, trace_table
 
 
 def doc(products, **extra) -> str:
@@ -183,6 +186,51 @@ class TestLazyProducts:
         catalog = load_catalog(text)
         assert audit_ranking(catalog, ["A", "D", "F"], 3, span, omega=1.0)
         assert sorted(p.id for p in built) == ["A", "B", "D", "F"]
+
+    def test_simulating_a_loaded_catalog_builds_no_product(self, built):
+        rated = Catalog(
+            replace(p, price=1.0, true_quality=p.avg_rating, rating_noise=0.5, demand_override=None)
+            for p in demo_catalog().products
+        )
+        prior, span = BeliefPrior(4.0, 1.0, 1.0), AttentionSpanDist.from_pmf({1: 0.5, 3: 0.5})
+        configs = [
+            (demo_catalog(), dict(slate=("A", "D", "F"), freeze_beliefs=True)),
+            (demo_catalog(), dict(rerank_every=4, slot_count=3, freeze_beliefs=True)),
+            (rated, dict(slate=("C", "E", "H"))),
+            (rated, dict(rerank_every=3, slot_count=4, policy=POLICY_PRICE_DESC)),
+        ]
+        for source, display in configs:
+            text = serialize_catalog(source)
+            built.clear()
+            catalog = load_catalog(text)
+            cfg = SimConfig(horizon=300, seed=8, dist=span, prior=prior, **display)
+            trace = simulate(catalog, cfg)
+            trace_table(trace)
+            summary_document(trace)
+            assert built == []
+            # Nor did the run, the trace writer or the summary build records.
+            assert "records" not in trace.__dict__
+            if not display.get("freeze_beliefs"):
+                assert trace.rated and trace.records[trace.rated[0]].rating is not None
+
+    def test_cli_simulate_reads_no_records(self, built, demo_path, tmp_path, monkeypatch):
+        def unread(trace):
+            raise AssertionError("SimTrace.records was read")
+
+        monkeypatch.setattr(simulator.SimTrace, "records", property(unread))
+        built.clear()  # the demo_path fixture built the demo catalog's products
+        prior = {"mean": 0.0, "prior_var": 1.0, "noise_var": 1.0}
+        for name, display in (
+            ("frozen", {"slate": ["A", "B", "F"], "freeze_beliefs": True}),
+            ("rerank", {"rerank_every": 5, "slot_count": 3}),
+        ):
+            config = tmp_path / f"{name}.json"
+            doc = {"horizon": 200, "seed": 1, "span": "y=3", "prior": prior, **display}
+            config.write_text(json.dumps(doc))
+            argv = ["simulate", "--catalog", str(demo_path), "--config", str(config)]
+            argv += ["--out", str(tmp_path / name)]
+            assert main(argv) == 0
+        assert built == []
 
     def test_catalog_surface_is_unchanged(self):
         built = demo_catalog()

@@ -1,0 +1,199 @@
+"""Drawn command lines: every invocation exits 0, 1, 2 or 3 and prints no traceback.
+
+Arguments are drawn for all five subcommands, valid and invalid flag values
+alike, over the demo catalog, a logit catalog and malformed documents.
+argparse's own usage errors leave ``main`` as ``SystemExit(2)``; any other
+exception escaping ``main`` fails the test.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from dataclasses import replace
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from assortplan.catalog import Catalog, demo_catalog, serialize_catalog
+from assortplan.cli import main
+
+MALFORMED = {
+    "not-json.json": "{products: [",
+    "array.json": "[]",
+    "products-object.json": '{"products": {}}',
+    "entry-not-object.json": '{"products": [1]}',
+    "nan-price.json": '{"products": [{"id": "A", "price": NaN, "reviews": 1, "avg_rating": 4.0}]}',
+    "duplicate-ids.json": json.dumps(
+        {"products": [{"id": "A", "price": 1, "reviews": 1, "avg_rating": 4.0}] * 2}
+    ),
+    "empty.json": '{"products": []}',
+    "huge-reviews.json": json.dumps(
+        {"products": [{"id": "A", "price": 1, "reviews": 2**63, "avg_rating": 4.0}]}
+    ),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "bad-utf8.json": b"\xff\xfe{",
+}
+
+PRIOR = {"mean": 3.0, "prior_var": 1.0, "noise_var": 1.0}
+SIM_CONFIGS = {
+    "frozen.json": {"horizon": 40, "seed": 3, "span": "y=3", "prior": PRIOR,
+                    "slate": ["A", "B", "F"], "freeze_beliefs": True},
+    "rerank.json": {"horizon": 40, "seed": 3, "span": "pmf=1:0.5,3:0.5", "prior": PRIOR,
+                    "rerank_every": 4, "slot_count": 3, "policy": "price-desc"},
+    "live-slate.json": {"horizon": 40, "seed": 2**64 - 1, "span": "y=2", "prior": PRIOR,
+                        "slate": ["C", "E"], "clamp_ratings": [1, 5]},
+    "unknown-id.json": {"horizon": 5, "seed": 1, "span": "y=2", "prior": PRIOR, "slate": ["Z"]},
+    "both-displays.json": {"horizon": 5, "seed": 1, "span": "y=2", "prior": PRIOR,
+                           "slate": ["A"], "rerank_every": 2, "slot_count": 1},
+    "typed-wrong.json": {"horizon": "5", "seed": 1.5, "span": 3, "prior": [], "slate": "AB"},
+    "bad-prior.json": {"horizon": 5, "seed": 1, "span": "y=2",
+                       "prior": {"mean": 0, "prior_var": 0, "noise_var": 1}, "slate": ["A"]},
+    "bad-clamp.json": {"horizon": 5, "seed": 1, "span": "y=2", "prior": PRIOR,
+                       "slate": ["A"], "clamp_ratings": [5, 1]},
+    "missing-keys.json": {"seed": 1},
+    "array.json": [],
+}
+
+# Flag values: the valid ones, then the invalid ones.
+VALUES = {
+    "slate": (
+        ["A,B,F", "A,D,F", "F,A", "A", "C,E,H,J"], ["A,A", "Z", "", ",", "A,B,C,D,E,F,G,H,I,J"]
+    ),
+    "span": (
+        ["y=3", "y=1", "pmf=1:0.5,3:0.5", "pmf=2:0.3,4:0.7", "y=99999999999999999999"],
+        [
+            "y=0", "y=-2", "y=x", "pmf=", "pmf=1:2", "pmf=1:0.5,1:0.5", "pmf=3:nan", "pmf=3:inf",
+            "pmf=1:-0.5,2:1.5", "z=3",
+        ],
+    ),
+    # optimize refuses more than 8 slots with exit 3, before enumerating.
+    "slots": (["1", "2", "3", "9", str(10**30)], ["0", "-1", "x", "1.5"]),
+    "prior": (["3,1,1", "1e308,1,1"], ["0,0,1", "a,b,c", "1,2", "nan,1,1", "0,inf,1"]),
+    "slope": (["0.1", "0", "1e308"], ["-1", "nan", "inf", "x"]),
+    "omega": (["uniform:1.0", "uniform:0.5"], ["uniform:0", "uniform:2", "uniform:x", "x"]),
+    "policy": (["stage1-order", "price-desc"], ["bogus"]),
+    "format": (["text", "structured"], ["xml"]),
+    "seed": (["0", str(2**64 - 1)], ["-1", str(2**64), "x"]),
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory) -> dict:
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def write(name: str, content) -> str:
+        path = root / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        return str(path)
+
+    logit = Catalog(
+        replace(p, price=p.avg_rating - 1, true_quality=p.avg_rating, rating_noise=0.5,
+                demand_override=None)
+        for p in demo_catalog().products
+    )
+    catalogs = [
+        write("demo.json", serialize_catalog(demo_catalog())),
+        write("logit.json", serialize_catalog(logit)),
+        *(write(name, text) for name, text in MALFORMED.items()),
+        str(root / "missing.json"),
+        str(root),
+    ]
+    configs = [write(f"sim-{name}", json.dumps(doc)) for name, doc in SIM_CONFIGS.items()]
+    configs += [
+        write("sim-malformed.json", "{"),
+        write("sim-deep.json", MALFORMED["deep.json"]),
+        str(root / "missing-config.json"),
+    ]
+    return {
+        "catalog": (catalogs[:2], catalogs[2:]),
+        "config": (configs[:3], configs[3:]),
+        "out": str(root / "out"),
+    }
+
+
+@st.composite
+def command_lines(draw, files: dict) -> list[str]:
+    """A command line; in about half of them every value is a valid one."""
+    valid_only = draw(st.booleans())
+
+    def value(name: str) -> str:
+        valid, invalid = VALUES.get(name) or files[name]
+        if valid_only:
+            return draw(st.sampled_from(valid))
+        return draw(st.sampled_from(valid + invalid) | st.text(max_size=8))
+
+    def optional(flag: str, name: str) -> list[str]:
+        return [flag, value(name)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["rank", "expected-revenue", "optimize", "audit", "simulate"]))
+    argv = [command, "--catalog", value("catalog"), *optional("--format", "format")]
+    if command in ("expected-revenue", "optimize", "audit"):
+        argv += optional("--prior", "prior") + optional("--cost-slope", "slope")
+        argv += optional("--omega", "omega")
+    if command == "rank":
+        argv += ["--slots", value("slots")]
+        argv += optional("--policy", "policy") + draw(st.sampled_from([[], ["--trace"]]))
+    elif command == "expected-revenue":
+        argv += ["--slate", value("slate"), "--span", value("span")]
+    elif command == "optimize":
+        argv += ["--slots", value("slots"), "--span", value("span")]
+        argv += optional("--compare", "slate")
+    elif command == "audit":
+        argv += ["--displayed", value("slate"), "--span", value("span")]
+        argv += optional("--policy", "policy")
+    else:
+        argv += ["--config", value("config"), "--out", files["out"], *optional("--seed", "seed")]
+    if not valid_only and draw(st.integers(0, 4)) == 0:
+        # Drop the last flag's value, or add an unknown flag.
+        argv = argv[:-1] if draw(st.booleans()) else [*argv, "--bogus"]
+    return argv
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_every_command_line_exits_cleanly(files, data):
+    argv = data.draw(command_lines(files))
+    code, stderr = _run(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3), (argv, code, stderr)
+    assert "Traceback" not in stderr, (argv, stderr)
+
+
+def test_each_document_under_a_working_command_line(files):
+    # The drawn command lines pair a malformed document mostly with other
+    # faults that argparse reports first, so each document is also read
+    # here by a command line that is otherwise valid.
+    (demo, logit), malformed = files["catalog"]
+    for catalog in (demo, logit, *malformed):
+        valid = catalog in (demo, logit)
+        rank = ["rank", "--catalog", catalog, "--slots", "3", "--trace"]
+        audit = ["audit", "--catalog", catalog, "--displayed", "A,D,F", "--span", "y=3"]
+        for argv, codes in ((rank, {0}), ([*audit, "--prior", "3,1,1"], {0, 1})):
+            code, stderr = _run(argv)
+            assert code in (codes if valid else {2}), (argv, code, stderr)
+            assert stderr == "" if valid else stderr.startswith("error: "), (argv, stderr)
+    # The demo catalog's substituted slate is an audit finding.
+    assert _run(["audit", "--catalog", demo, "--displayed", "A,D,F", "--span", "y=3"])[0] == 1
+    working, broken = files["config"]
+    for config in working + broken:
+        argv = ["simulate", "--catalog", logit, "--config", config, "--out", files["out"]]
+        code, stderr = _run(argv)
+        if config in working:
+            assert (code, stderr) == (0, ""), argv
+        else:
+            assert code == 2 and stderr.startswith("error: "), (argv, code, stderr)

@@ -1,9 +1,10 @@
 """The batched simulator against the scalar oracle, and its Philox kernel.
 
 ``reference_simulator`` draws every customer's values from a fresh numpy
-``Generator`` and re-ranks by rebuilding the catalog; every test here
-requires the engine to write the same trace bytes, reach the same final
-review states and report the same summary.
+``Generator``, re-ranks by rebuilding the catalog and keeps one record per
+customer; every test here requires the engine's columnar trace to write the
+same trace bytes, reach the same final review states, report the same
+summary and build the same records when they are read.
 """
 
 from __future__ import annotations
@@ -39,9 +40,14 @@ PMFS = st.sampled_from(
 
 def assert_matches_oracle(catalog: Catalog, cfg: SimConfig):
     engine, oracle = simulate(catalog, cfg), ref.simulate(catalog, cfg)
-    assert trace_table(engine) == trace_table(oracle)
+    assert trace_table(engine) == ref.trace_table(oracle)
     assert engine.final_states == oracle.final_states
     assert json.dumps(summary_document(engine)) == json.dumps(summary_document(oracle))
+    # Same per-product counts in the same (first-purchase) order.
+    per_product = engine.summary.per_product_purchases.items()
+    assert list(per_product) == list(oracle.summary.per_product_purchases.items())
+    assert "records" not in engine.__dict__
+    assert engine.records == oracle.records
     return engine
 
 
