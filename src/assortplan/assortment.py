@@ -191,9 +191,10 @@ class RankingColumns:
     """The inputs of a two-stage ranking as numpy columns in product-id order.
 
     Built from a catalog's columns with one sort of the ids; no ``Product``
-    is read.  The columns are copies, so ``set_review_state`` may rewrite a
-    product's review state between rankings (the simulator writes each
-    purchase's) while the catalog stays as it was; ``weighted`` (rating *
+    is read; ``order`` holds each column row's catalog row.  The columns are
+    copies, so ``set_review_state`` may rewrite a product's review state
+    between rankings (the simulator writes each product bought since the
+    last one) while the catalog stays as it was; ``weighted`` (rating *
     reviews), ``price_weighted`` and the exact ``sums`` follow, so every
     ``RankingPool`` re-sorts the columns but sums nothing.  Price and pinned
     demand are fixed, so the price-desc rank of each product is computed once.
@@ -207,7 +208,9 @@ class RankingColumns:
         self.policy = policy
         columns = catalog.columns
         # A stable sort: products sharing an id keep their listing order.
-        order = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
+        self.order = order = np.array(
+            sorted(range(catalog.universe_size), key=columns.ids.__getitem__)
+        )
         self.ids = np.array(columns.ids, dtype=object)[order]
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
@@ -216,7 +219,10 @@ class RankingColumns:
             self.weighted = self.rating * self.reviews
             self.price_weighted = self.price * self.reviews
         self._sums = [_scaled_sum(self.rating), _scaled_sum(self.weighted)]
-        self._counted: dict[int, tuple[float, float]] = {}  # row -> values in _sums
+        # Rows rewritten since the sums were last read -> their values then.
+        self._counted: dict[int, tuple[float, float]] = {}
+        # Per sum, row -> its scaled value in the sum, for rows read once rewritten.
+        self._scaled_rows: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
             # Each product's rank under (price desc, pinned demand desc, id asc);
@@ -237,14 +243,22 @@ class RankingColumns:
     @property
     def sums(self) -> tuple[int | None, int | None]:
         """Exact Σrating and Σweighted, as ``_scaled_sum`` would give them now; rows
-        rewritten since the last read are patched, or their column recounted."""
+        rewritten since the last read are patched, or their column recounted.
+
+        A patched row's scaled value is kept, so a row rewritten again is
+        scaled once, for its new value.
+        """
         for i, column in enumerate((self.rating, self.weighted)):
+            scaled_rows = self._scaled_rows[i]
             for row, counted in self._counted.items():
                 new = column.item(row)
                 if self._sums[i] is None or not abs(new) < _ADDEND_MAX:
                     self._sums[i] = _scaled_sum(column)
+                    scaled_rows.clear()
                     break
-                self._sums[i] += _scaled(new) - _scaled(counted[i])
+                old = scaled_rows.get(row)
+                scaled_rows[row] = scaled = _scaled(new)
+                self._sums[i] += scaled - (_scaled(counted[i]) if old is None else old)
         self._counted.clear()
         return tuple(self._sums)
 

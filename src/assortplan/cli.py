@@ -42,7 +42,7 @@ from .revenue import (
     evaluate_slate,
     resolve_inputs,
 )
-from .simulator import SimConfig, simulate, summary_document, trace_table
+from .simulator import SimConfig, SimSummary, simulate, trace_table
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -157,9 +157,50 @@ def _json_indented(value, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
-def _emit(args, manifest: RunManifest, body: dict, text_lines: list[str]) -> None:
+# json's C encoder with a newline between the items of a list: an encoded
+# scalar never holds a raw newline, so its output splits back into items.
+_encode_lines = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _encoded(values: list) -> list[str]:
+    """Each value as ``json.dumps`` writes it, from one C-encoder call."""
+    return _encode_lines(values)[1:-1].split("\n") if values else []
+
+
+def _object_block(items: list[str]) -> str:
+    """A JSON object one level down a report, from its encoded ``key: value`` items."""
+    return "{\n    " + ",\n    ".join(items) + "\n  }" if items else "{}"
+
+
+def _summary_json(manifest: RunManifest, summary: SimSummary) -> str:
+    """The simulate report, exactly as ``json.dumps(report, indent=2)`` writes it;
+    the per-product blocks are written from the summary's id-ordered lists."""
+    head = _json_indented(
+        {
+            "manifest": manifest.to_dict(),
+            "gross_revenue": summary.gross_revenue,
+            "platform_revenue": summary.platform_revenue,
+            "purchase_count": summary.purchase_count,
+            "purchase_rate": summary.purchase_rate,
+            "per_product_purchases": dict(sorted(summary.per_product_purchases.items())),
+        }
+    )
+    keys = _encoded(summary.ids)
+    state = '{}: {{\n      "reviews": {},\n      "avg_rating": {}\n    }}'.format
+    states = list(map(state, keys, _encoded(summary.review_counts), _encoded(summary.review_means)))
+    posterior = list(map("{}: {}".format, keys, _encoded(summary.posterior)))
+    return (
+        f'{head[:-2]},\n  "final_states": {_object_block(states)},\n'
+        f'  "posterior_means": {_object_block(posterior)}\n}}'
+    )
+
+
+def _emit(args, manifest: RunManifest, body: dict | str, text_lines: list[str]) -> None:
+    """Print the report; a str ``body`` is the structured report, already written."""
     if args.format == "structured":
-        print(_json_indented({"manifest": manifest.to_dict(), **body}))
+        if not isinstance(body, str):
+            body = _json_indented({"manifest": manifest.to_dict(), **body})
+        print(body)
     else:
         for line in text_lines:
             print(line)
@@ -391,11 +432,9 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.tsv").write_text(trace_table(trace), encoding="utf-8")
-    body = summary_document(trace)
-    (out_dir / "summary.json").write_text(
-        _json_indented({"manifest": manifest.to_dict(), **body}) + "\n", encoding="utf-8"
-    )
     summary = trace.summary
+    report = _summary_json(manifest, summary)
+    (out_dir / "summary.json").write_text(report + "\n", encoding="utf-8")
     lines = [
         f"customers {cfg.horizon}",
         f"purchases {summary.purchase_count}",
@@ -404,7 +443,7 @@ def _cmd_simulate(args) -> int:
         f"platform_revenue {_fmt(summary.platform_revenue)}",
         f"wrote {out_dir / 'trace.tsv'} and {out_dir / 'summary.json'}",
     ]
-    _emit(args, manifest, body, lines)
+    _emit(args, manifest, report, lines)
     return EXIT_OK
 
 

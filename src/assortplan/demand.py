@@ -48,15 +48,28 @@ def search_cost(position: int, model: CostModel) -> float:
     return model.slope * (position - 1)
 
 
-def posterior_mean(prior: BeliefPrior, state: ReviewState) -> float:
-    """Posterior quality estimate blending the prior mean with the rating mean.
+def posterior(prior: BeliefPrior, count, mean):
+    """Posterior quality estimate after ``count`` reviews averaging ``mean``.
 
     The prior receives weight 1/(rho*n + 1) where rho is the prior-to-noise
     variance ratio and n the review count; the result always lies between
-    the prior mean and the observed mean.
+    the prior mean and the observed mean.  Elementwise on numpy columns,
+    with the same operations in the same order, so each element has the
+    bits the scalar form gives.
     """
-    weight = 1.0 / (prior.precision_ratio * state.count + 1.0)
-    return weight * prior.prior_mean + (1.0 - weight) * state.mean
+    weight = 1.0 / (prior.precision_ratio * count + 1.0)
+    return weight * prior.prior_mean + (1.0 - weight) * mean
+
+
+def posterior_mean(prior: BeliefPrior, state: ReviewState) -> float:
+    """``posterior`` of a review state."""
+    return posterior(prior, state.count, state.mean)
+
+
+def add_rating(count: int, mean: float, rating: float) -> tuple[int, float]:
+    """The (count, mean) review record after one more rating."""
+    new_count = count + 1
+    return new_count, (count * mean + rating) / new_count
 
 
 def update_review_state(state: ReviewState, rating: float | None) -> ReviewState:
@@ -67,8 +80,7 @@ def update_review_state(state: ReviewState, rating: float | None) -> ReviewState
     """
     if rating is None:
         return state
-    count = state.count + 1
-    return ReviewState(count=count, mean=(state.count * state.mean + rating) / count)
+    return ReviewState(*add_rating(state.count, state.mean, rating))
 
 
 def expected_utility(
@@ -79,7 +91,14 @@ def expected_utility(
     model: CostModel,
 ) -> float:
     """Expected purchase utility: posterior quality minus price minus position cost."""
-    return posterior_mean(prior, state) - price - search_cost(position, model)
+    return utility(prior, state.count, state.mean, price, position, model)
+
+
+def utility(
+    prior: BeliefPrior, count: int, mean: float, price: float, position: int, model: CostModel
+) -> float:
+    """``expected_utility`` of the review state (count, mean)."""
+    return posterior(prior, count, mean) - price - search_cost(position, model)
 
 
 def logistic(x: float) -> float:

@@ -7,16 +7,19 @@ mid-run) never perturbs the draws of later customers.  Within a customer the
 draw order is fixed: one uniform for the attention span (random spans only),
 one uniform per inspected slot, one normal for the rating on purchase.
 
-Because the streams are counter-based, a numpy Philox4x64-10 kernel draws
-the uniforms of a whole block of customers at once, equal bit for bit to
-numpy's own ``Generator(Philox(key=seed, counter=t << 128)).random()``.
-Frozen runs are then array code; live runs walk customers in order over the
-precomputed uniforms, ask numpy for the rating draw only, and re-rank by
-writing each purchase's review state into the ranking columns in place.
+Because the streams are counter-based, a numpy Philox4x64-10 kernel
+(``philox``) draws the uniforms of a whole block of customers at once,
+equal bit for bit to numpy's own.  Frozen runs are then array code; live
+runs walk customers in order over the precomputed uniforms, ask numpy for
+the rating draw only, and re-rank after writing the review states of the
+products bought since the last re-rank into the ranking columns in place.
 
-The trace is columnar: per customer a span index, the slots viewed and the
-catalog row bought, and per rated purchase the rating and the review state
-after it.  ``CustomerRecord``s are built only when ``SimTrace.records`` is
+Review states are two columns by catalog row, count and mean: a frozen
+run reads the catalog's own, a live run writes each purchase into Python
+lists, whose counts never wrap.  The trace is columnar: per customer a span
+index, the slots viewed and the catalog row bought, per rated purchase the
+rating and the review state after it, and the final review columns.
+``SimTrace.records`` and ``SimTrace.final_states`` build their objects on
 first read, and the catalog is read as columns, so a run builds no
 ``Product``.
 """
@@ -38,14 +41,8 @@ from .assortment import (
     two_stage_select,
 )
 from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns
-from .demand import (
-    CostModel,
-    ReviewState,
-    expected_utility,
-    logistic,
-    posterior_mean,
-    update_review_state,
-)
+from .demand import CostModel, ReviewState, add_rating, logistic, posterior, utility
+from .philox import RatingDraws, draw_blocks
 from .revenue import AttentionSpanDist
 
 
@@ -90,13 +87,27 @@ class CustomerRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SimSummary:
+    """Totals of a run, and per product, in id order, its final review state
+    and posterior mean; ``final_states`` and ``posterior_means`` hold the
+    same as dicts, built on first read."""
+
     gross_revenue: float
     platform_revenue: float
     purchase_count: int
     purchase_rate: float
     per_product_purchases: dict[str, int]
-    final_states: dict[str, tuple[int, float]]
-    posterior_means: dict[str, float]
+    ids: list[str]
+    review_counts: list[int]
+    review_means: list[float]
+    posterior: list[float]
+
+    @cached_property
+    def final_states(self) -> dict[str, tuple[int, float]]:
+        return dict(zip(self.ids, zip(self.review_counts, self.review_means)))
+
+    @cached_property
+    def posterior_means(self) -> dict[str, float]:
+        return dict(zip(self.ids, self.posterior))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +118,11 @@ class SimTrace:
     the slots ``viewed``, and the catalog row ``purchased`` (-1 for none).
     Per purchase that drew a rating, in customer order: the customer's
     index in ``rated``, the rating, and the review state right after, as
-    ``post_counts`` and ``post_means``.  ``columns`` are the catalog's, for
-    ids, prices and shares.  ``records`` builds the ``CustomerRecord``s on
-    first read.
+    ``post_counts`` and ``post_means``.  Per catalog row, the final review
+    state: ``review_counts`` (int64, or Python ints in an object array once
+    one passes int64) and ``review_means``.  ``columns`` are the catalog's,
+    for ids, prices and shares.  ``records`` and ``final_states`` are built
+    on first read.
     """
 
     spans: tuple[int, ...]
@@ -120,7 +133,8 @@ class SimTrace:
     ratings: list[float]
     post_counts: list[int]
     post_means: list[float]
-    final_states: dict[str, ReviewState]
+    review_counts: np.ndarray
+    review_means: np.ndarray
     prior: BeliefPrior
     columns: CatalogColumns
 
@@ -144,6 +158,11 @@ class SimTrace:
                 post_states,
             )
         )
+
+    @cached_property
+    def final_states(self) -> dict[str, ReviewState]:
+        states = map(ReviewState, self.review_counts.tolist(), self.review_means.tolist())
+        return dict(zip(self.columns.ids, states))
 
     @cached_property
     def summary(self) -> SimSummary:
@@ -175,8 +194,14 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
             raise ValueError("slot_count must be >= 1 when re-ranking")
     if cfg.policy not in POLICIES:
         raise ValueError(f"unknown ordering policy {cfg.policy!r}")
-    if cfg.clamp_ratings is not None and cfg.clamp_ratings[0] > cfg.clamp_ratings[1]:
-        raise ValueError(f"clamp_ratings bounds out of order: {cfg.clamp_ratings}")
+    if cfg.clamp_ratings is not None:
+        if any(bound != bound for bound in cfg.clamp_ratings):
+            raise ValueError(f"clamp_ratings bounds must be numbers, got NaN: {cfg.clamp_ratings}")
+        if cfg.clamp_ratings[0] > cfg.clamp_ratings[1]:
+            raise ValueError(f"clamp_ratings bounds out of order: {cfg.clamp_ratings}")
+    if len(catalog._rows) != catalog.universe_size:  # rows share an id: name the first
+        pid = next(pid for row, pid in enumerate(catalog.columns.ids) if catalog.row(pid) != row)
+        raise ValueError(f"catalog lists product id {pid!r} more than once")
     if cfg.slate is not None:
         if not cfg.slate:
             raise ValueError("fixed slate is empty")
@@ -197,79 +222,6 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
             )
     if cfg.rerank_every is not None and not catalog.universe_size:
         raise ValueError("catalog is empty")
-
-
-# Customers per kernel call: the kernel's arrays hold this many customers'
-# draws at a time, however long the horizon.
-_BLOCK = 4096
-
-# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products ``m * x``, from 32-bit halves.
-
-    The partial products are summed in place, in fresh arrays, to keep a
-    block's temporaries few.
-    """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
-    middle, high = x_lo, x_hi
-    middle *= m_lo
-    middle >>= _SHIFT32
-    high *= m_hi
-    for part in (lo_hi, hi_lo):
-        high += part >> _SHIFT32
-        part &= _LOW32
-        middle += part
-    middle >>= _SHIFT32
-    high += middle
-    return high, x * np.uint64(m)
-
-
-def philox_raw(seed: int, customers: np.ndarray, blocks: int) -> np.ndarray:
-    """The first ``4 * blocks`` raw words of each listed customer's stream.
-
-    Row i equals ``np.random.Philox(key=seed, counter=t << 128).random_raw``
-    for customer t = customers[i]: the Philox4x64-10 blocks at counters
-    ``(t << 128) + b``, b = 1..blocks, under the key (seed, 0).
-    """
-    shape = (len(customers), blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c3 = np.zeros(shape, dtype=np.uint64)
-    c2 = np.broadcast_to(np.asarray(customers, dtype=np.uint64)[:, None], shape)
-    k0, k1 = seed, 0
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) % 2**64
-            k1 = (k1 + _PHILOX_W[1]) % 2**64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        hi1 ^= c1
-        hi1 ^= np.uint64(k0)
-        hi0 ^= c3
-        hi0 ^= np.uint64(k1)
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(customers), 4 * blocks)
-
-
-def _draw_blocks(seed: int, horizon: int, width: int):
-    """Yield (first customer, raw words, uniforms) for blocks of ``_BLOCK`` customers.
-
-    Each row holds at least ``width`` uniforms, in the order the customer's
-    numpy ``Generator`` would return them from ``random()``.
-    """
-    blocks = -(-width // 4)
-    for first in range(1, horizon + 1, _BLOCK):
-        customers = np.arange(first, min(first + _BLOCK, horizon + 1), dtype=np.uint64)
-        raw = philox_raw(seed, customers, blocks)
-        yield first, raw, (raw >> np.uint64(11)) * 2.0**-53
 
 
 class _SpanDraw:
@@ -297,86 +249,60 @@ class _SpanDraw:
         return np.minimum(index, len(self.values) - 1)
 
 
-class _RatingDraws:
-    """A numpy Generator placed on a customer's stream after its used uniforms.
-
-    The rating is drawn by numpy's own normal sampler from the words that
-    follow the customer's span and slot uniforms, as the customer's
-    ``Generator`` would have drawn it.
-    """
-
-    def __init__(self, seed: int):
-        self._bits = np.random.Philox(key=seed)
-        self._rng = np.random.Generator(self._bits)
-        self._key = [seed, 0]
-
-    def after(self, t: int, used: int, raw: np.ndarray) -> np.random.Generator:
-        block, pos = divmod(used, 4)
-        if pos:
-            counter, buffer = block + 1, raw[4 * block : 4 * block + 4].tolist()
-        else:
-            # An empty buffer: numpy steps the counter to the next block first.
-            counter, buffer, pos = block, [0, 0, 0, 0], 4
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [counter, 0, t, 0], "key": self._key},
-            "buffer": buffer,
-            "buffer_pos": pos,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._rng
-
-
 class _Reranker:
-    """Two-stage re-ranking over review columns that purchases update in place."""
+    """Two-stage re-ranking over review columns kept in step with the run's.
+
+    A purchase notes its catalog row in ``written``; a re-rank first writes
+    those rows' review states into the ranking columns, once each.
+    """
 
     def __init__(self, catalog: Catalog, cfg: SimConfig):
         self.columns = RankingColumns(catalog, cfg.policy)
-        self.row = {pid: i for i, pid in enumerate(self.columns.ids.tolist())}
+        self.column_row = np.argsort(self.columns.order)  # catalog row -> column row
         self.slot_count = min(cfg.slot_count, catalog.universe_size)
-        self.overflow: tuple[str, int] | None = None
+        self.written: set[int] = set()
+        self.overflow: tuple[int, int] | None = None
 
-    def record(self, product_id: str, state: ReviewState) -> None:
-        if state.count >= MAX_REVIEWS:
+    def record(self, row: int, count: int) -> None:
+        self.written.add(row)
+        if count >= MAX_REVIEWS and self.overflow is None:
             # The int64 column cannot hold the count; the next re-rank fails.
-            self.overflow = self.overflow or (product_id, state.count)
-            return
-        self.columns.set_review_state(self.row[product_id], state.mean, state.count)
+            self.overflow = (row, count)
 
-    def rank(self) -> tuple[str, ...]:
+    def rank(self, ids: tuple[str, ...], counts: list[int], means: list[float]) -> tuple[str, ...]:
         if self.overflow is not None:
-            pid, count = self.overflow
+            row, count = self.overflow
             raise ValueError(
-                f"product {pid!r}: simulated review count {count} exceeds the "
+                f"product {ids[row]!r}: simulated review count {count} exceeds the "
                 f"re-ranking limit of {MAX_REVIEWS - 1}"
             )
+        for row in self.written:
+            self.columns.set_review_state(self.column_row.item(row), means[row], counts[row])
+        self.written.clear()
         pool = RankingPool(self.columns)
         return tuple(pool.take_id() for _ in range(self.slot_count))
 
 
 def _purchase_chance(
-    columns: CatalogColumns, row: int, state: ReviewState, position: int, cfg: SimConfig
+    columns: CatalogColumns, row: int, count: int, mean: float, position: int, cfg: SimConfig
 ) -> float:
     """Row ``row``'s pinned demand, or the logistic of its posterior utility."""
     demand = columns.demand.item(row)
     if demand:
         return demand
-    return logistic(expected_utility(cfg.prior, state, columns.price.item(row), position, cfg.cost))
+    return logistic(utility(cfg.prior, count, mean, columns.price.item(row), position, cfg.cost))
 
 
-def _displayed(
-    catalog: Catalog,
-    states: dict[str, ReviewState],
-    slate: tuple[str, ...],
-    reach: int,
-    cfg: SimConfig,
-) -> tuple[list[int], list[float]]:
-    """The catalog rows of the slate's first ``reach`` products and their purchase chances."""
+def _displayed(catalog: Catalog, slate: tuple[str, ...], reach: int, count_of, mean_of, cfg):
+    """The catalog rows of the slate's first ``reach`` products and their purchase chances.
+
+    ``count_of`` and ``mean_of`` give a row's review state as Python numbers.
+    """
     rows = [catalog.row(pid) for pid in slate[:reach]]
+    columns = catalog.columns
     chance = [
-        _purchase_chance(catalog.columns, row, states[pid], j, cfg)
-        for j, (row, pid) in enumerate(zip(rows, slate), start=1)
+        _purchase_chance(columns, row, count_of(row), mean_of(row), j, cfg)
+        for j, row in enumerate(rows, start=1)
     ]
     return rows, chance
 
@@ -390,43 +316,33 @@ def simulate(catalog: Catalog, cfg: SimConfig) -> SimTrace:
     the attention span runs out.  The catalog is read as columns, by row.
     """
     _validate_config(catalog, cfg)
-    columns = catalog.columns
-    states = dict(
-        zip(columns.ids, map(ReviewState, columns.reviews.tolist(), columns.rating.tolist()))
-    )
     spans = _SpanDraw(cfg.dist)
     run = _frozen_columns if cfg.freeze_beliefs else _live_columns
-    return SimTrace(
-        spans=tuple(spans.values),
-        **run(catalog, states, cfg, spans),
-        final_states=states,
-        prior=cfg.prior,
-        columns=columns,
-    )
+    traced = run(catalog, cfg, spans)
+    return SimTrace(spans=tuple(spans.values), **traced, prior=cfg.prior, columns=catalog.columns)
 
 
-def _frozen_columns(
-    catalog: Catalog, states: dict[str, ReviewState], cfg: SimConfig, spans: _SpanDraw
-) -> dict:
+def _frozen_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     """Frozen beliefs: the slate and every slot's purchase chance never change.
 
     (Re-ranking unchanged review states gives the catalog's own ranking.)
     A customer buys at the first slot j within the span whose uniform falls
     below the slot's chance; no rating is drawn.  Returns the run's
-    ``SimTrace`` columns.
+    ``SimTrace`` columns; the final review columns are the catalog's own.
     """
     if cfg.slate is not None:
         slate = cfg.slate
     else:
         slate = two_stage_select(catalog, cfg.slot_count, cfg.policy)[0].slots
+    columns = catalog.columns
     offset = int(spans.uses_uniform)
     reach = min(cfg.dist.max_span, len(slate))
-    rows, chance = _displayed(catalog, states, slate, reach, cfg)
+    rows, chance = _displayed(catalog, slate, reach, columns.reviews.item, columns.rating.item, cfg)
     chance = np.array(chance)
     bought_row = np.array([*rows, -1])
     span_limits = np.array([min(y, len(slate)) for y in spans.values])
     blocks = []
-    for _, _, uniforms in _draw_blocks(cfg.seed, cfg.horizon, offset + reach):
+    for _, _, uniforms in draw_blocks(cfg.seed, cfg.horizon, offset + reach):
         index = spans.index(uniforms)
         limit = span_limits[index]
         hit = (uniforms[:, offset : offset + reach] < chance) & (np.arange(reach) < limit[:, None])
@@ -437,27 +353,37 @@ def _frozen_columns(
     return dict(
         span_index=span_index, viewed=viewed, purchased=purchased,
         rated=[], ratings=[], post_counts=[], post_means=[],
+        review_counts=columns.reviews, review_means=columns.rating,
     )
 
 
-def _live_columns(
-    catalog: Catalog, states: dict[str, ReviewState], cfg: SimConfig, spans: _SpanDraw
-) -> dict:
+def count_column(counts: list[int]) -> np.ndarray:
+    """Review counts as an int64 column, or as Python ints in an object column
+    once one passes int64."""
+    try:
+        return np.array(counts, dtype=np.int64)
+    except OverflowError:
+        return np.array(counts, dtype=object)
+
+
+def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     """Live beliefs: customers run in order, each purchase moving a review state.
 
-    Slot chances are computed per slate and recomputed for the purchased
-    slot whenever its product's review state moves.  Returns the run's
-    ``SimTrace`` columns.
+    Review states live in two lists by catalog row.  Slot chances are
+    computed per slate and recomputed for the purchased slot whenever its
+    product's review state moves.  Returns the run's ``SimTrace`` columns.
     """
     columns = catalog.columns
+    counts, means = columns.reviews.tolist(), columns.rating.tolist()
     reranker = _Reranker(catalog, cfg) if cfg.rerank_every is not None else None
     slate_len = len(cfg.slate) if reranker is None else reranker.slot_count
     offset = int(spans.uses_uniform)
     reach = min(cfg.dist.max_span, slate_len)
     span_limits = [min(y, slate_len) for y in spans.values]
+    state_of = (counts.__getitem__, means.__getitem__)
     if reranker is None:
-        rows, chance = _displayed(catalog, states, cfg.slate, reach, cfg)
-    draws_after = _RatingDraws(cfg.seed)
+        rows, chance = _displayed(catalog, cfg.slate, reach, *state_of, cfg)
+    draws_after = RatingDraws(cfg.seed)
     span_blocks: list[np.ndarray] = []
     viewed_column: list[int] = []
     purchased_column: list[int] = []
@@ -465,13 +391,14 @@ def _live_columns(
     ratings: list[float] = []
     post_counts: list[int] = []
     post_means: list[float] = []
-    for first, raw, uniforms in _draw_blocks(cfg.seed, cfg.horizon, offset + reach):
+    for first, raw, uniforms in draw_blocks(cfg.seed, cfg.horizon, offset + reach):
         index = spans.index(uniforms)
         span_blocks.append(index)
         for i, (k, draws) in enumerate(zip(index.tolist(), uniforms.tolist())):
             t = first + i
             if reranker is not None and (t - 1) % cfg.rerank_every == 0:
-                rows, chance = _displayed(catalog, states, reranker.rank(), reach, cfg)
+                slate = reranker.rank(columns.ids, counts, means)
+                rows, chance = _displayed(catalog, slate, reach, *state_of, cfg)
             viewed, purchased = span_limits[k], -1
             for j in range(viewed):
                 if draws[offset + j] < chance[j]:
@@ -484,15 +411,15 @@ def _live_columns(
                         if cfg.clamp_ratings is not None:
                             lo, hi = cfg.clamp_ratings
                             rating = min(max(rating, lo), hi)
-                        pid = columns.ids[purchased]
-                        state = states[pid] = update_review_state(states[pid], rating)
-                        chance[j] = _purchase_chance(columns, purchased, state, viewed, cfg)
+                        count, mean = add_rating(counts[purchased], means[purchased], rating)
+                        counts[purchased], means[purchased] = count, mean
+                        chance[j] = _purchase_chance(columns, purchased, count, mean, viewed, cfg)
                         if reranker is not None:
-                            reranker.record(pid, state)
+                            reranker.record(purchased, count)
                         rated.append(t - 1)
                         ratings.append(rating)
-                        post_counts.append(state.count)
-                        post_means.append(state.mean)
+                        post_counts.append(count)
+                        post_means.append(mean)
                     break
             viewed_column.append(viewed)
             purchased_column.append(purchased)
@@ -501,13 +428,15 @@ def _live_columns(
         viewed=np.array(viewed_column, dtype=np.int64),
         purchased=np.array(purchased_column, dtype=np.intp),
         rated=rated, ratings=ratings, post_counts=post_counts, post_means=post_means,
+        review_counts=count_column(counts), review_means=np.array(means),
     )
 
 
 def summarize(trace: SimTrace) -> SimSummary:
     """Totals and rates over a trace; platform revenue is share-weighted.
 
-    Revenues are added purchase by purchase, left to right, as floats.
+    Revenues are added purchase by purchase, left to right, as floats.  The
+    posterior means are one ``posterior`` over the id-sorted review columns.
     """
     columns = trace.columns
     bought = trace.purchased[trace.purchased >= 0]
@@ -523,18 +452,20 @@ def summarize(trace: SimTrace) -> SimSummary:
         gross += p
         platform += q
     horizon = len(trace.viewed)
-    final_states = {pid: (s.count, s.mean) for pid, s in trace.final_states.items()}
-    posterior_means = {
-        pid: posterior_mean(trace.prior, s) for pid, s in trace.final_states.items()
-    }
+    order = sorted(range(len(columns.ids)), key=columns.ids.__getitem__)
+    review_counts, review_means = trace.review_counts[order], trace.review_means[order]
+    with np.errstate(all="ignore"):  # as Python floats: inf and NaN, no warning
+        posterior_means = posterior(trace.prior, review_counts, review_means).tolist()
     return SimSummary(
         gross_revenue=gross,
         platform_revenue=platform,
         purchase_count=len(bought),
         purchase_rate=len(bought) / horizon if horizon else 0.0,
         per_product_purchases=per_product,
-        final_states=final_states,
-        posterior_means=posterior_means,
+        ids=[columns.ids[row] for row in order],
+        review_counts=review_counts.tolist(),
+        review_means=review_means.tolist(),
+        posterior=posterior_means,
     )
 
 
@@ -542,35 +473,27 @@ def trace_table(trace: SimTrace) -> str:
     """Columnar export: one tab-separated line per customer.
 
     A line without a rating depends, after ``t``, only on the customer's
-    (span, viewed, purchased), so each distinct triple is formatted once;
-    the lines of rated purchases are formatted one by one.
+    (span, viewed, purchased).  Each customer's triple is coded as one
+    integer, each distinct code is formatted once, and the lines are
+    gathered by ``np.unique``'s inverse; the lines of rated purchases are
+    formatted one by one.
     """
     horizon = len(trace.viewed)
-    ids = [*trace.columns.ids, "-"]
-    keys = list(zip(trace.span_index.tolist(), trace.viewed.tolist(), trace.purchased.tolist()))
-    middles = {key: f"\t{trace.spans[key[0]]}\t{key[1]}\t{ids[key[2]]}" for key in set(keys)}
-    unrated = {key: middle + "\t-\t-\t-\n" for key, middle in middles.items()}
-    suffixes = list(map(unrated.__getitem__, keys))
+    ids = ["-", *trace.columns.ids]
+    viewed_width = int(trace.viewed.max(initial=0)) + 1
+    codes = (trace.span_index * viewed_width + trace.viewed) * len(ids) + (trace.purchased + 1)
+    unique, inverse = np.unique(codes, return_inverse=True)
+    span_viewed, bought = np.divmod(unique, len(ids))
+    span, viewed = np.divmod(span_viewed, viewed_width)
+    middles = [
+        f"\t{trace.spans[k]}\t{v}\t{ids[p]}"
+        for k, v, p in zip(span.tolist(), viewed.tolist(), bought.tolist())
+    ]
+    unrated = np.array([middle + "\t-\t-\t-\n" for middle in middles], dtype=object)
+    suffixes = unrated[inverse].tolist()
     rated = zip(trace.rated, trace.ratings, trace.post_counts, trace.post_means)
     for i, rating, count, mean in rated:
-        suffixes[i] = f"{middles[keys[i]]}\t{rating!r}\t{count}\t{mean!r}\n"
+        suffixes[i] = f"{middles[inverse.item(i)]}\t{rating!r}\t{count}\t{mean!r}\n"
     lines = chain.from_iterable(zip(range(1, horizon + 1), suffixes))
     header = "t\tspan\tviewed\tpurchased\trating\tpost_reviews\tpost_avg_rating\n"
     return header + ("%d%s" * horizon) % tuple(lines)
-
-
-def summary_document(trace: SimTrace) -> dict:
-    """Summary in the structured report shape used by the CLI."""
-    s = trace.summary
-    return {
-        "gross_revenue": s.gross_revenue,
-        "platform_revenue": s.platform_revenue,
-        "purchase_count": s.purchase_count,
-        "purchase_rate": s.purchase_rate,
-        "per_product_purchases": dict(sorted(s.per_product_purchases.items())),
-        "final_states": {
-            pid: {"reviews": n, "avg_rating": mean}
-            for pid, (n, mean) in sorted(s.final_states.items())
-        },
-        "posterior_means": dict(sorted(s.posterior_means.items())),
-    }

@@ -6,9 +6,11 @@ stream at counter ``t << 128`` and draws span, slot and rating values from
 it one at a time, and every re-rank rebuilds the catalog from the current
 review states.  Its trace is a tuple of ``CustomerRecord``s, one built per
 customer, which ``trace_table`` formats and ``summarize`` totals record by
-record.  Tests require the engine's columnar trace to give the same
-records, the same final states, the same trace bytes and the same summary,
-bit for bit.
+record.  ``summary_document`` is the summary report as a dict, which
+``json.dumps(..., indent=2)`` writes as ``summary.json`` was once written.
+Tests require the engine's columnar trace to give the same records, the
+same final states, the same trace bytes, the same summary and the same
+``summary.json`` bytes, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,18 @@ from assortplan.demand import (
     update_review_state,
 )
 from assortplan.revenue import AttentionSpanDist
-from assortplan.simulator import CustomerRecord, SimConfig, SimSummary, _validate_config
+from assortplan.simulator import CustomerRecord, SimConfig, _validate_config
+
+
+@dataclass(frozen=True)
+class SimSummary:
+    gross_revenue: float
+    platform_revenue: float
+    purchase_count: int
+    purchase_rate: float
+    per_product_purchases: dict[str, int]
+    final_states: dict[str, tuple[int, float]]
+    posterior_means: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -181,3 +194,20 @@ def trace_table(trace: RecordTrace) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def summary_document(trace) -> dict:
+    """The summary of a trace (the engine's or this module's) as a report dict."""
+    s = trace.summary
+    return {
+        "gross_revenue": s.gross_revenue,
+        "platform_revenue": s.platform_revenue,
+        "purchase_count": s.purchase_count,
+        "purchase_rate": s.purchase_rate,
+        "per_product_purchases": dict(sorted(s.per_product_purchases.items())),
+        "final_states": {
+            pid: {"reviews": n, "avg_rating": mean}
+            for pid, (n, mean) in sorted(s.final_states.items())
+        },
+        "posterior_means": dict(sorted(s.posterior_means.items())),
+    }

@@ -19,7 +19,8 @@ from assortplan.catalog import (
 from assortplan.cli import main
 from assortplan.collusion import audit_ranking
 from assortplan.revenue import AttentionSpanDist
-from assortplan.simulator import SimConfig, simulate, summary_document, trace_table
+from assortplan.simulator import SimConfig, simulate, trace_table
+from reference_simulator import summary_document
 
 
 def doc(products, **extra) -> str:

@@ -4,15 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from assortplan.catalog import Catalog, Product, demo_catalog
+import reference_simulator as ref
+from assortplan.catalog import (
+    BeliefPrior,
+    Catalog,
+    CatalogColumns,
+    Product,
+    demo_catalog,
+    serialize_catalog,
+)
 from assortplan.cli import (
+    RunManifest,
     _json_indented,
+    _summary_json,
     main,
     parse_omega_spec,
     parse_prior_spec,
     parse_span_spec,
 )
+from assortplan.demand import ReviewState, posterior_mean
 from assortplan.revenue import AttentionSpanDist
+from assortplan.simulator import SimTrace, count_column
 from helpers import random_catalog
 
 
@@ -85,6 +97,52 @@ DOCUMENTS = st.recursive(
 @given(DOCUMENTS)
 def test_indented_json_matches_json_dumps(document):
     assert _json_indented(document) == json.dumps(document, indent=2)
+
+
+SUMMARY_IDS = st.text(alphabet=st.characters(codec="utf-8"), max_size=4) | st.sampled_from(
+    ['"', "\\", "a,b", "\n", "é中😀", "\ud800", "\x00"]
+)
+SUMMARY_MEANS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+)
+SUMMARY_COUNTS = st.integers(0, 2**63 + 5) | st.sampled_from([2**63 - 1, 2**63, 2**64, 10**25])
+
+
+@st.composite
+def summary_traces(draw) -> SimTrace:
+    """A trace whose review columns hold any ids, means and counts."""
+    ids = draw(st.lists(SUMMARY_IDS, min_size=1, max_size=6, unique=True))
+    n = len(ids)
+    columns = CatalogColumns.from_products(
+        [
+            Product(id=pid, price=draw(st.floats(0, 1e3)), review_count=0, avg_rating=0.0,
+                    revenue_share=draw(st.floats(0.05, 1.0)))
+            for pid in ids
+        ]
+    )
+    purchased = draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=8))
+    horizon = len(purchased)
+    return SimTrace(
+        spans=(1,), span_index=np.zeros(horizon, dtype=np.intp),
+        viewed=np.ones(horizon, dtype=np.int64), purchased=np.array(purchased, dtype=np.intp),
+        rated=[], ratings=[], post_counts=[], post_means=[],
+        review_counts=count_column(draw(st.lists(SUMMARY_COUNTS, min_size=n, max_size=n))),
+        review_means=np.array(draw(st.lists(SUMMARY_MEANS, min_size=n, max_size=n))),
+        prior=BeliefPrior(draw(st.floats(-5, 5)), draw(st.floats(0.1, 10)), 1.0),
+        columns=columns,
+    )
+
+
+@given(summary_traces(), SUMMARY_IDS)
+def test_summary_writer_matches_json_dumps(trace, config_path):
+    manifest = RunManifest("simulate", {"config_path": config_path, "seed": 2**64 - 1}, "0f", "1")
+    expected = json.dumps({"manifest": manifest.to_dict(), **ref.summary_document(trace)}, indent=2)
+    assert _summary_json(manifest, trace.summary) + "\n" == expected + "\n"
+    # Each posterior mean has the bits of the scalar form, past int64 too.
+    scalar = [posterior_mean(trace.prior, s) for s in trace.final_states.values()]
+    assert list(map(repr, trace.summary.posterior_means.values())) == list(
+        map(repr, [dict(zip(trace.columns.ids, scalar))[pid] for pid in trace.summary.ids])
+    )
 
 
 def test_indented_json_of_empty_and_long_containers():
@@ -370,6 +428,90 @@ class TestSimulate:
             f"re-ranking limit of {2**63 - 1}\n"
         )
 
+    def test_live_review_count_past_int64_keeps_summary_bytes(self, capsys, tmp_path):
+        # A fixed slate never re-ranks, so X's count may pass 2**63 - 1: it is
+        # a Python int in the trace and in summary.json, as it always was.
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"products": [
+            {"id": "X", "price": 1.0, "reviews": 2**63 - 1, "avg_rating": 3.0,
+             "lambda": 0.999, "true_quality": 3.0, "rating_noise": 0.5},
+            {"id": "Y", "price": 1.0, "reviews": 5, "avg_rating": 2.0, "lambda": 0.5},
+        ]}), encoding="utf-8")
+        config = sim_config(tmp_path, slate=["X"], horizon=1, seed=3, span="y=1",
+                            freeze_beliefs=False)
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "simulate", "--catalog", str(path), "--config", str(config), "--out", str(out)
+        )
+        assert (code, err) == (0, "")
+        assert (out / "trace.tsv").read_text() == (
+            "t\tspan\tviewed\tpurchased\trating\tpost_reviews\tpost_avg_rating\n"
+            "1\t1\t1\tX\t1.9793316777081646\t9223372036854775808\t3.0\n"
+        )
+        summary = (out / "summary.json").read_text()
+        assert summary[summary.index('  "gross_revenue"'):] == """  "gross_revenue": 1.0,
+  "platform_revenue": 1.0,
+  "purchase_count": 1,
+  "purchase_rate": 1.0,
+  "per_product_purchases": {
+    "X": 1
+  },
+  "final_states": {
+    "X": {
+      "reviews": 9223372036854775808,
+      "avg_rating": 3.0
+    },
+    "Y": {
+      "reviews": 5,
+      "avg_rating": 2.0
+    }
+  },
+  "posterior_means": {
+    "X": 3.0,
+    "Y": 1.6666666666666667
+  }
+}
+"""
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_simulate_builds_no_review_state(self, capsys, tmp_path, monkeypatch, fmt):
+        # Review states stay columns from the run to summary.json: no
+        # ReviewState is built, and SimTrace.final_states is never read.
+        built = []
+        init = ReviewState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def unread(trace):
+            raise AssertionError("SimTrace.final_states read")
+
+        monkeypatch.setattr(ReviewState, "__init__", counting_init)
+        monkeypatch.setattr(SimTrace, "final_states", property(unread))
+        rated = Catalog(
+            Product(id=p.id, price=1.0, review_count=p.review_count, avg_rating=p.avg_rating,
+                    true_quality=p.avg_rating, rating_noise=0.5)
+            for p in demo_catalog().products
+        )
+        path = tmp_path / "rated.json"
+        path.write_text(serialize_catalog(rated), encoding="utf-8")
+        displays = [
+            dict(freeze_beliefs=True),
+            dict(freeze_beliefs=True, slate=None, rerank_every=4, slot_count=3),
+            dict(freeze_beliefs=False, slate=None, rerank_every=3, slot_count=4),
+        ]
+        for i, display in enumerate(displays):
+            config = sim_config(tmp_path, prior={"mean": 4.0, "prior_var": 1.0, "noise_var": 1.0},
+                                **display)
+            code, out, err = run(
+                capsys, "simulate", "--catalog", str(path), "--config", str(config),
+                "--out", str(tmp_path / f"out{i}"), "--format", fmt,
+            )
+            assert (code, err) == (0, "")
+            assert '"posterior_means"' in (tmp_path / f"out{i}" / "summary.json").read_text()
+        assert built == []
+
     def test_missing_config_key_rejected(self, capsys, demo_path, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"horizon": 5}), encoding="utf-8")
@@ -411,6 +553,8 @@ class TestNonFiniteInput:
             {"cost_slope": float("nan")},
             {"prior": {"mean": float("nan"), "prior_var": 1.0, "noise_var": 1.0}},
             {"prior": {"mean": 0.0, "prior_var": float("inf"), "noise_var": 1.0}},
+            {"clamp_ratings": [float("nan"), 5], "freeze_beliefs": False},
+            {"clamp_ratings": [1, float("nan")], "freeze_beliefs": False},
         ],
     )
     def test_non_finite_config_rejected(self, capsys, demo_path, tmp_path, overrides):

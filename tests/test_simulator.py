@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,9 +12,9 @@ from assortplan.simulator import (
     SimConfig,
     simulate,
     summarize,
-    summary_document,
     trace_table,
 )
+from reference_simulator import summary_document
 
 PRIOR = BeliefPrior(0.0, 1.0, 1.0)
 DIST3 = AttentionSpanDist.deterministic(3)
@@ -198,11 +199,37 @@ class TestValidation:
 
     def test_clamp_bounds_order_checked(self):
         catalog = quality_catalog()
+        # A NaN bound would compare false both ways and clamp nothing on its side.
+        for bounds in [(5.0, 1.0), (math.nan, 5.0), (1.0, math.nan), (math.nan, math.nan)]:
+            cfg = SimConfig(
+                horizon=5, seed=3, dist=AttentionSpanDist.deterministic(1),
+                prior=PRIOR, slate=("X",), clamp_ratings=bounds,
+            )
+            with pytest.raises(ValueError, match="clamp"):
+                simulate(catalog, cfg)
+        # Infinite bounds leave that side unbounded.
         cfg = SimConfig(
             horizon=5, seed=3, dist=AttentionSpanDist.deterministic(1),
-            prior=PRIOR, slate=("X",), clamp_ratings=(5.0, 1.0),
+            prior=PRIOR, slate=("X",), clamp_ratings=(-math.inf, math.inf),
         )
-        with pytest.raises(ValueError, match="clamp"):
+        assert trace_table(simulate(catalog, cfg)) == trace_table(
+            simulate(catalog, dataclasses.replace(cfg, clamp_ratings=None))
+        )
+
+    @pytest.mark.parametrize("display", [dict(slate=("Y",)), dict(rerank_every=2, slot_count=2)])
+    def test_repeated_catalog_id_rejected(self, display):
+        # Rows X, Y, X: review states are kept by row, so two rows may not
+        # share an id (load_catalog already rejects such documents).
+        rows = [("X", 3.0), ("Y", 2.0), ("X", 4.0)]
+        catalog = Catalog(
+            Product(id=pid, price=1.0, review_count=100, avg_rating=r, demand_override=0.9,
+                    true_quality=r, rating_noise=0.5)
+            for pid, r in rows
+        )
+        cfg = SimConfig(
+            horizon=20, seed=3, dist=AttentionSpanDist.deterministic(2), prior=PRIOR, **display
+        )
+        with pytest.raises(ValueError, match="catalog lists product id 'X' more than once"):
             simulate(catalog, cfg)
 
     def test_bad_seed_rejected(self, demo):

@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_simulator as ref
-from assortplan import simulator
+from assortplan import philox, simulator
 from assortplan.assortment import POLICIES
 from assortplan.catalog import BeliefPrior, Catalog, Product, demo_catalog
 from assortplan.demand import CostModel
 from assortplan.revenue import AttentionSpanDist
-from assortplan.simulator import SimConfig, philox_raw, simulate, summary_document, trace_table
+from assortplan.philox import philox_raw
+from assortplan.simulator import SimConfig, simulate, trace_table
 
 SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 # Running sums in pmf order: 0.1 ten times ends at 0.9999999999999999, and
@@ -42,7 +43,7 @@ def assert_matches_oracle(catalog: Catalog, cfg: SimConfig):
     engine, oracle = simulate(catalog, cfg), ref.simulate(catalog, cfg)
     assert trace_table(engine) == ref.trace_table(oracle)
     assert engine.final_states == oracle.final_states
-    assert json.dumps(summary_document(engine)) == json.dumps(summary_document(oracle))
+    assert json.dumps(ref.summary_document(engine)) == json.dumps(ref.summary_document(oracle))
     # Same per-product counts in the same (first-purchase) order.
     per_product = engine.summary.per_product_purchases.items()
     assert list(per_product) == list(oracle.summary.per_product_purchases.items())
@@ -110,14 +111,14 @@ def cases(draw) -> tuple[Catalog, SimConfig, int]:
         clamp_ratings=clamp,
         **display,
     )
-    return catalog, cfg, draw(st.sampled_from([1, 3, 16, simulator._BLOCK]))
+    return catalog, cfg, draw(st.sampled_from([1, 3, 16, philox.BLOCK]))
 
 
 @settings(max_examples=300)
 @given(cases())
 def test_engine_matches_oracle(case):
     catalog, cfg, block = case
-    with mock.patch.object(simulator, "_BLOCK", block):
+    with mock.patch.object(philox, "BLOCK", block):
         assert_matches_oracle(catalog, cfg)
 
 
@@ -133,7 +134,7 @@ def test_horizon_crosses_block_boundary(frozen, rerank):
     )
     display = dict(rerank_every=7, slot_count=9) if rerank else dict(slate=("Q03", "Q00", "Q07", "Q01", "Q09", "Q02", "Q11", "Q05", "Q04"))
     cfg = SimConfig(
-        horizon=2 * simulator._BLOCK + 3,
+        horizon=2 * philox.BLOCK + 3,
         seed=2**64 - 1,
         dist=AttentionSpanDist.from_pmf({2: 0.2, 5: 0.3, 9: 0.5}),
         prior=BeliefPrior(3.0, 1.0, 2.0),
@@ -167,7 +168,7 @@ def test_uniform_equal_to_chance_is_no_purchase(frozen):
     # Customer 1's first slot uniform is the pinned demand itself: u < lambda
     # fails, so that customer moves on to the second slot.
     seed = 8
-    u = float(next(simulator._draw_blocks(seed, 1, 1))[2][0, 0])
+    u = float(next(philox.draw_blocks(seed, 1, 1))[2][0, 0])
     catalog = Catalog(
         (
             Product(id="A", price=1.0, review_count=1, avg_rating=1.0, demand_override=u,
@@ -228,7 +229,7 @@ def test_philox_raw_matches_numpy(seed):
 
 
 def test_uniforms_match_generator_random():
-    first, _, uniforms = next(simulator._draw_blocks(99, 5, 6))
+    first, _, uniforms = next(philox.draw_blocks(99, 5, 6))
     assert first == 1 and uniforms.shape == (5, 8)
     for t, row in enumerate(uniforms, start=1):
         rng = np.random.Generator(np.random.Philox(key=99, counter=t << 128))
@@ -242,12 +243,12 @@ def test_kernel_memory_bounded_by_block():
     def peak(horizon: int) -> int:
         tracemalloc.start()
         try:
-            for _ in simulator._draw_blocks(3, horizon, 8):
+            for _ in philox.draw_blocks(3, horizon, 8):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    small, large = peak(simulator._BLOCK), peak(200_000)
+    small, large = peak(philox.BLOCK), peak(200_000)
     assert large < 2 * 2**20
     assert large < 2 * small
