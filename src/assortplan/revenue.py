@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -233,6 +233,8 @@ class OptimizeResult:
     enumerated: int
     compare_value: float | None = None
     gap: float | None = None
+    # Slates the walk approximated; the rest of `enumerated` were bounded out.
+    scored: int | None = None
 
 
 def _lambda_table(
@@ -256,54 +258,6 @@ def _lambda_table(
     return table
 
 
-def _slate_blocks(
-    lam: list[list[float]],
-    prices: Sequence[float],
-    shares: Sequence[float],
-    dist: AttentionSpanDist,
-    depth: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Walk the ordered-slate tree depth first, extending _BLOCK parents at a time.
-
-    Yields ``(length, codes, approx)`` for every block of children: their
-    slate length, their slates packed _CODE_BITS bits per slot (first slot
-    highest) and approximate span-mixture values.  Each node carries its
-    used-product bitmask, the no-purchase mass ``pre`` and the cumulative
-    revenue ``run``, updated in the scalar code's operation order, so
-    ``run`` equals `_mixture_value`'s cumulative value bit for bit.
-    ``fixed`` holds the pmf mass times the cumulative value at every span
-    the slate has passed; adding the remaining tail mass times ``run`` gives
-    the approximation.  Memory stays bounded by _BLOCK times depth.
-    """
-    count = len(prices)
-    lam_table = np.array(lam, dtype=float)
-    price = np.array(prices, dtype=float)
-    share = np.array(shares, dtype=float)
-    onehot = np.left_shift(1, np.arange(count, dtype=np.int64))
-    mass = dict(dist.pmf)
-    head = [mass.get(d, 0.0) for d in range(depth)]
-    tail = [dist.tail(m) for m in range(depth + 1)]
-
-    def walk(d, used, pre, run, fixed, codes):
-        for lo in range(0, len(used), _BLOCK):
-            parent, item = np.nonzero((used[lo : lo + _BLOCK, None] & onehot) == 0)
-            parent += lo
-            lam_c = lam_table[d, item]
-            pre_p = pre[parent]
-            run_c = run[parent] + pre_p * lam_c * price[item] * share[item]
-            fixed_c = fixed[parent] + head[d] * run[parent]
-            codes_c = (codes[parent] << _CODE_BITS) | item
-            yield d + 1, codes_c, fixed_c + tail[d + 1] * run_c
-            if d + 1 < depth:
-                yield from walk(
-                    d + 1, used[parent] | onehot[item], pre_p * (1.0 - lam_c),
-                    run_c, fixed_c, codes_c,
-                )
-
-    root = np.zeros(1, dtype=np.int64)
-    yield from walk(0, root, np.ones(1), np.zeros(1), np.zeros(1), root)
-
-
 # Infinite prices (Product accepts them) give inf and NaN approximations.
 @np.errstate(invalid="ignore", over="ignore")
 def _best_slate(
@@ -313,25 +267,97 @@ def _best_slate(
     shares: Sequence[float],
     dist: AttentionSpanDist,
     depth: int,
-) -> tuple[float, tuple[str, ...], int]:
-    """The best (value, slate) by the exact score and the number of slates walked.
+) -> tuple[float, tuple[str, ...], int, int]:
+    """The best (value, slate) by the exact score, and the slates scored and bounded.
 
-    Each approximation lies within (len(pmf) + 4) ulps, relative, of the
-    exact fsum value (every term is >= 0), so the slate with the largest
-    exact value never falls below the running maximum of approximations
-    times 1 - (2 * len(pmf) + 10) * 2**-53.  The margin doubles that, and
-    only the slates above it are re-scored.
+    Walks the ordered-slate tree depth first, extending up to _BLOCK parents
+    at a time, with codes packed _CODE_BITS bits per slot (first slot
+    highest).  Each node carries its used-product bitmask, the no-purchase
+    mass ``pre`` and the cumulative revenue ``run``, updated in the scalar
+    code's operation order, so ``run`` equals `_mixture_value`'s cumulative
+    value bit for bit.  ``fixed`` holds the pmf mass times the cumulative
+    value at every span the slate has passed; adding the remaining tail
+    mass times ``run`` gives the approximation.  Memory stays bounded by
+    _BLOCK times depth.
+
+    Scoring.  Each approximation lies within (len(pmf) + 4) ulps, relative,
+    of the exact fsum value (every term is >= 0), so the slate with the
+    largest exact value never falls below the running maximum of
+    approximations times 1 - (2 * len(pmf) + 10) * 2**-53.  The margin
+    doubles that, and only the slates above it are re-scored.
+
+    Bounding.  A slate longer than the longest span is worth exactly its
+    prefix of that length, which sorts first, so the walk stops at that
+    length.  Before recursing, every child of length m gets the bound
+    ``fixed + tail(m) * (run + pre * unit[m])``.  Here ``unit[t] = max(0,
+    max_i lam[t][i] * r_i + (1 - lam[t][i]) * unit[t + 1])``, with ``r_i =
+    price_i * share_i``, is the most revenue one unit of no-purchase mass
+    can still earn in slots t.. if products may repeat.  A child with
+    ``bound * rise + tiny < running_max * (1 - margin)`` is dropped, and
+    its extensions are counted, not walked.
+
+    Proof that every extension e of a dropped child c scores strictly
+    below the reported best.  Every price, share and lambda is >= 0 and
+    every lambda <= 1 (brute_force_optimize checks this), so every term is
+    >= 0.  Write u = 2**-53, N for the depth the walk reaches, L =
+    len(pmf), scale = max(1, max price) * max(1, max share), and ``c_j =
+    1 - lam`` for the float both codes compute.  A float operation on such
+    operands is exact up to a factor in [1 - u, 1 + u] plus, for a product
+    below the normal range, at most 2**-1075; fsum and ``dist.tail`` round
+    once.  Leaving out the underflow terms:
+    (1) e's cumulative values never decrease, and up to length m they are
+        c's, so with T the real tail mass at m, score(e) <= (1 + u)**2 *
+        (sum_{y<m} h_y cum_y + T cum_e), where sum_{y<m} h_y cum_y <=
+        fixed / (1 - u)**(m + 1) and T <= tail(m) / (1 - u).
+    (2) Unrolling e's k = len(e) - m <= N - m further slots, cum_e <= (1 +
+        u)**(k + 3) / (1 - u) * (run + pre * W), where W = sum_j lam_j
+        r_j prod_{i<j} c_i is one path of the ``unit`` recurrence taken in
+        real arithmetic, so W is at most that recurrence's value, which is
+        at most ``unit[m]`` / (1 - u)**(2 (N - m)).
+    (3) The bound's four operations lose at most a factor (1 - u)**4.
+    So score(e) <= bound * (1 + u)**(N + 4) / (1 - u)**(2N + 4) <= bound
+    * (1 + (6N + 16) u), which is below ``bound * rise`` rounded, with
+    rise = 1 + (8N + 40) u.  Underflow adds at most (2L + 200) * scale *
+    2**-1075 over e's score, the bound and the running maximum; tiny =
+    (L + 128) * scale * 2**-1066 covers it.
+    (4) The running maximum is the approximation of a slate s that was
+        re-scored, so it is at most score(s) * (1 + (2L + 10) u), and the
+        rounded ``running_max * (1 - margin)`` is below score(s) <= the
+        reported best.
+    Hence score(e) < best: e can neither win nor tie, and the result is
+    that of the full walk.  A NaN or infinite bound, or a non-finite input
+    (tiny is then inf or NaN), compares false and drops nothing.
     """
+    count = len(prices)
+    lam_table = np.array(lam, dtype=float)
+    price = np.array(prices, dtype=float)
+    share = np.array(shares, dtype=float)
+    onehot = np.left_shift(1, np.arange(count, dtype=np.int64))
+    mass = dict(dist.pmf)
+    head = [mass.get(d, 0.0) for d in range(depth)]
+    tail = [dist.tail(m) for m in range(depth + 1)]
+    reach = min(depth, dist.max_span)
+    # below[m]: the extensions of one slate of length m, up to length depth.
+    below = [
+        sum(math.perm(count - m, j) for j in range(1, depth - m + 1)) for m in range(depth + 1)
+    ]
+    per_sale = price * share
+    unit = np.zeros(reach + 1)
+    for t in range(reach - 1, -1, -1):
+        step = lam_table[t] * per_sale + (1.0 - lam_table[t]) * unit[t + 1]
+        unit[t] = np.maximum(0.0, step.max())
     margin = (4 * len(dist.pmf) + 16) * 2.0**-53
+    rise = 1.0 + (8 * reach + 40) * 2.0**-53
+    scale = np.maximum(1.0, price.max()) * np.maximum(1.0, share.max())
+    tiny = (len(dist.pmf) + 128) * scale * 2.0**-1066
+
     running_max = -math.inf
     best_value = -math.inf
     best_slate: tuple[str, ...] = ()
-    enumerated = 0
-    for length, codes, approx in _slate_blocks(lam, prices, shares, dist, depth):
-        enumerated += len(approx)
-        if length > dist.max_span:
-            # Worth exactly its prefix of length max_span, which sorts first.
-            continue
+    scored = bounded = 0
+
+    def score(length, codes, approx):
+        nonlocal running_max, best_value, best_slate
         top = float(approx.max(where=np.isfinite(approx), initial=-math.inf))
         running_max = max(running_max, top)
         # NaN compares false, so a non-finite approximation is always re-scored.
@@ -349,7 +375,34 @@ def _best_slate(
             if value > best_value or (value == best_value and slate < best_slate):
                 best_value = value
                 best_slate = slate
-    return best_value, best_slate, enumerated
+
+    def walk(d, used, pre, run, fixed, codes):
+        nonlocal scored, bounded
+        for lo in range(0, len(used), _BLOCK):
+            parent, item = np.nonzero((used[lo : lo + _BLOCK, None] & onehot) == 0)
+            parent += lo
+            lam_c = lam_table[d, item]
+            pre_p = pre[parent]
+            run_c = run[parent] + pre_p * lam_c * price[item] * share[item]
+            fixed_c = fixed[parent] + head[d] * run[parent]
+            codes_c = (codes[parent] << _CODE_BITS) | item
+            score(d + 1, codes_c, fixed_c + tail[d + 1] * run_c)
+            scored += len(codes_c)
+            if d + 1 == reach:
+                bounded += len(codes_c) * below[d + 1]
+                continue
+            pre_c = pre_p * (1.0 - lam_c)
+            bound = fixed_c + tail[d + 1] * (run_c + pre_c * unit[d + 1])
+            keep = ~(bound * rise + tiny < running_max * (1.0 - margin))
+            bounded += (len(keep) - int(np.count_nonzero(keep))) * below[d + 1]
+            walk(
+                d + 1, (used[parent] | onehot[item])[keep], pre_c[keep],
+                run_c[keep], fixed_c[keep], codes_c[keep],
+            )
+
+    root = np.zeros(1, dtype=np.int64)
+    walk(0, root, np.ones(1), np.zeros(1), np.zeros(1), root)
+    return best_value, best_slate, scored, bounded
 
 
 def enumeration_count(universe: int, slot_count: int) -> int:
@@ -371,10 +424,15 @@ def brute_force_optimize(
     Enumerates all nonempty ordered selections of at most slot_count
     products; ties break toward the lexicographically smallest id sequence,
     so the result is independent of evaluation order.  A blocked numpy walk
-    approximates every slate's value; the slates within a proven margin of
+    approximates each slate's value; the slates within a proven margin of
     the best approximation are re-scored by the exact `_mixture_value`, which
-    alone decides.  Refuses universes beyond the guard limits rather than
-    truncating silently.
+    alone decides.  The walk skips every subtree whose proven upper bound
+    lies below the best found so far, and counts its slates instead, so
+    ``enumerated`` is still every slate and ``scored`` those it walked.
+    Negative prices or shares, and purchase probabilities outside [0, 1],
+    are refused: the bounds hold for nonnegative cascade terms only.
+    Refuses universes beyond the guard limits rather than truncating
+    silently.
     """
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
@@ -399,8 +457,19 @@ def brute_force_optimize(
     prices = [p.price for p in products]
     shares = [omega if omega is not None else p.revenue_share for p in products]
 
-    best_value, best_slate, enumerated = _best_slate(ids, lam, prices, shares, dist, depth)
-    assert enumerated == count, (enumerated, count)
+    for i, pid in enumerate(ids):
+        if prices[i] < 0:
+            raise ValueError(f"product {pid!r}: price {prices[i]} is negative")
+        if shares[i] < 0:
+            raise ValueError(f"product {pid!r}: revenue share {shares[i]} is negative")
+        for slot, row in enumerate(lam, start=1):
+            if row[i] < 0 or row[i] > 1:
+                raise ValueError(
+                    f"product {pid!r}: purchase probability {row[i]} at slot {slot} outside [0, 1]"
+                )
+
+    best_value, best_slate, scored, bounded = _best_slate(ids, lam, prices, shares, dist, depth)
+    assert scored + bounded == count, (scored, bounded, count)
 
     compare_value = None
     gap = None
@@ -411,7 +480,8 @@ def brute_force_optimize(
     return OptimizeResult(
         slate=best_slate,
         value=best_value,
-        enumerated=enumerated,
+        enumerated=scored + bounded,
         compare_value=compare_value,
         gap=gap,
+        scored=scored,
     )

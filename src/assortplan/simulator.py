@@ -446,11 +446,9 @@ def summarize(trace: SimTrace) -> SimSummary:
         zip([columns.ids[row] for row in rows[by_first].tolist()], counts[by_first].tolist())
     )
     price = columns.price[bought]
-    gross = 0.0
-    platform = 0.0
-    for p, q in zip(price.tolist(), (columns.share[bought] * price).tolist()):
-        gross += p
-        platform += q
+    # accumulate adds left to right from 0.0, as a loop would; sum adds pairwise.
+    gross = float(np.add.accumulate(np.append(0.0, price))[-1])
+    platform = float(np.add.accumulate(np.append(0.0, columns.share[bought] * price))[-1])
     horizon = len(trace.viewed)
     order = sorted(range(len(columns.ids)), key=columns.ids.__getitem__)
     review_counts, review_means = trace.review_counts[order], trace.review_means[order]

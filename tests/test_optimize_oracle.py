@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import reference_oracle as ref
+from assortplan import revenue
 from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.demand import UTILITY_SCALE_WARN, CostModel
 from assortplan.revenue import (
@@ -56,8 +58,13 @@ def assert_matches_oracle(catalog: Catalog, slots: int, dist: AttentionSpanDist,
 
 @st.composite
 def catalogs(draw, pinned: bool) -> Catalog:
-    """Up to 7 products (twins included), so a slot count above n is common."""
-    mode = draw(st.sampled_from(["mixed", "mixed", "zero-prices"]))
+    """Up to 7 products (twins included), so a slot count above n is common.
+
+    In the "identical" mode every product has the same fields, so every
+    slate ties with all others of its length and the bound drops no
+    subtree; only slates past the longest span go unwalked.
+    """
+    mode = draw(st.sampled_from(["mixed", "mixed", "zero-prices", "identical"]))
     ids = draw(st.lists(st.text("ABCab", min_size=1, max_size=2), min_size=1, max_size=5, unique=True))
     products = [
         Product(
@@ -70,6 +77,8 @@ def catalogs(draw, pinned: bool) -> Catalog:
         )
         for pid in ids
     ]
+    if mode == "identical":
+        products = [Product(**{**vars(products[0]), "id": pid}) for pid in ids]
     # Twins (an id outside the alphabet) tie exactly with their originals.
     twins = draw(st.lists(st.sampled_from(products), max_size=2, unique_by=lambda p: p.id))
     products += [Product(**{**vars(p), "id": p.id + "t"}) for p in twins]
@@ -104,10 +113,30 @@ def problems(draw) -> tuple:
     return catalog, draw(st.integers(1, 6)), draw(spans()), kwargs
 
 
-@given(problems())
-def test_engine_matches_oracle(problem):
+# Four identical products walked one parent at a time: every slate ties
+# with all others of its length, and a bound that ignored float rounding
+# dropped the subtree of the smallest ids.
+@example(
+    problem=(
+        Catalog(
+            tuple(
+                Product(id=pid, price=1.0, review_count=0, avg_rating=0.0,
+                        revenue_share=0.05078125, demand_override=0.2)
+                for pid in ("B", "A", "C", "AA")
+            )
+        ),
+        4,
+        AttentionSpanDist.deterministic(4),
+        {},
+    ),
+    block=1,
+)
+@given(problems(), st.sampled_from([1, 3, revenue._BLOCK]))
+def test_engine_matches_oracle(problem, block):
     catalog, slots, dist, kwargs = problem
-    assert_matches_oracle(catalog, slots, dist, **kwargs)
+    # The block size sets the walk order, and with it which bounds prune.
+    with mock.patch.object(revenue, "_BLOCK", block):
+        assert_matches_oracle(catalog, slots, dist, **kwargs)
 
 
 def _pinned(*rows: tuple) -> Catalog:
@@ -161,9 +190,12 @@ def test_fewer_products_than_slots():
 
 
 def test_benchmark_sized_random_catalogs():
+    # Pinned n=10 and logit n=9 at 5 slots, as the benchmark's oracle
+    # requests: the bound must drop subtrees and still count every slate.
     rng = np.random.default_rng(7)
     prior = BeliefPrior(3.0, 1.0, 4.0)
-    for size in (9, 10):
+    pmf = AttentionSpanDist.from_pmf({2: 0.3, 4: 0.3, 5: 0.4})
+    for size, dist in ((9, pmf), (10, pmf), (10, AttentionSpanDist.deterministic(5))):
         products = tuple(
             Product(
                 id=f"P{i:02d}",
@@ -175,8 +207,8 @@ def test_benchmark_sized_random_catalogs():
             )
             for i in rng.permutation(size)
         )
-        dist = AttentionSpanDist.from_pmf({2: 0.3, 4: 0.3, 5: 0.4})
-        assert_matches_oracle(Catalog(products), 5, dist, prior=prior, cost=CostModel(0.2))
+        result = assert_matches_oracle(Catalog(products), 5, dist, prior=prior, cost=CostModel(0.2))
+        assert 0 < result.scored < result.enumerated
 
 
 def test_utility_scale_warnings_match_oracle_order():

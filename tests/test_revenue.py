@@ -349,6 +349,23 @@ class TestBruteForceOptimize:
         with pytest.raises(EnumerationGuardError):
             brute_force_optimize(catalog, 9, AttentionSpanDist.deterministic(3))
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            # Every slate is worth less than nothing.
+            ({"price": -1.0}, {"price": -2.0}, "'A': price -1.0 is negative"),
+            ({"revenue_share": -0.5}, {}, "'A': revenue share -0.5 is negative"),
+            ({"demand_override": 1.5}, {}, "'A': purchase probability 1.5 at slot 1 outside"),
+            ({}, {"demand_override": -0.25}, "'B': purchase probability -0.25 at slot 1 outside"),
+        ],
+        ids=["price", "share", "lambda-above-1", "lambda-below-0"],
+    )
+    def test_negative_values_rejected(self, a, b, message):
+        base = dict(price=1.0, review_count=1, avg_rating=1.0, demand_override=0.5)
+        catalog = Catalog((Product(id="A", **{**base, **a}), Product(id="B", **{**base, **b})))
+        with pytest.raises(ValueError, match=message):
+            brute_force_optimize(catalog, 2, AttentionSpanDist.deterministic(2))
+
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             brute_force_optimize(Catalog(()), 1, AttentionSpanDist.deterministic(1))

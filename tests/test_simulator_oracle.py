@@ -24,7 +24,7 @@ from assortplan.catalog import BeliefPrior, Catalog, Product, demo_catalog
 from assortplan.demand import CostModel
 from assortplan.revenue import AttentionSpanDist
 from assortplan.philox import philox_raw
-from assortplan.simulator import SimConfig, simulate, trace_table
+from assortplan.simulator import SimConfig, SimTrace, simulate, summarize, trace_table
 
 SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 # Running sums in pmf order: 0.1 ten times ends at 0.9999999999999999, and
@@ -120,6 +120,53 @@ def test_engine_matches_oracle(case):
     catalog, cfg, block = case
     with mock.patch.object(philox, "BLOCK", block):
         assert_matches_oracle(catalog, cfg)
+
+
+# Magnitudes far apart make the float sum depend on the order of addition;
+# -0.0 shows whether the sum starts from 0.0.
+WIDE_PRICES = st.sampled_from([-0.0, 0.1, 0.7, 1e16, 3e-5]) | st.floats(0.0, 1e6)
+
+
+@given(st.data())
+def test_summary_totals_match_the_oracle_loop(data):
+    products = tuple(
+        Product(
+            id=f"P{i}",
+            price=data.draw(WIDE_PRICES),
+            review_count=0,
+            avg_rating=0.0,
+            revenue_share=data.draw(st.sampled_from([1.0, 0.3]) | st.floats(0.05, 1.0)),
+        )
+        for i in range(data.draw(st.integers(1, 5)))
+    )
+    catalog = Catalog(products)
+    bought = data.draw(st.lists(st.integers(-1, len(products) - 1), max_size=200))
+    horizon = len(bought)
+    trace = SimTrace(
+        spans=(1,),
+        span_index=np.zeros(horizon, dtype=np.int64),
+        viewed=np.ones(horizon, dtype=np.int64),
+        purchased=np.array(bought, dtype=np.int64),
+        rated=[],
+        ratings=[],
+        post_counts=[],
+        post_means=[],
+        review_counts=np.zeros(len(products), dtype=np.int64),
+        review_means=np.zeros(len(products)),
+        prior=BeliefPrior(3.0, 1.0, 4.0),
+        columns=catalog.columns,
+    )
+    engine = summarize(trace)
+    oracle = ref.summarize(
+        ref.RecordTrace(
+            records=trace.records,
+            final_states=trace.final_states,
+            prior=trace.prior,
+            product_params={p.id: (p.price, p.revenue_share) for p in products},
+        )
+    )
+    assert engine.gross_revenue.hex() == oracle.gross_revenue.hex()
+    assert engine.platform_revenue.hex() == oracle.platform_revenue.hex()
 
 
 @pytest.mark.parametrize("frozen", [True, False])
