@@ -47,10 +47,8 @@ from .demand import (
 )
 from .revenue import (
     AttentionSpanDist,
-    CascadeProbs,
     EnumerationGuardError,
     OptimizeResult,
-    SlateEvaluation,
     SlateInputs,
     brute_force_optimize,
     cascade_probs,
@@ -66,7 +64,6 @@ __all__ = [
     "AttentionSpanDist",
     "AuditFinding",
     "BeliefPrior",
-    "CascadeProbs",
     "Catalog",
     "CatalogError",
     "CostModel",
@@ -80,7 +77,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "SimTrace",
-    "SlateEvaluation",
     "SlateInputs",
     "SwapAnalysis",
     "TwoStageTrace",

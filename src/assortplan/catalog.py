@@ -183,6 +183,12 @@ class Catalog:
         except KeyError:
             raise KeyError(f"unknown product id {product_id!r}") from None
 
+    def require_unique_ids(self) -> None:
+        """Raise ValueError naming the first id the catalog lists more than once."""
+        if len(self._rows) != self.universe_size:
+            pid = next(pid for row, pid in enumerate(self.columns.ids) if self._rows[pid] != row)
+            raise ValueError(f"catalog lists product id {pid!r} more than once")
+
     def get(self, product_id: str) -> Product:
         if "products" in self.__dict__:
             try:

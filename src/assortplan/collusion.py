@@ -10,7 +10,6 @@ no claims about intent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +26,6 @@ from .catalog import BeliefPrior, Catalog
 from .demand import CostModel
 from .revenue import (
     AttentionSpanDist,
-    SlateInputs,
     cascade_probs,
     expected_revenue,
     expected_revenue_fixed,
@@ -87,7 +85,7 @@ def substitution_effect(
         raise ValueError(f"replacement {replacement!r} already appears in the slate")
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
-    catalog.get(replacement)
+    catalog.row(replacement)
 
     before = resolve_inputs(catalog, slate, prior=prior, cost=cost, omega=omega)
     swapped = list(slate)
@@ -129,20 +127,6 @@ def substitution_raises_downstream(mid_lambda_before: float, mid_lambda_after: f
     return mid_lambda_after < mid_lambda_before
 
 
-def _adjacent_swap_delta(inputs: SlateInputs, position: int) -> float:
-    """Revenue change from swapping slots position and position+1 (1-based).
-
-    Closed form: prefix * lam_i * lam_j * (p_j*w_j - p_i*w_i), valid when the
-    attention span covers the slate.
-    """
-    i = position - 1
-    prefix = math.prod(1.0 - lam for lam in inputs.lambdas[:i])
-    lam_i, lam_j = inputs.lambdas[i], inputs.lambdas[i + 1]
-    term_i = inputs.prices[i] * inputs.omegas[i]
-    term_j = inputs.prices[i + 1] * inputs.omegas[i + 1]
-    return prefix * lam_i * lam_j * (term_j - term_i)
-
-
 def audit_ranking(
     catalog: Catalog,
     displayed: Sequence[str],
@@ -158,7 +142,8 @@ def audit_ranking(
     Emits findings for: products missing the review-count cutoffs their
     iteration would impose (replayed slot by slot against the displayed
     slate); adjacent pairs inverted relative to the full-catalog two-stage
-    order, with the swap revenue delta quoted; and substitutions relative
+    order, quoting the exact change in expected revenue (under ``dist`` and
+    the requested demand) from swapping the pair; and substitutions relative
     to the compliant slate that raise the next slot's purchase probability
     while strictly losing expected revenue.  The engine's own output always
     audits clean.  The compliant order is ranked once, and only until it has
@@ -168,7 +153,7 @@ def audit_ranking(
     if len(set(displayed)) != len(displayed):
         raise ValueError(f"displayed slate contains duplicate ids: {displayed}")
     for pid in displayed:
-        catalog.get(pid)
+        catalog.row(pid)
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
 
@@ -176,20 +161,21 @@ def audit_ranking(
 
     # Threshold replay: pool at slot i is the catalog minus earlier displayed
     # products, matching the elimination order a compliant run would follow.
+    reviews = catalog.columns.reviews
     columns = RankingColumns(catalog, policy)
     replay = RankingPool(columns)
     for slot, pid in enumerate(displayed, start=1):
         record = replay.peek()
-        product = catalog.get(pid)
+        review_count = reviews.item(catalog.row(pid))
         if record.stage1_order and record.stage1_threshold is not None:
-            if product.review_count < record.stage1_threshold:
+            if review_count < record.stage1_threshold:
                 findings.append(
                     AuditFinding(
                         slot=slot,
                         product_id=pid,
                         kind=KIND_BELOW_STAGE1,
                         detail=(
-                            f"review count {product.review_count} below the stage-1 "
+                            f"review count {review_count} below the stage-1 "
                             f"cutoff {record.stage1_threshold:.4f} of iteration {slot}"
                         ),
                     )
@@ -197,7 +183,7 @@ def audit_ranking(
             elif (
                 record.stage2_passers
                 and record.stage2_threshold is not None
-                and product.review_count < record.stage2_threshold
+                and review_count < record.stage2_threshold
             ):
                 findings.append(
                     AuditFinding(
@@ -205,7 +191,7 @@ def audit_ranking(
                         product_id=pid,
                         kind=KIND_BELOW_STAGE2,
                         detail=(
-                            f"review count {product.review_count} below the stage-2 "
+                            f"review count {review_count} below the stage-2 "
                             f"cutoff {record.stage2_threshold:.4f} of iteration {slot}"
                         ),
                     )
@@ -229,7 +215,9 @@ def audit_ranking(
         for position in range(1, len(displayed)):
             first, second = displayed[position - 1], displayed[position]
             if ref_pos[first] > ref_pos[second]:
-                delta = _adjacent_swap_delta(inputs, position)
+                order = [*displayed[: position - 1], second, first, *displayed[position + 1 :]]
+                swapped = resolve_inputs(catalog, order, prior=prior, cost=cost, omega=omega)
+                delta = expected_revenue(swapped, dist) - expected_revenue(inputs, dist)
                 findings.append(
                     AuditFinding(
                         slot=position,

@@ -115,39 +115,44 @@ def logistic(x: float) -> float:
     return min(max(p, _TINY), _ONE_BELOW)
 
 
-def purchase_prob(
-    product: Product,
-    prior: BeliefPrior | None,
-    position: int,
-    model: CostModel,
+def purchase_chance(
+    product_id: str, pinned: float | None, count: int, mean: float, price: float, position: int,
+    prior: BeliefPrior | None, model: CostModel, warn_stacklevel: int | None = None,
 ) -> float:
-    """Purchase probability of a product shown at the given position.
+    """Purchase probability of a product shown at the given position, from its values.
 
-    A demand override is returned unchanged; otherwise the logit path
-    requires a prior.  Warns when the computed utility magnitude exceeds
-    UTILITY_SCALE_WARN (likely unit mismatch between prices and ratings).
+    A pinned demand is returned unchanged.  None and 0.0 both mean none
+    (a catalog's ``demand`` column holds 0.0 for an absent ``lambda``), and
+    then the logit path requires a prior.  With ``warn_stacklevel`` set,
+    a utility magnitude beyond UTILITY_SCALE_WARN (likely unit mismatch
+    between prices and ratings) warns with that ``stacklevel``: 2 names
+    the caller's line.
     """
     if position < 1:
         raise ValueError(f"position must be >= 1, got {position}")
-    if product.demand_override is not None:
-        return product.demand_override
+    if pinned:
+        return pinned
     if prior is None:
         raise ValueError(
-            f"purchase probability unresolvable for {product.id!r}: "
+            f"purchase probability unresolvable for {product_id!r}: "
             "no demand override and no prior belief supplied"
         )
-    chi = expected_utility(
-        prior,
-        ReviewState(count=product.review_count, mean=product.avg_rating),
-        product.price,
-        position,
-        model,
-    )
-    if abs(chi) > UTILITY_SCALE_WARN:
+    chi = utility(prior, count, mean, price, position, model)
+    if warn_stacklevel is not None and abs(chi) > UTILITY_SCALE_WARN:
         warnings.warn(
-            f"utility {chi:.3g} for product {product.id!r} exceeds +/-{UTILITY_SCALE_WARN}; "
+            f"utility {chi:.3g} for product {product_id!r} exceeds +/-{UTILITY_SCALE_WARN}; "
             "check that prices and ratings use commensurate units",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=warn_stacklevel,
         )
     return logistic(chi)
+
+
+def purchase_prob(
+    product: Product, prior: BeliefPrior | None, position: int, model: CostModel
+) -> float:
+    """``purchase_chance`` of a ``Product``; a utility-scale warning names the caller's line."""
+    return purchase_chance(
+        product.id, product.demand_override, product.review_count, product.avg_rating,
+        product.price, position, prior, model, warn_stacklevel=3,
+    )

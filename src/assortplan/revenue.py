@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .catalog import BeliefPrior, Catalog
-from .demand import CostModel, purchase_prob
+from .demand import CostModel, purchase_chance
+# perfbench/tracing.py wraps purchase_prob under this module attribute, so it stays importable.
+from .demand import purchase_prob  # noqa: F401
 
 # Hard ceiling on the number of ordered slates the oracle may enumerate.
 ENUMERATION_LIMIT = 50_000_000
@@ -120,22 +123,44 @@ def resolve_inputs(
 ) -> SlateInputs:
     """Resolve per-slot demand, price, and share for an ordered slate.
 
-    Demand precedence: a product's pinned override wins; otherwise the
-    logit path computes a slot-dependent probability from the prior and
-    cost model.  ``omega`` overrides every revenue share uniformly.
+    Demand precedence: a product's pinned demand wins; otherwise the logit
+    path computes a slot-dependent probability from the prior and cost
+    model.  ``omega`` overrides every revenue share uniformly.  The catalog
+    is read as columns, by row.
     """
     if len(set(slate)) != len(slate):
         raise ValueError(f"slate contains duplicate ids: {list(slate)}")
     cost = cost if cost is not None else CostModel()
-    lambdas = []
-    prices = []
-    omegas = []
+    c = catalog.columns
+    lambdas, prices, omegas = [], [], []
     for slot, pid in enumerate(slate, start=1):
-        product = catalog.get(pid)
-        lambdas.append(purchase_prob(product, prior, slot, cost))
-        prices.append(product.price)
-        omegas.append(omega if omega is not None else product.revenue_share)
+        row = catalog.row(pid)
+        values = (c.demand.item(row), c.reviews.item(row), c.rating.item(row), c.price.item(row))
+        lambdas.append(purchase_chance(pid, *values, slot, prior, cost, warn_stacklevel=2))
+        prices.append(values[3])
+        omegas.append(omega if omega is not None else c.share.item(row))
     return SlateInputs(tuple(slate), tuple(lambdas), tuple(prices), tuple(omegas))
+
+
+def _cascade_prefix(lambdas: Sequence[float]) -> list[float]:
+    """No-purchase mass before each slot and after the last: the one scalar cascade walk.
+
+    Slot k converts with ``prefix[k] * lam_k`` and earns ``prefix[k] * lam_k
+    * price_k * share_k``, in the operation order the oracle walk
+    (`_best_slate`) and the simulator's frozen walk repeat on arrays.
+    """
+    prefix = [1.0]
+    for lam in lambdas:
+        prefix.append(prefix[-1] * (1.0 - lam))
+    return prefix
+
+
+def _slot_revenues(
+    lambdas: Sequence[float], prices: Sequence[float], omegas: Sequence[float]
+) -> list[float]:
+    """Each slot's expected revenue term under the cascade."""
+    prefix = _cascade_prefix(lambdas)
+    return [pre * lam * price * w for pre, lam, price, w in zip(prefix, lambdas, prices, omegas)]
 
 
 def cascade_probs(lambdas: Sequence[float]) -> CascadeProbs:
@@ -145,51 +170,37 @@ def cascade_probs(lambdas: Sequence[float]) -> CascadeProbs:
     every earlier slot was rejected; the leftover prefix is the no-purchase
     mass.  Together they always sum to 1.
     """
-    per_slot = []
-    prefix = 1.0
     for lam in lambdas:
         if not 0 < lam < 1:
             raise ValueError(f"purchase probability must lie in (0, 1), got {lam}")
-        per_slot.append(prefix * lam)
-        prefix *= 1.0 - lam
-    return CascadeProbs(per_slot=tuple(per_slot), no_purchase=prefix)
+    prefix = _cascade_prefix(lambdas)
+    return CascadeProbs(tuple([pre * lam for pre, lam in zip(prefix, lambdas)]), prefix[-1])
 
 
 def expected_revenue_fixed(inputs: SlateInputs, span: int) -> float:
     """Expected platform revenue from a customer who views up to ``span`` slots."""
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
-    terms = []
-    prefix = 1.0
-    for k in range(min(span, len(inputs.ids))):
-        lam = inputs.lambdas[k]
-        terms.append(prefix * lam * inputs.prices[k] * inputs.omegas[k])
-        prefix *= 1.0 - lam
-    return math.fsum(terms)
+    return math.fsum(
+        _slot_revenues(inputs.lambdas[:span], inputs.prices[:span], inputs.omegas[:span])
+    )
 
 
-def _mixture_value(
-    lambdas: Sequence[float],
-    prices: Sequence[float],
-    omegas: Sequence[float],
-    dist: AttentionSpanDist,
-) -> float:
-    """Span-pmf mixture of fixed-span revenues, via cumulative slot values.
+def _mixture_value(terms: Sequence[float], dist: AttentionSpanDist) -> float:
+    """Span-pmf mixture of fixed-span revenues, via the cumulative ``_slot_revenues``.
 
     The exact scorer: expected_revenue reports it, and brute_force_optimize
     re-scores every candidate of its approximate walk with it, so optimizer
     comparisons and reported slate values ride the identical arithmetic
-    path.
+    path.  The running sum starts at 0.0, so a -0.0 term adds to +0.0.
     """
-    cumulative = [0.0]
-    prefix = 1.0
-    running = 0.0
-    for k, lam in enumerate(lambdas):
-        running += prefix * lam * prices[k] * omegas[k]
-        cumulative.append(running)
-        prefix *= 1.0 - lam
-    last = len(lambdas)
-    return math.fsum(h * cumulative[min(y, last)] for y, h in dist.pmf)
+    cumulative = list(accumulate(terms, initial=0.0))
+    return math.fsum(h * cumulative[min(y, len(terms))] for y, h in dist.pmf)
+
+
+def _tail_value(terms: Sequence[float], dist: AttentionSpanDist) -> float:
+    """The tail-weighted form: slot k's revenue term times Pr(span >= k)."""
+    return math.fsum(term * dist.tail(k) for k, term in enumerate(terms, start=1))
 
 
 def expected_revenue(inputs: SlateInputs, dist: AttentionSpanDist) -> float:
@@ -200,17 +211,8 @@ def expected_revenue(inputs: SlateInputs, dist: AttentionSpanDist) -> float:
     equivalent tail-weighted form is evaluated alongside and must agree to
     1e-10, failing loudly otherwise.
     """
-    direct = _mixture_value(inputs.lambdas, inputs.prices, inputs.omegas, dist)
-
-    tail_terms = []
-    prefix = 1.0
-    for k, lam in enumerate(inputs.lambdas, start=1):
-        tail_terms.append(
-            prefix * lam * inputs.prices[k - 1] * inputs.omegas[k - 1] * dist.tail(k)
-        )
-        prefix *= 1.0 - lam
-    tail_form = math.fsum(tail_terms)
-
+    terms = _slot_revenues(inputs.lambdas, inputs.prices, inputs.omegas)
+    direct, tail_form = _mixture_value(terms, dist), _tail_value(terms, dist)
     if abs(direct - tail_form) > _FORM_AGREEMENT_TOL:
         raise ArithmeticError(f"span-expectation forms disagree: {direct!r} vs {tail_form!r}")
     return direct
@@ -238,23 +240,21 @@ class OptimizeResult:
 
 
 def _lambda_table(
-    catalog: Catalog,
-    ids: Sequence[str],
-    depth: int,
-    prior: BeliefPrior | None,
-    cost: CostModel,
+    catalog: Catalog, depth: int, prior: BeliefPrior | None, cost: CostModel
 ) -> list[list[float]]:
-    """Demand of every product at slots 1..depth, as ``table[slot - 1][index]``.
+    """Demand of every catalog row at slots 1..depth, as ``table[slot - 1][row]``.
 
     Demand depends only on (product, slot).  The table is filled in the
     order a lexicographic walk over the slates first reaches each pair, so
-    utility-scale warnings come out in that order: for slot s, the indices
+    utility-scale warnings come out in that order: for slot s, the rows
     s-1..n-1 ascending, then s-2..0 descending.
     """
-    table = [[0.0] * len(ids) for _ in range(depth)]
+    c = catalog.columns
+    rows = list(zip(c.ids, *(col.tolist() for col in (c.demand, c.reviews, c.rating, c.price))))
+    table = [[0.0] * len(rows) for _ in range(depth)]
     for slot in range(1, depth + 1):
-        for i in [*range(slot - 1, len(ids)), *range(slot - 2, -1, -1)]:
-            table[slot - 1][i] = purchase_prob(catalog.get(ids[i]), prior, slot, cost)
+        for i in [*range(slot - 1, len(rows)), *range(slot - 2, -1, -1)]:
+            table[slot - 1][i] = purchase_chance(*rows[i], slot, prior, cost, warn_stacklevel=2)
     return table
 
 
@@ -367,9 +367,11 @@ def _best_slate(
             row = [code >> shift & _CODE_MASK for shift in shifts]
             slate = tuple(ids[i] for i in row)
             value = _mixture_value(
-                [lam[slot][i] for slot, i in enumerate(row)],
-                [prices[i] for i in row],
-                [shares[i] for i in row],
+                _slot_revenues(
+                    [lam[slot][i] for slot, i in enumerate(row)],
+                    [prices[i] for i in row],
+                    [shares[i] for i in row],
+                ),
                 dist,
             )
             if value > best_value or (value == best_value and slate < best_slate):
@@ -430,14 +432,15 @@ def brute_force_optimize(
     lies below the best found so far, and counts its slates instead, so
     ``enumerated`` is still every slate and ``scored`` those it walked.
     Negative prices or shares, and purchase probabilities outside [0, 1],
-    are refused: the bounds hold for nonnegative cascade terms only.
-    Refuses universes beyond the guard limits rather than truncating
-    silently.
+    are refused: the bounds hold for nonnegative cascade terms only.  So
+    are catalogs that list an id twice.  Refuses universes beyond the guard
+    limits rather than truncating silently.
     """
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
-    if not catalog.products:
+    if not catalog.universe_size:
         raise ValueError("catalog is empty")
+    catalog.require_unique_ids()
     size = catalog.universe_size
     count = enumeration_count(size, slot_count)
     if size > MAX_UNIVERSE or slot_count > MAX_SLOTS or count > ENUMERATION_LIMIT:
@@ -450,12 +453,12 @@ def brute_force_optimize(
         )
 
     cost = cost if cost is not None else CostModel()
-    ids = [p.id for p in catalog.products]
+    columns = catalog.columns
+    ids = columns.ids
     depth = min(slot_count, size)
-    lam = _lambda_table(catalog, ids, depth, prior, cost)
-    products = [catalog.get(pid) for pid in ids]
-    prices = [p.price for p in products]
-    shares = [omega if omega is not None else p.revenue_share for p in products]
+    lam = _lambda_table(catalog, depth, prior, cost)
+    prices = columns.price.tolist()
+    shares = [omega] * size if omega is not None else columns.share.tolist()
 
     for i, pid in enumerate(ids):
         if prices[i] < 0:

@@ -41,7 +41,9 @@ from .assortment import (
     two_stage_select,
 )
 from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns
-from .demand import CostModel, ReviewState, add_rating, logistic, posterior, utility
+from .demand import CostModel, ReviewState, add_rating, posterior, purchase_chance
+# perfbench/tracing.py wraps logistic under this module attribute, so it stays importable.
+from .demand import logistic  # noqa: F401
 from .philox import RatingDraws, draw_blocks
 from .revenue import AttentionSpanDist
 
@@ -199,9 +201,7 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
             raise ValueError(f"clamp_ratings bounds must be numbers, got NaN: {cfg.clamp_ratings}")
         if cfg.clamp_ratings[0] > cfg.clamp_ratings[1]:
             raise ValueError(f"clamp_ratings bounds out of order: {cfg.clamp_ratings}")
-    if len(catalog._rows) != catalog.universe_size:  # rows share an id: name the first
-        pid = next(pid for row, pid in enumerate(catalog.columns.ids) if catalog.row(pid) != row)
-        raise ValueError(f"catalog lists product id {pid!r} more than once")
+    catalog.require_unique_ids()
     if cfg.slate is not None:
         if not cfg.slate:
             raise ValueError("fixed slate is empty")
@@ -283,25 +283,18 @@ class _Reranker:
         return tuple(pool.take_id() for _ in range(self.slot_count))
 
 
-def _purchase_chance(
-    columns: CatalogColumns, row: int, count: int, mean: float, position: int, cfg: SimConfig
-) -> float:
-    """Row ``row``'s pinned demand, or the logistic of its posterior utility."""
-    demand = columns.demand.item(row)
-    if demand:
-        return demand
-    return logistic(utility(cfg.prior, count, mean, columns.price.item(row), position, cfg.cost))
-
-
 def _displayed(catalog: Catalog, slate: tuple[str, ...], reach: int, count_of, mean_of, cfg):
     """The catalog rows of the slate's first ``reach`` products and their purchase chances.
 
     ``count_of`` and ``mean_of`` give a row's review state as Python numbers.
     """
     rows = [catalog.row(pid) for pid in slate[:reach]]
-    columns = catalog.columns
+    c = catalog.columns
     chance = [
-        _purchase_chance(columns, row, count_of(row), mean_of(row), j, cfg)
+        purchase_chance(
+            c.ids[row], c.demand.item(row), count_of(row), mean_of(row), c.price.item(row), j,
+            cfg.prior, cfg.cost,
+        )
         for j, row in enumerate(rows, start=1)
     ]
     return rows, chance
@@ -413,7 +406,10 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
                             rating = min(max(rating, lo), hi)
                         count, mean = add_rating(counts[purchased], means[purchased], rating)
                         counts[purchased], means[purchased] = count, mean
-                        chance[j] = _purchase_chance(columns, purchased, count, mean, viewed, cfg)
+                        chance[j] = purchase_chance(
+                            columns.ids[purchased], columns.demand.item(purchased), count, mean,
+                            columns.price.item(purchased), viewed, cfg.prior, cfg.cost,
+                        )
                         if reranker is not None:
                             reranker.record(purchased, count)
                         rated.append(t - 1)

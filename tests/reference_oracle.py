@@ -2,8 +2,8 @@
 
 This is the straightforward implementation the blocked numpy walk in
 ``revenue.brute_force_optimize`` replaced: every ordered slate is listed
-with ``itertools.permutations`` and scored from scratch by the exact
-``_mixture_value``.  Tests require the engine to return the same slate,
+with ``itertools.permutations`` and scored from scratch by the scalar
+``mixture_value`` loop of ``reference_cascade``.  Tests require the engine to return the same slate,
 bit-equal values and the same enumeration count.
 """
 
@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Sequence
 
 from assortplan.catalog import BeliefPrior, Catalog
-from assortplan.demand import CostModel, purchase_prob
+from assortplan.demand import CostModel
 from assortplan.revenue import (
     ENUMERATION_LIMIT,
     MAX_SLOTS,
@@ -22,11 +22,9 @@ from assortplan.revenue import (
     AttentionSpanDist,
     EnumerationGuardError,
     OptimizeResult,
-    _mixture_value,
     enumeration_count,
-    expected_revenue,
-    resolve_inputs,
 )
+from reference_cascade import expected_revenue, mixture_value, purchase_prob, resolve_inputs
 
 
 def brute_force_optimize(
@@ -46,6 +44,10 @@ def brute_force_optimize(
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
     if not catalog.products:
         raise ValueError("catalog is empty")
+    ids = [p.id for p in catalog.products]
+    for i, pid in enumerate(ids):
+        if pid in ids[:i]:
+            raise ValueError(f"catalog lists product id {pid!r} more than once")
     size = catalog.universe_size
     count = enumeration_count(size, slot_count)
     if size > MAX_UNIVERSE or slot_count > MAX_SLOTS or count > ENUMERATION_LIMIT:
@@ -58,7 +60,6 @@ def brute_force_optimize(
         )
 
     cost = cost if cost is not None else CostModel()
-    ids = [p.id for p in catalog.products]
     # Demand depends only on (product, slot), so cache the logit evaluations.
     lam_cache: dict[tuple[str, int], float] = {}
 
@@ -78,7 +79,7 @@ def brute_force_optimize(
         for perm in permutations(ids, m):
             enumerated += 1
             lams = [lam_at(pid, slot) for slot, pid in enumerate(perm, start=1)]
-            value = _mixture_value(
+            value = mixture_value(
                 lams, [price[p] for p in perm], [share[p] for p in perm], dist
             )
             if value > best_value or (value == best_value and perm < best_slate):

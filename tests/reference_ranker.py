@@ -4,8 +4,10 @@ These are the straightforward implementations the array-backed
 ``RankingPool`` and the lazy ``audit_ranking`` replaced: every round
 rebuilds and re-sorts the remaining pool, and the audit ranks the whole
 catalog, then ranks the first slots again.  Thresholds are exactly rounded
-(``math.fsum``) as in the engine.  Tests require the engine to return
-equal rankings, traces and findings.
+(``math.fsum``) as in the engine.  An order violation quotes the exact
+change in expected revenue from swapping the pair, scored by the frozen
+loops of ``reference_cascade``.  Tests require the engine to return equal
+rankings, traces and findings.
 """
 
 from __future__ import annotations
@@ -28,15 +30,10 @@ from assortplan.collusion import (
     KIND_ORDER_VIOLATION,
     KIND_REVENUE_DOMINATED,
     AuditFinding,
-    _adjacent_swap_delta,
 )
 from assortplan.demand import CostModel
-from assortplan.revenue import (
-    AttentionSpanDist,
-    cascade_probs,
-    expected_revenue,
-    resolve_inputs,
-)
+from assortplan.revenue import AttentionSpanDist
+from reference_cascade import cascade_probs, expected_revenue, resolve_inputs
 
 
 class ThresholdUndefined(ValueError):
@@ -202,7 +199,10 @@ def audit_ranking(
         for position in range(1, len(displayed)):
             first, second = displayed[position - 1], displayed[position]
             if ref_pos[first] > ref_pos[second]:
-                delta = _adjacent_swap_delta(inputs, position)
+                swapped = displayed[: position - 1] + [second, first] + displayed[position + 1 :]
+                delta = expected_revenue(
+                    resolve_inputs(catalog, swapped, prior=prior, cost=cost, omega=omega), dist
+                ) - expected_revenue(inputs, dist)
                 findings.append(
                     AuditFinding(
                         slot=position,
@@ -219,7 +219,7 @@ def audit_ranking(
     reference, _ = two_stage_select(catalog, slot_count, policy)
     ref_slots = reference.slots
     ref_inputs = resolve_inputs(catalog, ref_slots, prior=prior, cost=cost, omega=omega)
-    ref_probs = cascade_probs(ref_inputs.lambdas).per_slot
+    ref_probs = cascade_probs(ref_inputs.lambdas)[0]
     ref_value = expected_revenue(ref_inputs, dist)
     for slot, pid in enumerate(displayed, start=1):
         if slot > len(ref_slots) or pid in ref_slots:
@@ -227,7 +227,7 @@ def audit_ranking(
         swapped = list(ref_slots)
         swapped[slot - 1] = pid
         sub_inputs = resolve_inputs(catalog, swapped, prior=prior, cost=cost, omega=omega)
-        sub_probs = cascade_probs(sub_inputs.lambdas).per_slot
+        sub_probs = cascade_probs(sub_inputs.lambdas)[0]
         delta = expected_revenue(sub_inputs, dist) - ref_value
         downstream_rose = slot < len(ref_slots) and sub_probs[slot] > ref_probs[slot]
         if delta < 0 and downstream_rose:

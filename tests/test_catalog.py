@@ -181,12 +181,43 @@ class TestLazyProducts:
         catalog = load_catalog(text)
         span = AttentionSpanDist.deterministic(3)
         assert audit_ranking(catalog, ["A", "B", "F"], 3, span, omega=1.0) == []
-        assert sorted(p.id for p in built) == ["A", "B", "F"]
+        assert built == []
         # A perturbed slate also reads the compliant slate A, B, F.
         built.clear()
         catalog = load_catalog(text)
         assert audit_ranking(catalog, ["A", "D", "F"], 3, span, omega=1.0)
-        assert sorted(p.id for p in built) == ["A", "B", "D", "F"]
+        assert built == []
+
+    def test_analytic_commands_on_a_loaded_catalog_build_no_product(
+        self, built, tmp_path, capsys
+    ):
+        pinned = tmp_path / "pinned.json"
+        pinned.write_text(serialize_catalog(demo_catalog()))
+        logit = tmp_path / "logit.json"
+        logit.write_text(
+            serialize_catalog(
+                Catalog(
+                    replace(p, price=p.price / 100, demand_override=None)
+                    for p in demo_catalog().products
+                )
+            )
+        )
+        prior = ["--prior", "4.0,1.0,1.0"]
+        commands = [
+            ["optimize", "--catalog", str(pinned), "--slots", "3", "--span", "y=3",
+             "--compare", "A,B,F"],
+            ["optimize", "--catalog", str(logit), "--slots", "2", "--span", "pmf=1:0.5,3:0.5",
+             "--compare", "A,D", *prior],
+            ["expected-revenue", "--catalog", str(pinned), "--slate", "A,B,F", "--span", "y=3"],
+            ["expected-revenue", "--catalog", str(logit), "--slate", "D,A", "--span", "y=2",
+             *prior],
+            ["audit", "--catalog", str(pinned), "--displayed", "A,D,F", "--span", "y=3"],
+            ["audit", "--catalog", str(logit), "--displayed", "B,A,F", "--span", "y=3", *prior],
+        ]
+        built.clear()
+        for argv in commands:
+            assert main(argv) in (0, 1), capsys.readouterr().err
+        assert built == []
 
     def test_simulating_a_loaded_catalog_builds_no_product(self, built):
         rated = Catalog(

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import reference_cascade as ref
 from assortplan.assortment import two_stage_select
-from assortplan.catalog import Catalog, Product
+from assortplan.catalog import BeliefPrior, Catalog, Product
+from assortplan.cli import main
 from assortplan.collusion import (
     KIND_BELOW_STAGE1,
     KIND_BELOW_STAGE2,
@@ -13,6 +17,7 @@ from assortplan.collusion import (
     substitution_raises_downstream,
     substitution_effect,
 )
+from assortplan.demand import CostModel
 from assortplan.revenue import AttentionSpanDist, cascade_probs
 from helpers import random_catalog
 
@@ -173,3 +178,40 @@ class TestAuditRanking:
         findings = audit_ranking(demo, ["A", "D", "F"], 3, DIST3, omega=1.0)
         report = findings_report(findings)
         assert all({"slot", "product", "kind", "detail"} == set(r) for r in report)
+
+
+class TestOrderViolationDelta:
+    """The quoted delta is expected_revenue(swapped) - expected_revenue(displayed)."""
+
+    # The compliant order starts A, B, F and ends with D, so showing D ahead
+    # of F is an inversion; swapping them adds F's revenue only where the
+    # span reaches slot 2, and the closed form prefix*lam_i*lam_j*(r_j - r_i)
+    # (0.2625) holds only for a span that covers the slate.
+    @pytest.mark.parametrize(
+        "span, delta",
+        [("y=1", "0"), ("y=2", "10.0675"), ("pmf=1:0.5,3:0.5", "0.13125"), ("y=3", "0.2625")],
+    )
+    def test_demo_delta_under_each_span(self, demo_path, capsys, span, delta):
+        argv = ["audit", "--catalog", str(demo_path), "--displayed", "A,D,F", "--span", span]
+        assert main([*argv, "--omega", "uniform:1.0"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "finding slot 2 product D order-violation: D is displayed ahead of F against the "
+            f"compliant order; swapping them changes expected revenue by {delta}\n"
+        ) in out
+
+    def test_logit_delta_counts_each_slot_demand(self, demo):
+        # With a position cost each product's demand depends on its slot, so
+        # the closed form (about -0.00195) even has the wrong sign.
+        catalog = Catalog(
+            replace(p, price=p.price / 100, demand_override=None) for p in demo.products
+        )
+        demand = dict(prior=BeliefPrior(4.0, 1.0, 1.0), cost=CostModel(0.5))
+        findings = audit_ranking(catalog, ["B", "A", "F"], 3, DIST3, **demand)
+        violations = [f for f in findings if f.kind == KIND_ORDER_VIOLATION]
+        assert [f.product_id for f in violations] == ["B"]
+        exact = ref.expected_revenue(
+            ref.resolve_inputs(catalog, ["A", "B", "F"], **demand), DIST3
+        ) - ref.expected_revenue(ref.resolve_inputs(catalog, ["B", "A", "F"], **demand), DIST3)
+        assert violations[0].detail.endswith(f"changes expected revenue by {exact:.6g}")
+        assert exact > 0.05

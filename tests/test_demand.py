@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from assortplan.catalog import BeliefPrior, Product
+from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.demand import (
     CostModel,
     ReviewState,
@@ -14,6 +15,8 @@ from assortplan.demand import (
     search_cost,
     update_review_state,
 )
+from assortplan.revenue import AttentionSpanDist, resolve_inputs
+from assortplan.simulator import SimConfig, simulate
 
 
 class TestSearchCost:
@@ -152,8 +155,31 @@ class TestPurchaseProb:
     def test_warning_on_unit_mismatch(self):
         prior = BeliefPrior(0.0, 1.0, 1.0)
         product = Product(id="X", price=629.0, review_count=0, avg_rating=0.0)
-        with pytest.warns(RuntimeWarning, match="commensurate"):
+        with pytest.warns(RuntimeWarning, match="commensurate") as caught:
             purchase_prob(product, prior, 1, CostModel(0.1))
+        # The warning names the line that called purchase_prob.
+        assert caught[0].filename == __file__
+
+    def test_pinned_zero_demand_is_no_pin_on_every_path(self):
+        # A catalog's demand column holds 0.0 for "no lambda", so a library
+        # Product pinned at 0.0 takes the logit path everywhere.
+        prior, model = BeliefPrior(4.0, 1.0, 1.0), CostModel(0.1)
+        zero = Product(id="Z", price=1.0, review_count=3, avg_rating=4.5, demand_override=0.0,
+                       true_quality=4.5, rating_noise=0.5)
+        unpinned = replace(zero, demand_override=None)
+        logit = purchase_prob(unpinned, prior, 2, model)
+        assert 0 < logit < 1
+        assert purchase_prob(zero, prior, 2, model) == logit
+        with pytest.raises(ValueError, match="unresolvable"):
+            purchase_prob(zero, None, 2, model)
+        top = Product(id="A", price=1.0, review_count=1, avg_rating=1.0, demand_override=0.5)
+        catalog = Catalog((top, zero))
+        assert resolve_inputs(catalog, ["A", "Z"], prior=prior, cost=model).lambdas[1] == logit
+        cfg = SimConfig(horizon=200, seed=3, dist=AttentionSpanDist.deterministic(2),
+                        prior=prior, cost=model, slate=("A", "Z"), freeze_beliefs=True)
+        trace = simulate(catalog, cfg)
+        assert trace == simulate(Catalog((top, unpinned)), cfg)
+        assert trace.summary.per_product_purchases.get("Z", 0) > 0
 
     def test_decreasing_in_price_and_position(self):
         rng = np.random.default_rng(3)

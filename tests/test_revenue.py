@@ -18,6 +18,7 @@ from assortplan.revenue import (
     expected_revenue_fixed,
     resolve_inputs,
 )
+from assortplan.simulator import SimConfig, simulate
 from helpers import random_catalog, random_slate_params, random_span_dist
 
 
@@ -369,3 +370,21 @@ class TestBruteForceOptimize:
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             brute_force_optimize(Catalog(()), 1, AttentionSpanDist.deterministic(1))
+
+    def test_repeated_id_rejected_as_simulate_does(self):
+        # Both X rows used to be enumerated as different products, giving
+        # the slate ('X', 'X') that expected-revenue refuses.
+        catalog = Catalog(
+            (
+                Product(id="X", price=5.0, review_count=1, avg_rating=1.0, demand_override=0.5),
+                Product(id="Y", price=1.0, review_count=1, avg_rating=1.0, demand_override=0.5),
+                Product(id="X", price=9.0, review_count=1, avg_rating=1.0, demand_override=0.6),
+            )
+        )
+        message = "catalog lists product id 'X' more than once"
+        with pytest.raises(ValueError, match=message):
+            brute_force_optimize(catalog, 2, AttentionSpanDist.deterministic(2))
+        cfg = SimConfig(horizon=5, seed=1, dist=AttentionSpanDist.deterministic(2),
+                        prior=BeliefPrior(0.0, 1.0, 1.0), slate=("Y",), freeze_beliefs=True)
+        with pytest.raises(ValueError, match=message):
+            simulate(catalog, cfg)
