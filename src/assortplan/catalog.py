@@ -15,7 +15,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import is_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -219,15 +219,24 @@ class Catalog:
         return f"Catalog(products={self.products!r}, display_scale={self.display_scale!r})"
 
 
+_MISSING = object()  # stands in for a key an entry lacks
 _REQUIRED_KEYS = ("id", "price", "reviews", "avg_rating")
+# The number keys in check order: what an absent one stands for (a required
+# key is missing, omega defaults to 1.0 and the others are absent), and the
+# closed range [low, high] a given value must lie in, where an open end at 0
+# is the least positive float and one at 1 the float below 1.  A null omega
+# is rejected; any other null optional value counts as absent.
+_NUMBER_KEYS = {
+    "price": (_MISSING, 0.0, math.inf),
+    "avg_rating": (_MISSING, -math.inf, math.inf),
+    "omega": (1.0, 5e-324, 1.0),
+    "true_quality": (None, -math.inf, math.inf),
+    "rating_noise": (None, 5e-324, math.inf),
+    "lambda": (None, 5e-324, math.nextafter(1.0, 0.0)),
+}
+_LOW, _HIGH = (np.array([[bounds[end]] for bounds in _NUMBER_KEYS.values()]) for end in (1, 2))
+_KEYS = frozenset((*_REQUIRED_KEYS, *_NUMBER_KEYS))
 _FLOAT_KINDS = frozenset((int, float, type(None)))
-
-
-class _Missing:
-    """Stands in for a key an entry lacks."""
-
-
-_MISSING = _Missing()
 
 
 def _finite(value) -> float | None:
@@ -246,80 +255,49 @@ def _finite(value) -> float | None:
     return None
 
 
-class _Column:
-    """One key's values across the entries, ``fill`` where an entry lacks the key.
+def _number_matrix(numbers: list[tuple[list, set]], n: int) -> np.ndarray:
+    """The number columns as one float64 matrix, NaN wherever a value is not a finite number.
 
-    ``kinds`` is the set of the values' types; the checks take their fast
-    path when it shows every value is of the expected kind.
+    numpy converts an int exactly as ``float(int)`` does and None to NaN (slowly, so an
+    all-None column is left NaN); an int beyond float range raises OverflowError, and
+    that column is then converted value by value.
     """
-
-    def __init__(self, entries: list, key: str, fill=_MISSING):
-        values = list(map(dict.get, entries, repeat(key), repeat(_MISSING)))
-        kinds = set(map(type, values))
-        if _Missing in kinds and fill is not _MISSING:
-            values = [fill if v is _MISSING else v for v in values]
-            kinds = (kinds - {_Missing}) | {type(fill)}
-        self.values, self.kinds = values, kinds
-
-    def holds(self, marker) -> np.ndarray:
-        """Mask of the rows whose value is ``marker``."""
-        n = len(self.values)
-        if type(marker) not in self.kinds:
-            return np.zeros(n, dtype=bool)
-        if len(self.kinds) == 1:
-            return np.ones(n, dtype=bool)
-        return np.fromiter(map(is_, self.values, repeat(marker)), dtype=bool, count=n)
-
-    def floats(self) -> np.ndarray:
-        """The values as float64, NaN wherever a value is not a finite number.
-
-        numpy converts an integer exactly as ``float(int)`` does and raises
-        OverflowError for one beyond float range; the column is then
-        converted value by value.
-        """
-        if self.kinds <= _FLOAT_KINDS:
+    matrix = np.full((len(numbers), n), np.nan)
+    for row, (values, kinds) in zip(matrix, numbers):
+        if kinds == {type(None)}:
+            continue
+        if kinds <= _FLOAT_KINDS:
             try:
-                return _read_only(np.array(self.values, dtype=np.float64))
+                row[:] = values
+                continue
             except OverflowError:
                 pass
-        return _read_only(np.array(list(map(_finite, self.values)), dtype=np.float64))
-
-    def counts(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """The values as int64 review counts, with the masks of non-integers
-        (None when there is none) and of integers outside [0, 2**63)."""
-        values = self.values
-        if self.kinds <= {int}:
-            try:
-                counts = np.array(values, dtype=np.int64)
-                return _read_only(counts), None, counts < 0
-            except OverflowError:
-                pass
-        is_int = np.array([type(v) is int for v in values], dtype=bool)
-        fits = [bool(ok) and 0 <= v < MAX_REVIEWS for v, ok in zip(values, is_int)]
-        counts = np.array([v if ok else 0 for v, ok in zip(values, fits)], dtype=np.int64)
-        return _read_only(counts), ~is_int, is_int & ~np.array(fits, dtype=bool)
+        row[:] = list(map(_finite, values))
+    return matrix
 
 
-# The optional number keys in check order: the value an absent key stands
-# for, and the range a given value must lie in (None: any finite number).
-# A null omega is rejected; any other null optional value counts as absent.
-_OPTIONAL_RANGES = (
-    ("omega", 1.0, "lie in (0, 1]", lambda x: (x <= 0) | (x > 1)),
-    ("true_quality", None, None, None),
-    ("rating_noise", None, "be positive", lambda x: x <= 0),
-    ("lambda", None, "lie strictly in (0, 1)", lambda x: (x <= 0) | (x >= 1)),
-)
-_KEYS = frozenset(_REQUIRED_KEYS + tuple(key for key, *_ in _OPTIONAL_RANGES))
+def _review_counts(values: list, kinds: set) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The values as int64 review counts, with the masks of non-integers
+    (None when there is none) and of integers outside [0, 2**63)."""
+    if kinds <= {int}:
+        try:
+            counts = np.array(values, dtype=np.int64)
+            return _read_only(counts), None, counts < 0
+        except OverflowError:
+            pass
+    is_int = np.array([type(v) is int for v in values], dtype=bool)
+    fits = [bool(ok) and 0 <= v < MAX_REVIEWS for v, ok in zip(values, is_int)]
+    counts = np.array([v if ok else 0 for v, ok in zip(values, fits)], dtype=np.int64)
+    return _read_only(counts), ~is_int, is_int & ~np.array(fits, dtype=bool)
 
 
-def _product_columns(raw: list) -> CatalogColumns:
-    """Check the product entries column by column and keep the columns.
+def _product_columns(raw: list) -> tuple[CatalogColumns, Iterator[str]]:
+    """Check the product entries column by column: the columns, and the faults.
 
-    ``rules`` lists each check as a row mask (None when no row breaks it)
-    and a message, in the order the checks apply to one entry.  A document
-    that breaks any of them is rejected for its first faulty entry and that
-    entry's first broken rule, so a mask may hold anything in a row that an
-    earlier rule rejects.
+    ``rules`` lists each check as a row mask (None when no row breaks it) and
+    a message, in the order the checks apply to one entry.  A faulty entry
+    yields its first broken rule's message, in listing order; the columns are
+    then meaningless, and so is a later rule's mask in a faulted row.
     """
     n = len(raw)
     if set(map(type, raw)) <= {dict}:
@@ -332,10 +310,22 @@ def _product_columns(raw: list) -> CatalogColumns:
     if not keys <= _KEYS:
         unknown = np.array([not _KEYS.issuperset(e) for e in entries], dtype=bool)
 
-    id_column = _Column(entries, "id", None)
-    ids = id_column.values
+    def column(key: str, fill=_MISSING) -> tuple[list, set]:
+        """The key's values, ``fill`` where an entry lacks it, and their types."""
+        if key not in keys:
+            return [fill] * n, {type(fill)}
+        values = list(map(dict.get, entries, repeat(key), repeat(fill)))
+        return values, set(map(type, values))
+
+    def holds(values: list, kinds: set, marker) -> np.ndarray | None:
+        """Mask of the rows whose value is ``marker`` (None when there is none)."""
+        if type(marker) not in kinds:
+            return None
+        return np.fromiter(map(is_, values, repeat(marker)), dtype=bool, count=n)
+
+    ids, id_kinds = column("id", None)
     bad_id, names = None, ids
-    if not (id_column.kinds <= {str} and all(ids)):
+    if not (id_kinds <= {str} and all(ids)):
         bad_id = np.array([type(v) is not str or not v for v in ids], dtype=bool)
         names = [v if not bad else "" for v, bad in zip(ids, bad_id.tolist())]
     duplicate = None
@@ -344,66 +334,70 @@ def _product_columns(raw: list) -> CatalogColumns:
         first = dict(zip(reversed(names), range(n - 1, -1, -1)))
         rows = np.fromiter(map(first.__getitem__, names), dtype=np.intp, count=n)
         duplicate = rows != np.arange(n)
-    required = {key: _Column(entries, key) for key in _REQUIRED_KEYS[1:]}
-    absent = [c.holds(_MISSING) for c in required.values() if _Missing in c.kinds]
+    numbers = [column(key, fill) for key, (fill, _, _) in _NUMBER_KEYS.items()]
+    counted = column("reviews")
+    absent = [holds(*c, _MISSING) for c in (numbers[0], counted, numbers[1])]
+    absent = [mask for mask in absent if mask is not None]
     missing = np.logical_or.reduce(absent) if absent else None
-    price = required["price"].floats()
-    reviews, not_int, out_of_range = required["reviews"].counts()
-    rating = required["avg_rating"].floats()
-
-    def fault(text):
-        return lambda i: f"product {ids[i]!r}: {text(i)}"
-
-    def not_finite(key: str):
-        return fault(lambda i: f"{key} must be a finite number, got {entries[i][key]!r}")
-
-    def outside(key: str, rule: str, values: np.ndarray):
-        return fault(lambda i: f"{key} must {rule}, got {values[i].item()}")
+    reviews, not_int, out_of_range = _review_counts(*counted)
+    matrix = _read_only(_number_matrix(numbers, n))
+    not_finite = ~np.isfinite(matrix)
+    for row, (values, kinds) in enumerate(numbers[3:], start=3):
+        if kinds == {type(None)}:
+            not_finite[row] = False
+        elif type(None) in kinds:
+            not_finite[row] &= ~holds(values, kinds, None)
+    outside = (matrix < _LOW) | (matrix > _HIGH)
+    price, rating, omega, quality, noise, demand = matrix
 
     def first_missing(i: int) -> str:
         return next(key for key in _REQUIRED_KEYS if key not in entries[i])
 
-    def reviews_of(i: int):
-        return entries[i]["reviews"]
+    def message(row: int, text) -> str:
+        """``text(row)``; a number rule's ``(key, rule, values)`` quotes ``values`` or the entry."""
+        if callable(text):
+            return text(row)
+        key, rule, values = text
+        value = entries[row][key] if values is None else values[row].item()
+        return f"product {ids[row]!r}: {key} must {rule}, got {value!r}"
 
     rules = [
         (not_object, lambda i: f"product entries must be objects, got {raw[i]!r}"),
         (bad_id, lambda i: f"product id must be a nonempty string, got {ids[i]!r}"),
-        (missing, fault(lambda i: f"missing required key {first_missing(i)!r}")),
-        (unknown, fault(lambda i: f"unknown keys {sorted(set(entries[i]) - _KEYS)}")),
+        (missing, lambda i: f"product {ids[i]!r}: missing required key {first_missing(i)!r}"),
+        (unknown, lambda i: f"product {ids[i]!r}: unknown keys {sorted(set(entries[i]) - _KEYS)}"),
         (duplicate, lambda i: f"duplicate product id {ids[i]!r}"),
-        (~np.isfinite(price), not_finite("price")),
-        (price < 0, outside("price", "be nonnegative", price)),
-        (not_int, fault(lambda i: f"reviews must be an integer, got {reviews_of(i)!r}")),
-        (out_of_range, fault(lambda i: f"reviews must lie in [0, 2**63), got {reviews_of(i)}")),
-        (~np.isfinite(rating), not_finite("avg_rating")),
-        ((reviews == 0) & (rating != 0), outside("avg_rating", "be 0 when reviews is 0", rating)),
+        (not_finite[0], ("price", "be a finite number", None)),
+        (outside[0], ("price", "be nonnegative", price)),
+        (not_int, ("reviews", "be an integer", None)),
+        (out_of_range, ("reviews", "lie in [0, 2**63)", None)),
+        (not_finite[1], ("avg_rating", "be a finite number", None)),
+        ((reviews == 0) & (rating != 0), ("avg_rating", "be 0 when reviews is 0", rating)),
+        (not_finite[2], ("omega", "be a finite number", None)),
+        (outside[2], ("omega", "lie in (0, 1]", omega)),
+        (not_finite[3], ("true_quality", "be a finite number", None)),
+        (not_finite[4], ("rating_noise", "be a finite number", None)),
+        (outside[4], ("rating_noise", "be positive", noise)),
+        (not_finite[5], ("lambda", "be a finite number", None)),
+        (outside[5], ("lambda", "lie strictly in (0, 1)", demand)),
     ]
-    optional = {}
-    for key, fill, rule, breaks in _OPTIONAL_RANGES:
-        if key not in keys:
-            optional[key] = _read_only(np.full(n, np.nan if fill is None else fill)), None
-            continue
-        column = _Column(entries, key, fill)
-        values = column.floats()
-        given = ~column.holds(None) if fill is None else np.ones(n, dtype=bool)
-        optional[key] = values, given
-        rules.append((given & ~np.isfinite(values), not_finite(key)))
-        if breaks is not None:
-            rules.append((given & breaks(values), outside(key, rule, values)))
-    masks = [mask for mask, _ in rules if mask is not None]
-    faulty = np.logical_or.reduce(masks)
-    if faulty.any():
-        row = int(faulty.argmax())
-        raise CatalogError(
-            next(message(row) for mask, message in rules if mask is not None and mask[row])
-        )
-    demand, has_demand = optional["lambda"]
-    demand = np.zeros(n) if has_demand is None else np.where(has_demand, demand, 0.0)
-    return CatalogColumns(
-        tuple(ids), price, reviews, rating, optional["omega"][0],
-        optional["true_quality"][0], optional["rating_noise"][0], _read_only(demand),
+    faulty = np.logical_or.reduce([mask for mask, _ in rules if mask is not None])
+    faults = (
+        next(message(row, text) for mask, text in rules if mask is not None and mask[row])
+        for row in faulty.nonzero()[0].tolist()
     )
+    demand = _read_only(np.fmax(demand, 0.0))  # an absent demand, NaN, is 0.0
+    return CatalogColumns(tuple(ids), price, reviews, rating, omega, quality, noise, demand), faults
+
+
+def _display_scale(scale) -> tuple[float, float] | None:
+    """The document's ``display_scale`` (None if absent) as a finite [low, high] pair."""
+    if scale is None:
+        return None
+    numbers = [_finite(v) for v in scale] if isinstance(scale, list) else []
+    if len(numbers) != 2 or None in numbers:
+        raise CatalogError("'display_scale' must be a [low, high] finite number pair")
+    return numbers[0], numbers[1]
 
 
 def load_catalog(source: bytes | str) -> Catalog:
@@ -429,88 +423,53 @@ def load_catalog(source: bytes | str) -> Catalog:
     raw_products = doc["products"]
     if not isinstance(raw_products, list):
         raise CatalogError("'products' must be an array")
+    display_scale = _display_scale(doc.get("display_scale"))
+    columns, faults = _product_columns(raw_products)
+    fault = next(faults, None)
+    if fault is not None:
+        raise CatalogError(fault)
+    return Catalog._from_columns(columns, display_scale)
 
-    display_scale = None
-    if doc.get("display_scale") is not None:
-        scale = doc["display_scale"]
-        numbers = [_finite(v) for v in scale] if isinstance(scale, list) else []
-        if len(numbers) != 2 or None in numbers:
-            raise CatalogError("'display_scale' must be a [low, high] finite number pair")
-        display_scale = (numbers[0], numbers[1])
 
-    return Catalog._from_columns(_product_columns(raw_products), display_scale)
+def _entry(p: Product) -> dict:
+    """The product's document entry; an optional value of None is left out."""
+    entry = {
+        "id": p.id, "price": p.price, "reviews": p.review_count, "avg_rating": p.avg_rating,
+        "omega": p.revenue_share, "true_quality": p.true_quality,
+        "rating_noise": p.rating_noise, "lambda": p.demand_override,
+    }
+    for key in ("true_quality", "rating_noise", "lambda"):
+        if entry[key] is None:
+            del entry[key]
+    return entry
+
+
+def _document(catalog: Catalog) -> dict:
+    doc: dict = {"products": list(map(_entry, catalog.products))}
+    if catalog.display_scale is not None:
+        doc["display_scale"] = list(catalog.display_scale)
+    return doc
 
 
 def serialize_catalog(catalog: Catalog) -> str:
     """Render a catalog back to its document form (inverse of load_catalog)."""
-    entries = []
-    for p in catalog.products:
-        entry: dict = {
-            "id": p.id,
-            "price": p.price,
-            "reviews": p.review_count,
-            "avg_rating": p.avg_rating,
-            "omega": p.revenue_share,
-        }
-        if p.true_quality is not None:
-            entry["true_quality"] = p.true_quality
-        if p.rating_noise is not None:
-            entry["rating_noise"] = p.rating_noise
-        if p.demand_override is not None:
-            entry["lambda"] = p.demand_override
-        entries.append(entry)
-    doc: dict = {"products": entries}
-    if catalog.display_scale is not None:
-        doc["display_scale"] = list(catalog.display_scale)
-    return json.dumps(doc, indent=2)
-
-
-_NUMERIC_FIELDS = (
-    "price", "avg_rating", "revenue_share", "true_quality", "rating_noise", "demand_override",
-)
+    return json.dumps(_document(catalog), indent=2)
 
 
 def validate_catalog(catalog: Catalog) -> list[str]:
-    """Check every product invariant; returns one description per violation.
+    """What ``load_catalog`` would reject in the catalog's document; [] if nothing.
 
-    Violations are data, not failures: an empty list means the catalog is
-    clean.  Each entry names the product id and the offending field.
+    Violations are data, not failures.  The display-scale message comes
+    first if there is one, then, for each faulty product in listing order,
+    the message ``load_catalog`` raises for it: its first broken rule.
     """
-    violations: list[str] = []
-    if catalog.display_scale is not None and not all(
-        math.isfinite(v) for v in catalog.display_scale
-    ):
-        violations.append(f"display_scale {catalog.display_scale} is not finite")
-    seen: set[str] = set()
-    for p in catalog.products:
-        if p.id in seen:
-            violations.append(f"product {p.id!r}: id duplicates an earlier product")
-        seen.add(p.id)
-        for field in _NUMERIC_FIELDS:
-            value = getattr(p, field)
-            if value is not None and not math.isfinite(value):
-                violations.append(f"product {p.id!r}: {field} {value} is not finite")
-        if p.price < 0:
-            violations.append(f"product {p.id!r}: price {p.price} is negative")
-        if not 0 < p.revenue_share <= 1:
-            violations.append(
-                f"product {p.id!r}: revenue_share {p.revenue_share} outside (0, 1]"
-            )
-        if not 0 <= p.review_count < MAX_REVIEWS:
-            violations.append(
-                f"product {p.id!r}: review_count {p.review_count} outside [0, 2**63)"
-            )
-        if p.review_count == 0 and p.avg_rating != 0:
-            violations.append(
-                f"product {p.id!r}: avg_rating {p.avg_rating} must be 0 when review_count is 0"
-            )
-        if p.demand_override is not None and not 0 < p.demand_override < 1:
-            violations.append(
-                f"product {p.id!r}: demand_override {p.demand_override} outside (0, 1)"
-            )
-        if p.rating_noise is not None and p.rating_noise <= 0:
-            violations.append(f"product {p.id!r}: rating_noise {p.rating_noise} not positive")
-    return violations
+    doc = _document(catalog)
+    try:
+        _display_scale(doc.get("display_scale"))
+        violations = []
+    except CatalogError as exc:
+        violations = [str(exc)]
+    return violations + list(_product_columns(doc["products"])[1])
 
 
 # Ten-product sample catalog used throughout the docs and tests: review

@@ -133,9 +133,9 @@ def tail_value(
 
 
 def expected_revenue(inputs: SlateInputs, dist: AttentionSpanDist) -> float:
-    """The mixture form, checked against the tail form to 1e-10."""
+    """The mixture form, checked against the tail form to 1e-10, relative or absolute."""
     direct = mixture_value(inputs.lambdas, inputs.prices, inputs.omegas, dist)
     tail_form = tail_value(inputs.lambdas, inputs.prices, inputs.omegas, dist)
-    if abs(direct - tail_form) > 1e-10:
+    if abs(direct - tail_form) > 1e-10 and not math.isclose(direct, tail_form, rel_tol=1e-10):
         raise ArithmeticError(f"span-expectation forms disagree: {direct!r} vs {tail_form!r}")
     return direct

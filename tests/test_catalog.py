@@ -103,7 +103,9 @@ class TestLoadCatalog:
         for reviews in (2**63, 10**30):
             with pytest.raises(CatalogError, match="reviews"):
                 load_catalog(doc([{**top, "reviews": reviews}]))
-        assert validate_catalog(Catalog((Product("X", 1.0, 2**63, 1.0),)))
+        assert validate_catalog(Catalog((Product("X", 1.0, 2**63, 1.0),))) == [
+            f"product 'X': reviews must lie in [0, 2**63), got {2**63}"
+        ]
 
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
     @pytest.mark.parametrize(
@@ -319,39 +321,61 @@ class TestValidateCatalog:
 
     def test_rating_with_zero_reviews_flagged(self):
         catalog = Catalog((Product(id="X", price=1.0, review_count=0, avg_rating=4.0),))
-        violations = validate_catalog(catalog)
-        assert len(violations) == 1
-        assert "avg_rating" in violations[0] and "X" in violations[0]
+        assert validate_catalog(catalog) == [
+            "product 'X': avg_rating must be 0 when reviews is 0, got 4.0"
+        ]
 
     def test_share_above_one_flagged(self):
         catalog = Catalog(
             (Product(id="X", price=1.0, review_count=1, avg_rating=2.0, revenue_share=1.5),)
         )
-        violations = validate_catalog(catalog)
-        assert len(violations) == 1
-        assert "revenue_share" in violations[0]
+        assert validate_catalog(catalog) == ["product 'X': omega must lie in (0, 1], got 1.5"]
 
     def test_duplicate_ids_flagged(self):
         product = Product(id="X", price=1.0, review_count=1, avg_rating=2.0)
-        assert any("duplicates" in v for v in validate_catalog(Catalog((product, product))))
+        assert validate_catalog(Catalog((product, product))) == ["duplicate product id 'X'"]
 
     def test_override_out_of_range_flagged(self):
         catalog = Catalog(
             (Product(id="X", price=1.0, review_count=1, avg_rating=2.0, demand_override=1.0),)
         )
-        assert any("demand_override" in v for v in validate_catalog(catalog))
+        assert validate_catalog(catalog) == [
+            "product 'X': lambda must lie strictly in (0, 1), got 1.0"
+        ]
 
     @pytest.mark.parametrize(
         "field",
         ["price", "avg_rating", "revenue_share", "true_quality", "rating_noise", "demand_override"],
     )
     def test_non_finite_numbers_flagged(self, field):
+        key = {"revenue_share": "omega", "demand_override": "lambda"}.get(field, field)
         product = Product(id="X", price=1.0, review_count=1, avg_rating=2.0)
         for value in (math.nan, math.inf):
             violations = validate_catalog(Catalog((replace(product, **{field: value}),)))
-            assert any(f"{field} {value} is not finite" in v for v in violations)
+            assert violations == [f"product 'X': {key} must be a finite number, got {value}"]
         scale = Catalog((product,), display_scale=(1.0, math.nan))
-        assert validate_catalog(scale) == ["display_scale (1.0, nan) is not finite"]
+        assert validate_catalog(scale) == [
+            "'display_scale' must be a [low, high] finite number pair"
+        ]
+
+    def test_one_fault_per_product_after_the_display_scale(self):
+        catalog = Catalog(
+            (
+                Product("X", -1.0, 0, 4.0, revenue_share=2.0),
+                Product("Y", 1.0, 2, 3.0),
+                Product("Z", 1.0, -1, 4.0, rating_noise=0.0),
+                Product("X", 1.0, 1, 1.0),
+            ),
+            display_scale=(5.0,),
+        )
+        assert validate_catalog(catalog) == [
+            "'display_scale' must be a [low, high] finite number pair",
+            "product 'X': price must be nonnegative, got -1.0",
+            # An out-of-range count reads as 0; the zero-review rating rule
+            # must not report the 4.0 as a second fault.
+            "product 'Z': reviews must lie in [0, 2**63), got -1",
+            "duplicate product id 'X'",
+        ]
 
     def test_loaded_documents_validate_clean(self):
         raw = serialize_catalog(demo_catalog())

@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_catalog as ref
-from assortplan.catalog import CatalogError, load_catalog
+from assortplan.catalog import (
+    Catalog,
+    CatalogError,
+    Product,
+    load_catalog,
+    serialize_catalog,
+    validate_catalog,
+)
 
 
 class Raw:
@@ -255,3 +263,68 @@ def test_clean_benchmark_shaped_catalog():
         for i in range(n)
     ]
     assert_matches_oracle(json.dumps({"products": products}))
+
+
+# The library checker against the loader: a ``Catalog`` built in code, its
+# products and display scale spoilt with the FAULTS values, must validate
+# clean exactly when its document loads, and otherwise list first the
+# message the loader raises.  Faults that no ``Product`` can carry (a
+# non-object entry, an unknown key, a dropped key) are left out.
+FIELDS = {
+    "id": "id",
+    "price": "price",
+    "reviews": "review_count",
+    "avg_rating": "avg_rating",
+    "omega": "revenue_share",
+    "true_quality": "true_quality",
+    "rating_noise": "rating_noise",
+    "lambda": "demand_override",
+}
+
+
+def parsed(value):
+    """``value`` as the loader reads it back from a document."""
+    return json.loads(render(value))
+
+
+def product_values(fault: str):
+    return FAULTS[fault].filter(lambda v: v is not DROP).map(parsed)
+
+
+@st.composite
+def library_catalogs(draw) -> Catalog:
+    n = draw(st.integers(0, 6))
+    products = []
+    for i in range(n):
+        entry = draw(entries(i))
+        products.append(
+            Product(
+                entry["id"], entry["price"], entry["reviews"], entry["avg_rating"],
+                entry.get("omega", 1.0), entry.get("true_quality"), entry.get("rating_noise"),
+                entry.get("lambda"),
+            )
+        )
+    if n:
+        for _ in range(draw(st.integers(0, 2))):
+            fault, row = draw(st.sampled_from(sorted(FIELDS))), draw(st.integers(0, n - 1))
+            products[row] = replace(products[row], **{FIELDS[fault]: draw(product_values(fault))})
+        if draw(st.integers(0, 9)) == 0:
+            products.append(products[draw(st.integers(0, n - 1))])
+    scale = draw(
+        st.sampled_from([None, (1, 5), (1.0, 5.0), (2**60 + 1, 3), (1.0,), (1.0, 2.0, 3.0)])
+        | product_values("price").map(lambda v: (1.0, v))
+    )
+    return Catalog(products, scale)
+
+
+@settings(max_examples=400)
+@given(library_catalogs())
+def test_validator_lists_what_the_loader_raises(catalog):
+    violations = validate_catalog(catalog)
+    try:
+        load_catalog(serialize_catalog(catalog))
+    except CatalogError as exc:
+        assert violations and violations[0] == str(exc)
+    else:
+        assert violations == []
+    assert len(violations) <= 1 + catalog.universe_size

@@ -260,6 +260,18 @@ class TestExpectedRevenue:
         assert code == 0
         assert "expected_revenue 613.266" in out
 
+    def test_prices_in_the_tens_of_millions(self, capsys, write_catalog):
+        # The self-check's two forms differ by a few ulps here, well over
+        # 1e-10 absolute; a relative bound accepts them.
+        rows = [("A", 50255777.02, 0.34), ("B", 38364517.06, 0.38), ("C", 75083198.43, 0.4)]
+        catalog = Catalog(Product(pid, p, 1, 4.0, demand_override=lam) for pid, p, lam in rows)
+        code, out, err = run(
+            capsys, "expected-revenue", "--catalog", str(write_catalog(catalog)),
+            "--slate", "A,B,C", "--span", "y=3",
+        )
+        assert (code, err) == (0, "")
+        assert "expected_revenue 3.89984e+07" in out
+
     def test_unknown_id(self, capsys, demo_path):
         code, _, err = run(
             capsys, "expected-revenue", "--catalog", str(demo_path),

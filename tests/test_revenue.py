@@ -3,7 +3,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from assortplan import revenue
 from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.demand import CostModel
 from assortplan.revenue import (
@@ -222,6 +224,33 @@ class TestExpectedRevenue:
                 tail_form += prefix * lambdas[k] * prices[k] * omegas[k] * dist.tail(k + 1)
                 prefix *= 1.0 - lambdas[k]
             assert abs(value - tail_form) <= 1e-10
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(1e6, 1e8), st.floats(0.01, 0.99), st.floats(0.05, 1.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.dictionaries(st.integers(1, 9), st.integers(1, 5), min_size=1, max_size=4),
+    )
+    def test_large_prices_pass_the_self_check(self, rows, weights):
+        # The two forms round differently by a few ulps of the value, which
+        # at tens of millions is more than 1e-10 absolute.
+        prices, lambdas, omegas = zip(*rows)
+        total = sum(weights.values())
+        dist = AttentionSpanDist.from_pmf({y: w / total for y, w in weights.items()})
+        assert expected_revenue(make_inputs(lambdas, prices, omegas), dist) > 0
+
+    def test_self_check_catches_a_wrong_tail_form(self, demo, monkeypatch):
+        def shifted(terms, dist):
+            return math.fsum(term * dist.tail(k + 1) for k, term in enumerate(terms, start=1))
+
+        monkeypatch.setattr(revenue, "_tail_value", shifted)
+        inputs = resolve_inputs(demo, ["A", "B", "F"], omega=1.0)
+        spans = (AttentionSpanDist.deterministic(2), AttentionSpanDist.from_pmf({1: 0.5, 3: 0.5}))
+        for dist in spans:
+            with pytest.raises(ArithmeticError, match="span-expectation forms disagree"):
+                expected_revenue(inputs, dist)
 
     def test_evaluate_slate_bundles_probs_and_value(self, demo):
         inputs = resolve_inputs(demo, ["A", "B", "F"], omega=1.0)
