@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,40 +95,6 @@ class _StageSum:
 
 
 _STAGE1_SUM, _STAGE2_SUM = _StageSum(1), _StageSum(2)
-
-
-def stage1_threshold(products: Iterable[Product]) -> float:
-    """Rating-weighted mean review count over the given products.
-
-    Products below this count are not treated as quality evidence no matter
-    how high their average rating.  Undefined (raises) when every rating is
-    zero.
-    """
-    products = list(products)
-    with _STAGE1_SUM:
-        cutoff = _weighted_mean(
-            np.array([p.avg_rating for p in products], dtype=np.float64),
-            np.array([p.avg_rating * p.review_count for p in products], dtype=np.float64),
-        )
-    if cutoff is None:
-        raise ValueError("stage-1 threshold undefined: all ratings are zero")
-    return cutoff
-
-
-def stage2_threshold(products: Iterable[Product]) -> float:
-    """Price-weighted mean review count over the given products.
-
-    Undefined (raises) when every price is zero.
-    """
-    products = list(products)
-    with _STAGE2_SUM:
-        cutoff = _weighted_mean(
-            np.array([p.price for p in products], dtype=np.float64),
-            np.array([p.price * p.review_count for p in products], dtype=np.float64),
-        )
-    if cutoff is None:
-        raise ValueError("stage-2 threshold undefined: all prices are zero")
-    return cutoff
 
 
 def _review_bound(cutoff: float) -> int | float:

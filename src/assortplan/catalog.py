@@ -67,6 +67,11 @@ class BeliefPrior:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # An infinite ratio would make an unreviewed product's posterior inf * 0.
+        if not math.isfinite(self.precision_ratio):
+            raise ValueError(
+                f"prior_var / noise_var must be finite, got {self.prior_var} / {self.noise_var}"
+            )
 
     @property
     def precision_ratio(self) -> float:
@@ -431,6 +436,11 @@ def load_catalog(source: bytes | str) -> Catalog:
     return Catalog._from_columns(columns, display_scale)
 
 
+def _plain(value):
+    """A numpy scalar as the Python value it holds (json writes no numpy integer)."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _entry(p: Product) -> dict:
     """The product's document entry; an optional value of None is left out."""
     entry = {
@@ -441,13 +451,13 @@ def _entry(p: Product) -> dict:
     for key in ("true_quality", "rating_noise", "lambda"):
         if entry[key] is None:
             del entry[key]
-    return entry
+    return {key: _plain(value) for key, value in entry.items()}
 
 
 def _document(catalog: Catalog) -> dict:
     doc: dict = {"products": list(map(_entry, catalog.products))}
     if catalog.display_scale is not None:
-        doc["display_scale"] = list(catalog.display_scale)
+        doc["display_scale"] = list(map(_plain, catalog.display_scale))
     return doc
 
 

@@ -25,7 +25,6 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -54,20 +53,9 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    input_digest: str
-    version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "input_digest": self.input_digest,
-            "version": self.version,
-        }
+def _manifest(command: str, config: dict, digest: str) -> dict:
+    """The run manifest every report embeds."""
+    return {"command": command, "config": config, "input_digest": digest, "version": __version__}
 
 
 def parse_span_spec(spec: str) -> AttentionSpanDist:
@@ -172,12 +160,12 @@ def _object_block(items: list[str]) -> str:
     return "{\n    " + ",\n    ".join(items) + "\n  }" if items else "{}"
 
 
-def _summary_json(manifest: RunManifest, summary: SimSummary) -> str:
+def _summary_json(manifest: dict, summary: SimSummary) -> str:
     """The simulate report, exactly as ``json.dumps(report, indent=2)`` writes it;
     the per-product blocks are written from the summary's id-ordered lists."""
     head = _json_indented(
         {
-            "manifest": manifest.to_dict(),
+            "manifest": manifest,
             "gross_revenue": summary.gross_revenue,
             "platform_revenue": summary.platform_revenue,
             "purchase_count": summary.purchase_count,
@@ -195,27 +183,23 @@ def _summary_json(manifest: RunManifest, summary: SimSummary) -> str:
     )
 
 
-def _emit(args, manifest: RunManifest, body: dict | str, text_lines: list[str]) -> None:
+def _emit(args, manifest: dict, body: dict | str, text_lines: list[str]) -> None:
     """Print the report; a str ``body`` is the structured report, already written."""
     if args.format == "structured":
         if not isinstance(body, str):
-            body = _json_indented({"manifest": manifest.to_dict(), **body})
+            body = _json_indented({"manifest": manifest, **body})
         print(body)
     else:
         for line in text_lines:
             print(line)
-        print(f"# manifest {json.dumps(manifest.to_dict(), separators=(',', ':'))}")
+        print(f"# manifest {json.dumps(manifest, separators=(',', ':'))}")
 
 
 def _cmd_rank(args) -> int:
     catalog, digest = _read_catalog(args.catalog)
     ranking, trace = two_stage_select(catalog, args.slots, args.policy)
-    manifest = RunManifest(
-        command="rank",
-        config={"slots": args.slots, "policy": args.policy, "trace": bool(args.trace)},
-        input_digest=digest,
-        version=__version__,
-    )
+    config = {"slots": args.slots, "policy": args.policy, "trace": bool(args.trace)}
+    manifest = _manifest("rank", config, digest)
     body: dict = {"ranking": list(ranking.slots)}
     lines = [" ".join(ranking.slots)]
     # Each format builds only its own trace: a round lists thousands of ids.
@@ -251,12 +235,8 @@ def _cmd_expected_revenue(args) -> int:
     omega = parse_omega_spec(args.omega) if args.omega else None
     inputs = resolve_inputs(catalog, slate, omega=omega, **_demand_args(args))
     evaluation = evaluate_slate(inputs, dist)
-    manifest = RunManifest(
-        command="expected-revenue",
-        config={"slate": slate, "span": args.span, "omega": args.omega},
-        input_digest=digest,
-        version=__version__,
-    )
+    config = {"slate": slate, "span": args.span, "omega": args.omega}
+    manifest = _manifest("expected-revenue", config, digest)
     body = {
         "expected_revenue": evaluation.expected_revenue,
         "per_slot_purchase_prob": list(evaluation.per_slot_purchase_prob),
@@ -280,17 +260,8 @@ def _cmd_optimize(args) -> int:
     result = brute_force_optimize(
         catalog, args.slots, dist, omega=omega, compare=compare, **_demand_args(args)
     )
-    manifest = RunManifest(
-        command="optimize",
-        config={
-            "slots": args.slots,
-            "span": args.span,
-            "omega": args.omega,
-            "compare": compare,
-        },
-        input_digest=digest,
-        version=__version__,
-    )
+    config = {"slots": args.slots, "span": args.span, "omega": args.omega, "compare": compare}
+    manifest = _manifest("optimize", config, digest)
     body = {
         "slate": list(result.slate),
         "value": result.value,
@@ -324,17 +295,8 @@ def _cmd_audit(args) -> int:
         omega=omega,
         **_demand_args(args),
     )
-    manifest = RunManifest(
-        command="audit",
-        config={
-            "displayed": displayed,
-            "span": args.span,
-            "omega": args.omega,
-            "policy": args.policy,
-        },
-        input_digest=digest,
-        version=__version__,
-    )
+    config = {"displayed": displayed, "span": args.span, "omega": args.omega, "policy": args.policy}
+    manifest = _manifest("audit", config, digest)
     body = {"findings": findings_report(findings)}
     lines = [
         f"finding slot {f.slot} product {f.product_id} {f.kind}: {f.detail}"
@@ -418,17 +380,13 @@ def _cmd_simulate(args) -> int:
     catalog, digest = _read_catalog(args.catalog)
     cfg = _load_sim_config(args.config, args.seed)
     trace = simulate(catalog, cfg)
-    manifest = RunManifest(
-        command="simulate",
-        config={
-            "config_path": args.config,
-            "horizon": cfg.horizon,
-            "seed": cfg.seed,
-            "freeze_beliefs": cfg.freeze_beliefs,
-        },
-        input_digest=digest,
-        version=__version__,
-    )
+    config = {
+        "config_path": args.config,
+        "horizon": cfg.horizon,
+        "seed": cfg.seed,
+        "freeze_beliefs": cfg.freeze_beliefs,
+    }
+    manifest = _manifest("simulate", config, digest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.tsv").write_text(trace_table(trace), encoding="utf-8")
@@ -457,14 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "structured"), default="text", help="report format"
     )
-    demand = argparse.ArgumentParser(add_help=False)
-    demand.add_argument(
+    # The analytic subcommands' shared options: demand, span and share.
+    analytic = argparse.ArgumentParser(add_help=False)
+    analytic.add_argument(
         "--prior",
         help="belief prior as 'MEAN,PRIOR_VAR,NOISE_VAR' for products without pinned demand",
     )
-    demand.add_argument(
+    analytic.add_argument(
         "--cost-slope", type=float, help="linear position-cost slope (default 0.1)"
     )
+    analytic.add_argument("--span", required=True, help="span spec: y=3 or pmf=1:0.5,3:0.5")
+    analytic.add_argument("--omega", help="uniform revenue-share override, e.g. uniform:1.0")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -475,28 +436,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=_cmd_rank)
 
     p_rev = sub.add_parser(
-        "expected-revenue", parents=[common, demand], help="evaluate a slate"
+        "expected-revenue", parents=[common, analytic], help="evaluate a slate"
     )
     p_rev.add_argument("--slate", required=True, help="comma-separated product ids in order")
-    p_rev.add_argument("--span", required=True, help="span spec: y=3 or pmf=1:0.5,3:0.5")
-    p_rev.add_argument("--omega", help="uniform revenue-share override, e.g. uniform:1.0")
     p_rev.set_defaults(func=_cmd_expected_revenue)
 
     p_opt = sub.add_parser(
-        "optimize", parents=[common, demand], help="exhaustive slate optimization"
+        "optimize", parents=[common, analytic], help="exhaustive slate optimization"
     )
     p_opt.add_argument("--slots", type=int, required=True)
-    p_opt.add_argument("--span", required=True)
-    p_opt.add_argument("--omega")
     p_opt.add_argument("--compare", help="slate to report the optimality gap against")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_audit = sub.add_parser(
-        "audit", parents=[common, demand], help="audit a displayed ranking"
+        "audit", parents=[common, analytic], help="audit a displayed ranking"
     )
     p_audit.add_argument("--displayed", required=True, help="displayed slate, comma-separated")
-    p_audit.add_argument("--span", required=True)
-    p_audit.add_argument("--omega")
     p_audit.add_argument("--policy", choices=POLICIES, default=POLICY_STAGE1_ORDER)
     p_audit.set_defaults(func=_cmd_audit)
 

@@ -28,7 +28,6 @@ from .revenue import (
     AttentionSpanDist,
     cascade_probs,
     expected_revenue,
-    expected_revenue_fixed,
     resolve_inputs,
 )
 
@@ -40,7 +39,7 @@ KIND_REVENUE_DOMINATED = "revenue-dominated-swap"
 
 @dataclass(frozen=True)
 class SwapAnalysis:
-    """Effect of substituting one slate slot, at a fixed attention span.
+    """Effect of substituting one slate slot, under an attention-span distribution.
 
     ``prob_before``/``prob_after`` track the purchase probability of the
     slot immediately after the target (None when the target is last);
@@ -73,18 +72,20 @@ def substitution_effect(
     slate: Sequence[str],
     slot: int,
     replacement: str,
-    span: int,
+    dist: AttentionSpanDist,
     prior: BeliefPrior | None = None,
     cost: CostModel | None = None,
     omega: float | None = None,
 ) -> SwapAnalysis:
-    """Quantify replacing the product at ``slot`` (1-based) with another."""
+    """Quantify replacing the product at ``slot`` (1-based) with another.
+
+    Revenues are ``expected_revenue`` under ``dist``; the audit's
+    substitution findings are this function's verdicts.
+    """
     if not 1 <= slot <= len(slate):
         raise ValueError(f"slot {slot} outside slate of length {len(slate)}")
     if replacement in slate:
         raise ValueError(f"replacement {replacement!r} already appears in the slate")
-    if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
     catalog.row(replacement)
 
     before = resolve_inputs(catalog, slate, prior=prior, cost=cost, omega=omega)
@@ -92,14 +93,11 @@ def substitution_effect(
     swapped[slot - 1] = replacement
     after = resolve_inputs(catalog, swapped, prior=prior, cost=cost, omega=omega)
 
-    probs_before = cascade_probs(before.lambdas).per_slot
-    probs_after = cascade_probs(after.lambdas).per_slot
-    downstream_before = probs_before[slot:]
-    downstream_after = probs_after[slot:]
-
+    downstream_before = cascade_probs(before.lambdas).per_slot[slot:]
+    downstream_after = cascade_probs(after.lambdas).per_slot[slot:]
+    revenue_before = expected_revenue(before, dist)
+    revenue_after = expected_revenue(after, dist)
     idx = slot - 1
-    revenue_before = expected_revenue_fixed(before, span)
-    revenue_after = expected_revenue_fixed(after, span)
     return SwapAnalysis(
         target_slot=slot,
         prob_before=downstream_before[0] if downstream_before else None,
@@ -167,35 +165,20 @@ def audit_ranking(
     for slot, pid in enumerate(displayed, start=1):
         record = replay.peek()
         review_count = reviews.item(catalog.row(pid))
-        if record.stage1_order and record.stage1_threshold is not None:
-            if review_count < record.stage1_threshold:
-                findings.append(
-                    AuditFinding(
-                        slot=slot,
-                        product_id=pid,
-                        kind=KIND_BELOW_STAGE1,
-                        detail=(
-                            f"review count {review_count} below the stage-1 "
-                            f"cutoff {record.stage1_threshold:.4f} of iteration {slot}"
-                        ),
-                    )
+        # Stage 2 is checked only for a product that clears a defined stage 1.
+        for kind, stage, cutoff, pool in (
+            (KIND_BELOW_STAGE1, 1, record.stage1_threshold, record.stage1_order),
+            (KIND_BELOW_STAGE2, 2, record.stage2_threshold, record.stage2_passers),
+        ):
+            if not pool or cutoff is None:
+                break
+            if review_count < cutoff:
+                detail = (
+                    f"review count {review_count} below the stage-{stage} "
+                    f"cutoff {cutoff:.4f} of iteration {slot}"
                 )
-            elif (
-                record.stage2_passers
-                and record.stage2_threshold is not None
-                and review_count < record.stage2_threshold
-            ):
-                findings.append(
-                    AuditFinding(
-                        slot=slot,
-                        product_id=pid,
-                        kind=KIND_BELOW_STAGE2,
-                        detail=(
-                            f"review count {review_count} below the stage-2 "
-                            f"cutoff {record.stage2_threshold:.4f} of iteration {slot}"
-                        ),
-                    )
-                )
+                findings.append(AuditFinding(slot, pid, kind, detail))
+                break
         replay.remove(pid)
 
     # The compliant order, placed only as far as the audit reads it: its
@@ -234,32 +217,23 @@ def audit_ranking(
     # Substitution signature: a product foreign to the compliant slate that
     # raises the next slot's purchase odds while strictly losing revenue.
     ref_slots = tuple(ref_pos)[:slot_count]
-    ref_inputs = resolve_inputs(catalog, ref_slots, prior=prior, cost=cost, omega=omega)
-    ref_probs = cascade_probs(ref_inputs.lambdas).per_slot
-    ref_value = expected_revenue(ref_inputs, dist)
-    for slot, pid in enumerate(displayed, start=1):
-        if slot > len(ref_slots) or pid in ref_slots:
+    for slot, pid in enumerate(displayed[: len(ref_slots)], start=1):
+        if pid in ref_slots:
             continue
-        swapped = list(ref_slots)
-        swapped[slot - 1] = pid
-        sub_inputs = resolve_inputs(catalog, swapped, prior=prior, cost=cost, omega=omega)
-        sub_probs = cascade_probs(sub_inputs.lambdas).per_slot
-        delta = expected_revenue(sub_inputs, dist) - ref_value
-        downstream_rose = slot < len(ref_slots) and sub_probs[slot] > ref_probs[slot]
-        if delta < 0 and downstream_rose:
-            idx = slot - 1
-            mid_before = ref_inputs.lambdas[idx] * ref_inputs.prices[idx] * ref_inputs.omegas[idx]
-            mid_after = sub_inputs.lambdas[idx] * sub_inputs.prices[idx] * sub_inputs.omegas[idx]
+        swap = substitution_effect(catalog, ref_slots, slot, pid, dist, prior, cost, omega)
+        rose = swap.prob_before is not None and swap.prob_after > swap.prob_before
+        if swap.exact_delta < 0 and rose:
             findings.append(
                 AuditFinding(
                     slot=slot,
                     product_id=pid,
                     kind=KIND_REVENUE_DOMINATED,
                     detail=(
-                        f"substituting {pid} for {ref_slots[idx]} raises the next slot's "
-                        f"purchase probability ({ref_probs[slot]:.6g} -> {sub_probs[slot]:.6g}) "
-                        f"but changes expected revenue by {delta:.6g} "
-                        f"(slot terms {mid_after:.6g} vs {mid_before:.6g})"
+                        f"substituting {pid} for {ref_slots[slot - 1]} raises the next slot's "
+                        f"purchase probability ({swap.prob_before:.6g} -> {swap.prob_after:.6g}) "
+                        f"but changes expected revenue by {swap.exact_delta:.6g} "
+                        f"(slot terms {swap.middle_term_after:.6g} "
+                        f"vs {swap.middle_term_before:.6g})"
                     ),
                 )
             )

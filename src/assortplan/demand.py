@@ -41,13 +41,6 @@ class ReviewState:
     mean: float
 
 
-def search_cost(position: int, model: CostModel) -> float:
-    """Cost of inspecting the product at a 1-based display position."""
-    if position < 1:
-        raise ValueError(f"position must be >= 1, got {position}")
-    return model.slope * (position - 1)
-
-
 def posterior(prior: BeliefPrior, count, mean):
     """Posterior quality estimate after ``count`` reviews averaging ``mean``.
 
@@ -61,44 +54,23 @@ def posterior(prior: BeliefPrior, count, mean):
     return weight * prior.prior_mean + (1.0 - weight) * mean
 
 
-def posterior_mean(prior: BeliefPrior, state: ReviewState) -> float:
-    """``posterior`` of a review state."""
-    return posterior(prior, state.count, state.mean)
-
-
 def add_rating(count: int, mean: float, rating: float) -> tuple[int, float]:
     """The (count, mean) review record after one more rating."""
     new_count = count + 1
     return new_count, (count * mean + rating) / new_count
 
 
-def update_review_state(state: ReviewState, rating: float | None) -> ReviewState:
-    """Fold one customer outcome into the review record.
-
-    ``rating=None`` means no purchase and leaves the state unchanged;
-    otherwise the count increments and the mean absorbs the new rating.
-    """
-    if rating is None:
-        return state
-    return ReviewState(*add_rating(state.count, state.mean, rating))
-
-
-def expected_utility(
-    prior: BeliefPrior,
-    state: ReviewState,
-    price: float,
-    position: int,
-    model: CostModel,
-) -> float:
-    """Expected purchase utility: posterior quality minus price minus position cost."""
-    return utility(prior, state.count, state.mean, price, position, model)
-
-
 def utility(
     prior: BeliefPrior, count: int, mean: float, price: float, position: int, model: CostModel
 ) -> float:
-    """``expected_utility`` of the review state (count, mean)."""
-    return posterior(prior, count, mean) - price - search_cost(position, model)
+    """Expected purchase utility: posterior quality minus price minus position cost.
+
+    The position is 1-based; its cost is zero at the top slot and grows by
+    the cost slope per step down.
+    """
+    if position < 1:
+        raise ValueError(f"position must be >= 1, got {position}")
+    return posterior(prior, count, mean) - price - model.slope * (position - 1)
 
 
 def logistic(x: float) -> float:

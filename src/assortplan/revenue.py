@@ -470,7 +470,7 @@ def brute_force_optimize(
         if shares[i] < 0:
             raise ValueError(f"product {pid!r}: revenue share {shares[i]} is negative")
         for slot, row in enumerate(lam, start=1):
-            if row[i] < 0 or row[i] > 1:
+            if not 0 <= row[i] <= 1:
                 raise ValueError(
                     f"product {pid!r}: purchase probability {row[i]} at slot {slot} outside [0, 1]"
                 )

@@ -24,13 +24,7 @@ import numpy as np
 
 from assortplan.assortment import two_stage_select
 from assortplan.catalog import BeliefPrior, Catalog
-from assortplan.demand import (
-    ReviewState,
-    expected_utility,
-    logistic,
-    posterior_mean,
-    update_review_state,
-)
+from assortplan.demand import ReviewState, logistic
 from assortplan.revenue import AttentionSpanDist
 from assortplan.simulator import CustomerRecord, SimConfig, _validate_config
 
@@ -56,6 +50,21 @@ class RecordTrace:
     @cached_property
     def summary(self) -> SimSummary:
         return summarize(self)
+
+
+# The belief and review formulas, written out here rather than imported,
+# so that the oracle shares no arithmetic with the engine it checks.
+def _posterior(prior: BeliefPrior, state: ReviewState) -> float:
+    weight = 1.0 / (prior.prior_var / prior.noise_var * state.count + 1.0)
+    return weight * prior.prior_mean + (1.0 - weight) * state.mean
+
+
+def _utility(cfg: SimConfig, state: ReviewState, price: float, position: int) -> float:
+    return _posterior(cfg.prior, state) - price - cfg.cost.slope * (position - 1)
+
+
+def _add_rating(state: ReviewState, rating: float) -> ReviewState:
+    return ReviewState(state.count + 1, (state.count * state.mean + rating) / (state.count + 1))
 
 
 def _draw_span(dist: AttentionSpanDist, rng: np.random.Generator) -> int:
@@ -93,11 +102,7 @@ def simulate(catalog: Catalog, cfg: SimConfig) -> RecordTrace:
             if product.demand_override is not None:
                 lam = product.demand_override
             else:
-                lam = logistic(
-                    expected_utility(
-                        cfg.prior, states[product.id], product.price, j, cfg.cost
-                    )
-                )
+                lam = logistic(_utility(cfg, states[product.id], product.price, j))
             if rng.random() < lam:
                 purchased = product.id
                 viewed = j
@@ -111,7 +116,7 @@ def simulate(catalog: Catalog, cfg: SimConfig) -> RecordTrace:
                         lo, hi = cfg.clamp_ratings
                         drawn = min(max(drawn, lo), hi)
                     rating = drawn
-                    new_state = update_review_state(states[product.id], rating)
+                    new_state = _add_rating(states[product.id], rating)
                     states[product.id] = new_state
                     post_state = (new_state.count, new_state.mean)
                 break
@@ -162,9 +167,7 @@ def summarize(trace: RecordTrace) -> SimSummary:
     count = sum(per_product.values())
     horizon = len(trace.records)
     final_states = {pid: (s.count, s.mean) for pid, s in trace.final_states.items()}
-    posterior_means = {
-        pid: posterior_mean(trace.prior, s) for pid, s in trace.final_states.items()
-    }
+    posterior_means = {pid: _posterior(trace.prior, s) for pid, s in trace.final_states.items()}
     return SimSummary(
         gross_revenue=gross,
         platform_revenue=platform,

@@ -74,7 +74,9 @@ def test_criterion_02_third_slot_cascade_probabilities(demo):
 
 def test_criterion_03_revenue_comparison_and_middle_terms(demo):
     with criterion(3, "substitution revenue verdict"):
-        analysis = substitution_effect(demo, ["A", "B", "F"], 2, "D", 3, omega=1.0)
+        analysis = substitution_effect(
+            demo, ["A", "B", "F"], 2, "D", AttentionSpanDist.deterministic(3), omega=1.0
+        )
         assert analysis.revenue_before == pytest.approx(628.9819, abs=1e-3)
         assert analysis.revenue_after == pytest.approx(608.7864, abs=1e-3)
         assert analysis.revenue_before > analysis.revenue_after

@@ -4,67 +4,73 @@ import json
 import numpy as np
 import pytest
 
-from assortplan.assortment import (
-    POLICY_PRICE_DESC,
-    stage1_threshold,
-    stage2_threshold,
-    two_stage_select,
-)
+from assortplan.assortment import POLICY_PRICE_DESC, run_iteration, two_stage_select
 from assortplan.catalog import Catalog, Product
 from helpers import random_catalog
 from reference_ranker import stage1_rank, stage2_filter
 
 
-def products_of(catalog, ids):
-    return [catalog.get(pid) for pid in ids]
+def demo_rounds(demo):
+    """The round records of ranking the demo catalog's first three slots."""
+    return two_stage_select(demo, 3)[1].iterations
 
 
+# The cutoffs are read from the round records: a round's stage-1 cutoff is
+# over its whole pool, its stage-2 cutoff over its stage-1 shortlist.
 class TestStage1Threshold:
     def test_demo_catalog_cutoff(self, demo):
         # rating-weighted review mass 558289.5 over total rating mass 40
-        assert stage1_threshold(demo.products) == pytest.approx(13957.2375, abs=1e-9)
+        assert demo_rounds(demo)[0].stage1_threshold == pytest.approx(13957.2375, abs=1e-9)
 
     def test_single_product(self):
-        assert stage1_threshold([Product(id="X", price=1.0, review_count=100, avg_rating=4.0)]) == 100.0
+        record = run_iteration([Product(id="X", price=1.0, review_count=100, avg_rating=4.0)])
+        assert record.stage1_threshold == 100.0
 
     def test_equal_ratings_give_plain_mean(self):
         items = [
             Product(id="X", price=1.0, review_count=10, avg_rating=2.0),
             Product(id="Y", price=1.0, review_count=30, avg_rating=2.0),
         ]
-        assert stage1_threshold(items) == pytest.approx(20.0, abs=1e-12)
+        assert run_iteration(items).stage1_threshold == pytest.approx(20.0, abs=1e-12)
 
     def test_all_zero_ratings_undefined(self):
         items = [Product(id="X", price=1.0, review_count=0, avg_rating=0.0)]
-        with pytest.raises(ValueError, match="stage-1"):
-            stage1_threshold(items)
+        record = run_iteration(items)
+        assert record.stage1_threshold is None
+        assert record.stage1_order == ()
+        assert record.fallback_used and record.selected == "X"
 
 
 class TestStage2Threshold:
     def test_first_iteration_shortlist(self, demo):
         expected = (38875974 + 21001400 + 4301115) / (629 + 700 + 299)
-        value = stage2_threshold(products_of(demo, ["F", "A", "B"]))
-        assert value == pytest.approx(expected, abs=1e-9)
-        assert value == pytest.approx(39421.676, abs=1e-3)
+        record = demo_rounds(demo)[0]
+        assert record.stage1_order == ("F", "A", "B")
+        assert record.stage2_threshold == pytest.approx(expected, abs=1e-9)
+        assert record.stage2_threshold == pytest.approx(39421.676, abs=1e-3)
 
     def test_second_iteration_shortlist(self, demo):
         expected = (4301115 + 21001400 + 4952388) / (299 + 700 + 399)
-        value = stage2_threshold(products_of(demo, ["F", "B", "J"]))
-        assert value == pytest.approx(expected, abs=1e-9)
-        assert value == pytest.approx(21641.561, abs=1e-3)
+        record = demo_rounds(demo)[1]
+        assert record.stage1_order == ("F", "B", "J")
+        assert record.stage2_threshold == pytest.approx(expected, abs=1e-9)
+        assert record.stage2_threshold == pytest.approx(21641.561, abs=1e-3)
 
     def test_single_product(self):
-        assert stage2_threshold([Product(id="X", price=10.0, review_count=50, avg_rating=1.0)]) == 50.0
+        record = run_iteration([Product(id="X", price=10.0, review_count=50, avg_rating=1.0)])
+        assert record.stage2_threshold == 50.0
 
     def test_all_zero_prices_undefined(self):
         items = [Product(id="X", price=0.0, review_count=5, avg_rating=1.0)]
-        with pytest.raises(ValueError, match="stage-2"):
-            stage2_threshold(items)
+        record = run_iteration(items)
+        assert record.stage1_order == ("X",)
+        assert record.stage2_threshold is None
+        assert record.fallback_used and record.selected == "X"
 
 
 class TestStage1Rank:
     def test_demo_catalog_shortlist(self, demo):
-        cutoff = stage1_threshold(demo.products)
+        cutoff = demo_rounds(demo)[0].stage1_threshold
         assert stage1_rank(demo.products, cutoff) == ["F", "A", "B"]
 
     def test_empty_input(self):
@@ -87,7 +93,7 @@ class TestStage1Rank:
 
 class TestStage2Filter:
     def test_first_iteration_passers(self, demo):
-        cutoff = stage2_threshold(products_of(demo, ["F", "A", "B"]))
+        cutoff = demo_rounds(demo)[0].stage2_threshold
         assert stage2_filter(["F", "A", "B"], cutoff, demo.by_id) == ["A"]
 
     def test_default_policy_preserves_order(self, demo):

@@ -315,6 +315,24 @@ class TestRoundTrip:
         assert load_catalog(serialize_catalog(original)) == original
 
 
+    def test_numpy_scalars_are_written_as_their_values(self):
+        import numpy as np
+
+        product = Product("X", np.float64(1.0), np.int64(3), 2.0, revenue_share=np.float32(0.5))
+        original = Catalog((product,), display_scale=(np.int64(1), np.float64(5.0)))
+        assert validate_catalog(original) == []
+        reloaded = load_catalog(serialize_catalog(original))
+        assert reloaded.get("X") == Product("X", 1.0, 3, 2.0, revenue_share=0.5)
+        assert reloaded.display_scale == (1.0, 5.0)
+        # A numpy count past int64's range is refused by both, in the same words.
+        big = Catalog((replace(product, review_count=np.uint64(2**63)),))
+        message = "product 'X': reviews must lie in [0, 2**63), got 9223372036854775808"
+        assert validate_catalog(big) == [message]
+        with pytest.raises(CatalogError) as err:
+            load_catalog(serialize_catalog(big))
+        assert str(err.value) == message
+
+
 class TestValidateCatalog:
     def test_demo_is_clean(self):
         assert validate_catalog(demo_catalog()) == []
@@ -383,6 +401,12 @@ class TestValidateCatalog:
 
 
 class TestBeliefPrior:
+    def test_overflowing_variance_ratio_rejected(self):
+        # 1 / 1e-320 is inf, and an unreviewed product's posterior inf * 0 NaN.
+        with pytest.raises(ValueError, match="prior_var / noise_var must be finite"):
+            BeliefPrior(0.0, 1.0, 1e-320)
+        assert BeliefPrior(0.0, 1e-300, 1e-8).precision_ratio == 1e-292
+
     def test_precision_ratio_is_exact_quotient(self):
         prior = BeliefPrior(prior_mean=2.0, prior_var=0.5, noise_var=2.0)
         assert prior.precision_ratio == 0.25

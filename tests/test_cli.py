@@ -14,15 +14,15 @@ from assortplan.catalog import (
     serialize_catalog,
 )
 from assortplan.cli import (
-    RunManifest,
     _json_indented,
+    _manifest,
     _summary_json,
     main,
     parse_omega_spec,
     parse_prior_spec,
     parse_span_spec,
 )
-from assortplan.demand import ReviewState, posterior_mean
+from assortplan.demand import ReviewState, posterior
 from assortplan.revenue import AttentionSpanDist
 from assortplan.simulator import SimTrace, count_column
 from helpers import random_catalog
@@ -135,11 +135,11 @@ def summary_traces(draw) -> SimTrace:
 
 @given(summary_traces(), SUMMARY_IDS)
 def test_summary_writer_matches_json_dumps(trace, config_path):
-    manifest = RunManifest("simulate", {"config_path": config_path, "seed": 2**64 - 1}, "0f", "1")
-    expected = json.dumps({"manifest": manifest.to_dict(), **ref.summary_document(trace)}, indent=2)
+    manifest = _manifest("simulate", {"config_path": config_path, "seed": 2**64 - 1}, "0f")
+    expected = json.dumps({"manifest": manifest, **ref.summary_document(trace)}, indent=2)
     assert _summary_json(manifest, trace.summary) + "\n" == expected + "\n"
     # Each posterior mean has the bits of the scalar form, past int64 too.
-    scalar = [posterior_mean(trace.prior, s) for s in trace.final_states.values()]
+    scalar = [posterior(trace.prior, s.count, s.mean) for s in trace.final_states.values()]
     assert list(map(repr, trace.summary.posterior_means.values())) == list(
         map(repr, [dict(zip(trace.columns.ids, scalar))[pid] for pid in trace.summary.ids])
     )
@@ -550,6 +550,10 @@ class TestNonFiniteInput:
             (*OPTIMIZE, "--prior", "3,1,nan"),
             ("expected-revenue", "--slate", "A,B", "--span", "pmf=1:nan,2:1"),
             ("audit", "--displayed", "A,B,F", "--span", "y=3", "--cost-slope", "nan"),
+            # prior_var / noise_var is inf: an unreviewed product's posterior inf * 0.
+            (*OPTIMIZE, "--prior", "0,1,1e-320"),
+            ("expected-revenue", "--slate", "A,B", "--span", "y=2", "--prior", "0,1,1e-320"),
+            ("audit", "--displayed", "A,B,F", "--span", "y=3", "--prior", "0,1,1e-320"),
         ],
     )
     def test_non_finite_flag_rejected(self, capsys, demo_path, argv):
@@ -567,6 +571,7 @@ class TestNonFiniteInput:
             {"prior": {"mean": 0.0, "prior_var": float("inf"), "noise_var": 1.0}},
             {"clamp_ratings": [float("nan"), 5], "freeze_beliefs": False},
             {"clamp_ratings": [1, float("nan")], "freeze_beliefs": False},
+            {"prior": {"mean": 0.0, "prior_var": 1.0, "noise_var": 1e-320}},
         ],
     )
     def test_non_finite_config_rejected(self, capsys, demo_path, tmp_path, overrides):

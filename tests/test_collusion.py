@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_cascade as ref
 from assortplan.assortment import two_stage_select
@@ -18,7 +19,13 @@ from assortplan.collusion import (
     substitution_effect,
 )
 from assortplan.demand import CostModel
-from assortplan.revenue import AttentionSpanDist, cascade_probs
+from assortplan.revenue import (
+    AttentionSpanDist,
+    brute_force_optimize,
+    cascade_probs,
+    expected_revenue,
+    resolve_inputs,
+)
 from helpers import random_catalog
 
 DIST3 = AttentionSpanDist.deterministic(3)
@@ -26,7 +33,7 @@ DIST3 = AttentionSpanDist.deterministic(3)
 
 class TestSubstitutionEffect:
     def test_middle_swap_raises_downstream_but_loses_revenue(self, demo):
-        analysis = substitution_effect(demo, ["A", "B", "F"], 2, "D", 3, omega=1.0)
+        analysis = substitution_effect(demo, ["A", "B", "F"], 2, "D", DIST3, omega=1.0)
         assert analysis.prob_before == pytest.approx(0.005625, abs=1e-12)
         assert analysis.prob_after == pytest.approx(0.03375, abs=1e-12)
         assert analysis.middle_term_before == pytest.approx(595.0, abs=1e-12)
@@ -37,22 +44,22 @@ class TestSubstitutionEffect:
         assert analysis.exact_delta == analysis.revenue_after - analysis.revenue_before
 
     def test_last_slot_has_no_downstream(self, demo):
-        analysis = substitution_effect(demo, ["A", "B", "F"], 3, "D", 3, omega=1.0)
+        analysis = substitution_effect(demo, ["A", "B", "F"], 3, "D", DIST3, omega=1.0)
         assert analysis.prob_before is None
         assert analysis.prob_after is None
         assert analysis.downstream_before == ()
 
     def test_slot_out_of_range_rejected(self, demo):
         with pytest.raises(ValueError, match="slot"):
-            substitution_effect(demo, ["A", "B"], 3, "D", 3)
+            substitution_effect(demo, ["A", "B"], 3, "D", DIST3)
 
     def test_replacement_already_in_slate_rejected(self, demo):
         with pytest.raises(ValueError, match="already"):
-            substitution_effect(demo, ["A", "B"], 1, "B", 3)
+            substitution_effect(demo, ["A", "B"], 1, "B", DIST3)
 
     def test_unknown_replacement_rejected(self, demo):
         with pytest.raises(KeyError, match="unknown product id"):
-            substitution_effect(demo, ["A", "B"], 1, "Z", 3)
+            substitution_effect(demo, ["A", "B"], 1, "Z", DIST3)
 
 
 class TestSubstitutionRaisesDownstream:
@@ -215,3 +222,75 @@ class TestOrderViolationDelta:
         ) - ref.expected_revenue(ref.resolve_inputs(catalog, ["B", "A", "F"], **demand), DIST3)
         assert violations[0].detail.endswith(f"changes expected revenue by {exact:.6g}")
         assert exact > 0.05
+
+
+DEMANDS = st.sampled_from([0.1, 0.3, 0.5]) | st.floats(0.01, 0.99)
+
+
+@st.composite
+def substituted_audits(draw):
+    """A random catalog (n <= 8, pinned or logit demand), a span distribution,
+    and a displayed slate: the compliant slate with some slots given to
+    products from outside it."""
+    n = draw(st.integers(2, 8))
+    pinned = draw(st.booleans())
+    products = []
+    for i in range(n):
+        reviews = draw(st.sampled_from([0, 1, 40, 900, 25_000]) | st.integers(0, 50_000))
+        products.append(
+            Product(
+                id=f"P{i}",
+                # Logit prices stay on the rating scale, where demand is not degenerate.
+                price=draw(st.floats(0.0, 100.0 if pinned else 8.0)),
+                review_count=reviews,
+                avg_rating=draw(st.floats(0.5, 5.0)) if reviews else 0.0,
+                revenue_share=draw(st.floats(0.05, 1.0)),
+                # Repeated demands make equal next-slot probabilities, which are no rise.
+                demand_override=draw(DEMANDS) if pinned else None,
+            )
+        )
+    catalog = Catalog(tuple(products))
+    demand = {} if pinned else {
+        "prior": BeliefPrior(draw(st.floats(0.0, 5.0)), 1.0, draw(st.floats(0.5, 4.0))),
+        "cost": CostModel(draw(st.sampled_from([0.0, 0.1, 0.5]))),
+    }
+    if draw(st.booleans()):
+        dist = AttentionSpanDist.deterministic(draw(st.integers(1, 6)))
+    else:
+        spans = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+        weights = [draw(st.integers(1, 9)) for _ in spans]
+        dist = AttentionSpanDist.from_pmf({y: w / sum(weights) for y, w in zip(spans, weights)})
+    slots = draw(st.integers(1, min(n - 1, 5)))
+    displayed = list(two_stage_select(catalog, slots)[0].slots)
+    outside = [p.id for p in products if p.id not in displayed]
+    for slot in draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=2, unique=True)):
+        if outside:
+            displayed[slot] = outside.pop(draw(st.integers(0, len(outside) - 1)))
+    return catalog, demand, dist, displayed
+
+
+@settings(max_examples=300)
+@given(substituted_audits())
+def test_revenue_dominated_swaps_keep_the_papers_claim(case):
+    # The paper: a collusive substitution "may raise a product's purchase
+    # likelihood but fail to maximize expected revenue".  For every finding,
+    # the substituted slate scores at most the optimum (both values are
+    # _mixture_value's), and the strict rise of the next slot's probability
+    # means the replacement's demand is strictly lower: that slot's
+    # probability is the replaced slot's 1 - lambda times a positive float.
+    catalog, demand, dist, displayed = case
+    findings = audit_ranking(catalog, displayed, len(displayed), dist, **demand)
+    compliant = two_stage_select(catalog, len(displayed))[0].slots
+    best = None
+    for finding in findings:
+        if finding.kind != KIND_REVENUE_DOMINATED:
+            continue
+        idx = finding.slot - 1
+        substituted = [*compliant[:idx], finding.product_id, *compliant[idx + 1 :]]
+        before = resolve_inputs(catalog, compliant, **demand)
+        after = resolve_inputs(catalog, substituted, **demand)
+        if best is None:
+            best = brute_force_optimize(catalog, len(displayed), dist, **demand).value
+        assert expected_revenue(after, dist) <= best
+        assert expected_revenue(after, dist) < expected_revenue(before, dist)
+        assert substitution_raises_downstream(before.lambdas[idx], after.lambdas[idx])

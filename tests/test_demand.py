@@ -8,31 +8,35 @@ from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.demand import (
     CostModel,
     ReviewState,
-    expected_utility,
+    add_rating,
     logistic,
-    posterior_mean,
+    posterior,
     purchase_prob,
-    search_cost,
-    update_review_state,
+    utility,
 )
 from assortplan.revenue import AttentionSpanDist, resolve_inputs
 from assortplan.simulator import SimConfig, simulate
 
 
+def position_cost(position: int, model: CostModel) -> float:
+    """The position cost ``utility`` subtracts: a zero-quality, free product's utility, negated."""
+    return -utility(BeliefPrior(0.0, 1.0, 1.0), 0, 0.0, 0.0, position, model)
+
+
 class TestSearchCost:
     def test_top_slot_is_free(self):
-        assert search_cost(1, CostModel(0.3)) == 0.0
+        assert position_cost(1, CostModel(0.3)) == 0.0
 
     def test_linear_growth(self):
-        assert search_cost(4, CostModel(0.3)) == pytest.approx(0.9, abs=1e-12)
+        assert position_cost(4, CostModel(0.3)) == pytest.approx(0.9, abs=1e-12)
 
     def test_zero_slope(self):
-        assert search_cost(7, CostModel(0.0)) == 0.0
+        assert position_cost(7, CostModel(0.0)) == 0.0
 
     @pytest.mark.parametrize("position", [0, -3])
     def test_positions_below_one_rejected(self, position):
-        with pytest.raises(ValueError):
-            search_cost(position, CostModel(0.1))
+        with pytest.raises(ValueError, match="position"):
+            position_cost(position, CostModel(0.1))
 
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):
@@ -40,24 +44,24 @@ class TestSearchCost:
 
     def test_strictly_increasing_for_positive_slope(self):
         model = CostModel(0.2)
-        costs = [search_cost(j, model) for j in range(1, 20)]
+        costs = [position_cost(j, model) for j in range(1, 20)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
 
 class TestPosteriorMean:
     def test_no_reviews_returns_prior_mean(self):
         prior = BeliefPrior(2.0, 3.0, 1.0)
-        assert posterior_mean(prior, ReviewState(0, 0.0)) == 2.0
+        assert posterior(prior, 0, 0.0) == 2.0
 
     def test_single_review_unit_ratio(self):
         # weight 1/2 on the prior, 1/2 on the observed mean
         prior = BeliefPrior(0.0, 1.0, 1.0)
-        assert posterior_mean(prior, ReviewState(1, 4.0)) == pytest.approx(2.0, abs=1e-15)
+        assert posterior(prior, 1, 4.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_half_ratio_four_reviews(self):
         # 3/3 + 2*5/3 = 13/3
         prior = BeliefPrior(3.0, 0.5, 1.0)
-        assert posterior_mean(prior, ReviewState(4, 5.0)) == pytest.approx(13 / 3, abs=1e-14)
+        assert posterior(prior, 4, 5.0) == pytest.approx(13 / 3, abs=1e-14)
 
     def test_convex_combination_property(self):
         rng = np.random.default_rng(7)
@@ -65,58 +69,63 @@ class TestPosteriorMean:
             prior = BeliefPrior(
                 float(rng.normal(0, 5)), float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5))
             )
-            state = ReviewState(int(rng.integers(0, 10_000)), float(rng.normal(0, 5)))
-            mu = posterior_mean(prior, state)
-            lo = min(prior.prior_mean, state.mean)
-            hi = max(prior.prior_mean, state.mean)
+            count, mean = int(rng.integers(0, 10_000)), float(rng.normal(0, 5))
+            mu = posterior(prior, count, mean)
+            lo = min(prior.prior_mean, mean)
+            hi = max(prior.prior_mean, mean)
             assert lo - 1e-12 <= mu <= hi + 1e-12
 
     def test_monotone_convergence_to_observed_mean(self):
         prior = BeliefPrior(0.0, 2.0, 1.0)
         target = 4.0
-        mus = [posterior_mean(prior, ReviewState(n, target)) for n in range(0, 2000, 10)]
+        mus = [posterior(prior, n, target) for n in range(0, 2000, 10)]
         assert all(b > a for a, b in zip(mus, mus[1:]))
         assert mus[-1] == pytest.approx(target, abs=1e-2)
 
 
 class TestUpdateReviewState:
     def test_first_review_sets_mean(self):
-        assert update_review_state(ReviewState(0, 0.0), 4.0) == ReviewState(1, 4.0)
+        assert add_rating(0, 0.0, 4.0) == (1, 4.0)
 
     def test_running_mean(self):
-        new = update_review_state(ReviewState(2, 3.0), 5.0)
-        assert new.count == 3
-        assert new.mean == pytest.approx(11 / 3, abs=1e-12)
+        count, mean = add_rating(2, 3.0, 5.0)
+        assert count == 3
+        assert mean == pytest.approx(11 / 3, abs=1e-12)
 
     def test_no_purchase_is_identity(self):
-        state = ReviewState(7, 4.2)
-        assert update_review_state(state, None) is state
+        # A customer who buys nothing leaves the review record as it was.
+        product = Product(id="X", price=1.0, review_count=7, avg_rating=4.2,
+                          true_quality=1.0, rating_noise=0.5, demand_override=1e-12)
+        cfg = SimConfig(horizon=50, seed=7, dist=AttentionSpanDist.deterministic(1),
+                        prior=BeliefPrior(0.0, 1.0, 1.0), slate=("X",))
+        trace = simulate(Catalog((product,)), cfg)
+        assert trace.summary.purchase_count == 0
+        assert trace.final_states["X"] == ReviewState(7, 4.2)
 
     def test_running_mean_identity_property(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             ratings = rng.normal(3.0, 1.5, size=int(rng.integers(1, 400)))
-            state = ReviewState(0, 0.0)
+            count, mean = 0, 0.0
             for r in ratings:
-                state = update_review_state(state, float(r))
-            assert state.count == len(ratings)
-            assert state.mean == pytest.approx(float(np.mean(ratings)), abs=1e-12)
+                count, mean = add_rating(count, mean, float(r))
+            assert count == len(ratings)
+            assert mean == pytest.approx(float(np.mean(ratings)), abs=1e-12)
 
 
 class TestExpectedUtility:
     def test_exact_cancellation(self):
         prior = BeliefPrior(2.0, 1.0, 1.0)
-        value = expected_utility(prior, ReviewState(0, 0.0), 2.0, 1, CostModel(0.1))
-        assert value == 0.0
+        assert utility(prior, 0, 0.0, 2.0, 1, CostModel(0.1)) == 0.0
 
     def test_positive_margin(self):
         prior = BeliefPrior(0.0, 1.0, 1.0)
-        value = expected_utility(prior, ReviewState(1, 4.0), 1.5, 1, CostModel(0.0))
+        value = utility(prior, 1, 4.0, 1.5, 1, CostModel(0.0))
         assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_position_cost_bites(self):
         prior = BeliefPrior(0.0, 1.0, 1.0)
-        value = expected_utility(prior, ReviewState(1, 4.0), 1.5, 3, CostModel(0.25))
+        value = utility(prior, 1, 4.0, 1.5, 3, CostModel(0.25))
         assert value == pytest.approx(0.0, abs=1e-15)
 
 

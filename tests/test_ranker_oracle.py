@@ -25,8 +25,6 @@ from assortplan.assortment import (
     _exact_sum,
     _scaled_sum,
     run_iteration,
-    stage1_threshold,
-    stage2_threshold,
     two_stage_select,
 )
 from assortplan.catalog import MAX_REVIEWS, Catalog, Product
@@ -254,20 +252,6 @@ def test_overflowing_sums_match_oracle(name, policy):
     n = catalog.universe_size
     expected = _outcome(lambda: ref.two_stage_select(catalog, n, policy))
     assert _outcome(lambda: two_stage_select(catalog, n, policy)) == expected
-
-
-@pytest.mark.parametrize(
-    "name, threshold, stage",
-    [("huge-ratings-reviewed", stage1_threshold, 1), ("huge-prices", stage2_threshold, 2)],
-)
-def test_library_thresholds_name_the_stage_as_the_pool_does(name, threshold, stage):
-    # stage1_threshold over all three products, stage2_threshold over the
-    # two that clear stage 1: the lists the pool's first round sums.
-    catalog = OVERFLOW_CASES[name]
-    pool_error = _outcome(lambda: two_stage_select(catalog, 1))
-    products = catalog.products if stage == 1 else catalog.products[:2]
-    assert _outcome(lambda: threshold(products)) == pool_error
-    assert pool_error[0] is ValueError and pool_error[1].startswith(f"stage-{stage} threshold sum: ")
 
 
 def _large_catalog(n: int, seed: int, ties: bool = False) -> Catalog:

@@ -396,6 +396,20 @@ class TestBruteForceOptimize:
         with pytest.raises(ValueError, match=message):
             brute_force_optimize(catalog, 2, AttentionSpanDist.deterministic(2))
 
+    def test_nan_demand_rejected(self):
+        # An infinite price and rating make the utility inf - inf: NaN demand,
+        # which fails every comparison and so must fail the range check.
+        catalog = Catalog(
+            (
+                Product(id="A", price=1.0, review_count=1, avg_rating=1.0, demand_override=0.5),
+                Product(id="B", price=math.inf, review_count=1, avg_rating=math.inf),
+            )
+        )
+        with pytest.raises(ValueError, match="'B': purchase probability nan at slot 1 outside"):
+            brute_force_optimize(
+                catalog, 2, AttentionSpanDist.deterministic(2), prior=BeliefPrior(0.0, 1.0, 1.0)
+            )
+
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             brute_force_optimize(Catalog(()), 1, AttentionSpanDist.deterministic(1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from assortplan.catalog import BeliefPrior, Catalog, Product, load_catalog
-from assortplan.demand import CostModel, ReviewState, update_review_state
+from assortplan.demand import CostModel, ReviewState, add_rating
 from assortplan.revenue import AttentionSpanDist, cascade_probs
 from assortplan.simulator import (
     SimConfig,
@@ -89,13 +89,13 @@ class TestMechanics:
             prior=PRIOR, slate=("X",),
         )
         trace = simulate(catalog, cfg)
-        state = ReviewState(0, 0.0)
+        state = (0, 0.0)
         for record in trace.records:
             if record.purchased == "X":
-                state = update_review_state(state, record.rating)
-                assert record.post_state == (state.count, state.mean)
-        assert trace.final_states["X"] == state
-        assert state.count == trace.summary.purchase_count
+                state = add_rating(*state, record.rating)
+                assert record.post_state == state
+        assert trace.final_states["X"] == ReviewState(*state)
+        assert state[0] == trace.summary.purchase_count
 
     def test_clamped_ratings_respect_bounds(self):
         catalog = quality_catalog(rating_noise=5.0)
