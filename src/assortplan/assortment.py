@@ -9,8 +9,8 @@ never read, so the resulting order cannot favor the platform's own cut.
 Both cutoffs are exactly rounded sums (bit for bit ``math.fsum``), so
 neither depends on the order products are listed in.  Stage 1's sums are
 exact integers, patched as review states are rewritten and products leave,
-so a ``RankingPool`` set-up is one O(n log n) sort with no O(n) sum, and a
-ranking of k slots out of n products costs O(n log n + k*n).
+and the columns stay sorted across rewrites, so a ``RankingPool`` set-up
+sums nothing and sorts only what a rewrite put out of order.
 """
 
 from __future__ import annotations
@@ -154,16 +154,16 @@ class TwoStageTrace:
 
 
 class RankingColumns:
-    """The inputs of a two-stage ranking as numpy columns in product-id order.
+    """The inputs of a two-stage ranking as numpy columns in stage-1 order.
 
-    Built from a catalog's columns with one sort of the ids; no ``Product``
-    is read; ``order`` holds each column row's catalog row.  The columns are
-    copies, so ``set_review_state`` may rewrite a product's review state
-    between rankings (the simulator writes each product bought since the
-    last one) while the catalog stays as it was; ``weighted`` (rating *
-    reviews), ``price_weighted`` and the exact ``sums`` follow, so every
-    ``RankingPool`` re-sorts the columns but sums nothing.  Price and pinned
-    demand are fixed, so the price-desc rank of each product is computed once.
+    Sorted once by (rating desc, reviews desc, id asc through ``id_rank``);
+    no ``Product`` is read; ``order`` maps column rows to catalog rows and
+    ``position`` back.  The columns are copies, so ``set_review_state`` may
+    rewrite a product's review state between rankings (the simulator writes
+    each product bought since the last one) while the catalog stays as it
+    was; ``weighted``, ``price_weighted`` and the exact ``sums`` follow, and
+    the next ``RankingPool`` re-sorts only if a rewrite broke the order.
+    Price and pinned demand are fixed, so each price-desc rank is computed once.
     """
 
     def __init__(self, catalog: Catalog, policy: str = POLICY_STAGE1_ORDER):
@@ -173,10 +173,10 @@ class RankingColumns:
             raise ValueError("iteration pool is empty")
         self.policy = policy
         columns = catalog.columns
+        n = catalog.universe_size
         # A stable sort: products sharing an id keep their listing order.
-        self.order = order = np.array(
-            sorted(range(catalog.universe_size), key=columns.ids.__getitem__)
-        )
+        self.order = order = np.array(sorted(range(n), key=columns.ids.__getitem__))
+        self.id_rank = np.arange(n)
         self.ids = np.array(columns.ids, dtype=object)[order]
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
@@ -185,26 +185,50 @@ class RankingColumns:
             self.weighted = self.rating * self.reviews
             self.price_weighted = self.price * self.reviews
         self._sums = [_scaled_sum(self.rating), _scaled_sum(self.weighted)]
-        # Rows rewritten since the sums were last read -> their values then.
+        # Catalog rows rewritten since the sums were last read -> their values then.
         self._counted: dict[int, tuple[float, float]] = {}
-        # Per sum, row -> its scaled value in the sum, for rows read once rewritten.
+        # Per sum, catalog row -> its scaled value in the sum, for rows read once rewritten.
         self._scaled_rows: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
-            # Each product's rank under (price desc, pinned demand desc, id asc);
-            # lexsort is stable and the columns list ids ascending.
-            demand = columns.demand[order]
-            self.price_desc_rank = np.empty(len(order), dtype=np.intp)
-            self.price_desc_rank[np.lexsort((-demand, -self.price))] = np.arange(len(order))
+            # Ranks under (price desc, pinned demand desc, id asc); the ids ascend here.
+            self.price_desc_rank = np.empty(n, dtype=np.intp)
+            self.price_desc_rank[np.lexsort((-columns.demand[order], -self.price))] = self.id_rank
+        self.position = np.empty(n, dtype=np.intp)  # catalog row -> column row
+        self.in_order = False  # until sorted, and again once a rewrite breaks the order
+        self.sort()
 
     def set_review_state(self, row: int, mean: float, count: int) -> None:
-        """Rewrite one product's rating and review count (count < 2^63)."""
+        """Rewrite catalog row ``row``'s rating and review count (count < 2^63)."""
+        at = self.position.item(row)
         if row not in self._counted:
-            self._counted[row] = (self.rating.item(row), self.weighted.item(row))
-        self.rating[row] = mean
-        self.reviews[row] = count
-        self.weighted[row] = mean * count
-        self.price_weighted[row] = self.price.item(row) * count
+            self._counted[row] = (self.rating.item(at), self.weighted.item(at))
+        self.rating[at] = mean
+        self.reviews[at] = count
+        self.weighted[at] = mean * count
+        self.price_weighted[at] = self.price.item(at) * count
+        # The other rows keep their relative order: only pairs with this one can break it.
+        pairs = range(max(at - 1, 0), min(at + 1, len(self.order) - 1))
+        self.in_order = self.in_order and all(map(self._in_order, pairs))
+
+    def _in_order(self, a: int) -> bool:
+        """Whether column rows a and a + 1 are in stage-1 order (a NaN rating never is)."""
+        above, below = self.rating.item(a), self.rating.item(a + 1)
+        if above != below:
+            return above > below
+        above, below = self.reviews.item(a), self.reviews.item(a + 1)
+        return above > below or above == below and self.id_rank.item(a) < self.id_rank.item(a + 1)
+
+    def sort(self) -> None:
+        """Restore the stage-1 order if a rewrite broke it; ``id_rank`` breaks ties."""
+        if not self.in_order:
+            perm = np.lexsort((self.id_rank, -self.reviews, -self.rating))
+            for name in ("order", "id_rank", "ids", "rating", "reviews", "price", "weighted",
+                         "price_weighted", "price_desc_rank"):
+                if getattr(self, name) is not None:
+                    setattr(self, name, getattr(self, name)[perm])
+            self.position[self.order] = np.arange(len(perm))
+            self.in_order = True
 
     @property
     def sums(self) -> tuple[int | None, int | None]:
@@ -217,7 +241,7 @@ class RankingColumns:
         for i, column in enumerate((self.rating, self.weighted)):
             scaled_rows = self._scaled_rows[i]
             for row, counted in self._counted.items():
-                new = column.item(row)
+                new = column.item(self.position.item(row))
                 if self._sums[i] is None or not abs(new) < _ADDEND_MAX:
                     self._sums[i] = _scaled_sum(column)
                     scaled_rows.clear()
@@ -230,10 +254,10 @@ class RankingColumns:
 
 
 class RankingPool:
-    """The products a two-stage ranking has yet to place, as sorted columns.
+    """The products a two-stage ranking has yet to place, a view of sorted columns.
 
-    Columns are sorted once by the stage-1 key (rating desc, reviews desc,
-    id asc) and an ``alive`` mask marks the products still in the pool.  A
+    The columns, in stage-1 order, are read as they stand until their next
+    write; an ``alive`` mask marks the products still in the pool.  A
     round's stage-1 shortlist is the alive products clearing the cutoff, in
     column order; its stage-2 passers are the shortlist members clearing the
     second cutoff, re-sorted by (price desc, pinned demand desc, id asc)
@@ -246,21 +270,15 @@ class RankingPool:
     """
 
     def __init__(self, columns: RankingColumns):
+        columns.sort()
         self.policy = columns.policy
-        # lexsort is stable and the columns list ids ascending, so id breaks ties.
-        order = np.lexsort((-columns.reviews, -columns.rating))
-        self.ids = columns.ids[order]
-        self.rating = columns.rating[order]
-        self.reviews = columns.reviews[order]
-        self.price = columns.price[order]
-        self.weighted = columns.weighted[order]
-        self.price_weighted = columns.price_weighted[order]
-        self.alive = np.ones(len(order), dtype=bool)
+        self.ids, self.rating, self.reviews = columns.ids, columns.rating, columns.reviews
+        self.price, self.price_desc_rank = columns.price, columns.price_desc_rank
+        self.weighted, self.price_weighted = columns.weighted, columns.price_weighted
+        self.alive = np.ones(len(self.ids), dtype=bool)
         # Σrating and Σweighted over the alive products, exact and scaled by
         # 2^1074; None leaves that sum to math.fsum in every round.
         self.sums = list(columns.sums)
-        if columns.price_desc_rank is not None:
-            self.price_desc_rank = columns.price_desc_rank[order]
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.alive))

@@ -24,6 +24,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -376,6 +377,17 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     )
 
 
+def _overwrite(path: Path, text: str) -> None:
+    """Do ``path.write_text(text, encoding="utf-8")`` without O_TRUNC, slow on some file systems."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        size = os.fstat(out.fileno()).st_size
+        try:
+            out.write(text.encode("utf-8"))
+        finally:  # cut only a longer old file; unencodable text leaves it empty, as write_text does
+            if size > out.tell():
+                out.truncate()
+
+
 def _cmd_simulate(args) -> int:
     catalog, digest = _read_catalog(args.catalog)
     cfg = _load_sim_config(args.config, args.seed)
@@ -389,10 +401,10 @@ def _cmd_simulate(args) -> int:
     manifest = _manifest("simulate", config, digest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.tsv").write_text(trace_table(trace), encoding="utf-8")
+    _overwrite(out_dir / "trace.tsv", trace_table(trace))
     summary = trace.summary
     report = _summary_json(manifest, summary)
-    (out_dir / "summary.json").write_text(report + "\n", encoding="utf-8")
+    _overwrite(out_dir / "summary.json", report + "\n")
     lines = [
         f"customers {cfg.horizon}",
         f"purchases {summary.purchase_count}",

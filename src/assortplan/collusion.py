@@ -192,27 +192,26 @@ def audit_ranking(
         ref_pos[pid] = len(ref_pos)
         unplaced.discard(pid)
 
-    # Order inversions relative to the compliant order.
-    if len(displayed) >= 2:
-        inputs = resolve_inputs(catalog, displayed, prior=prior, cost=cost, omega=omega)
-        for position in range(1, len(displayed)):
-            first, second = displayed[position - 1], displayed[position]
-            if ref_pos[first] > ref_pos[second]:
-                order = [*displayed[: position - 1], second, first, *displayed[position + 1 :]]
-                swapped = resolve_inputs(catalog, order, prior=prior, cost=cost, omega=omega)
-                delta = expected_revenue(swapped, dist) - expected_revenue(inputs, dist)
-                findings.append(
-                    AuditFinding(
-                        slot=position,
-                        product_id=first,
-                        kind=KIND_ORDER_VIOLATION,
-                        detail=(
-                            f"{first} is displayed ahead of {second} against the "
-                            f"compliant order; swapping them changes expected revenue "
-                            f"by {delta:.6g}"
-                        ),
-                    )
+    # Order inversions relative to the compliant order, each resolving demand.
+    for position in range(1, len(displayed)):
+        first, second = displayed[position - 1], displayed[position]
+        if ref_pos[first] > ref_pos[second]:
+            inputs = resolve_inputs(catalog, displayed, prior=prior, cost=cost, omega=omega)
+            order = [*displayed[: position - 1], second, first, *displayed[position + 1 :]]
+            swapped = resolve_inputs(catalog, order, prior=prior, cost=cost, omega=omega)
+            delta = expected_revenue(swapped, dist) - expected_revenue(inputs, dist)
+            findings.append(
+                AuditFinding(
+                    slot=position,
+                    product_id=first,
+                    kind=KIND_ORDER_VIOLATION,
+                    detail=(
+                        f"{first} is displayed ahead of {second} against the "
+                        f"compliant order; swapping them changes expected revenue "
+                        f"by {delta:.6g}"
+                    ),
                 )
+            )
 
     # Substitution signature: a product foreign to the compliant slate that
     # raises the next slot's purchase odds while strictly losing revenue.

@@ -258,7 +258,6 @@ class _Reranker:
 
     def __init__(self, catalog: Catalog, cfg: SimConfig):
         self.columns = RankingColumns(catalog, cfg.policy)
-        self.column_row = np.argsort(self.columns.order)  # catalog row -> column row
         self.slot_count = min(cfg.slot_count, catalog.universe_size)
         self.written: set[int] = set()
         self.overflow: tuple[int, int] | None = None
@@ -277,7 +276,7 @@ class _Reranker:
                 f"re-ranking limit of {MAX_REVIEWS - 1}"
             )
         for row in self.written:
-            self.columns.set_review_state(self.column_row.item(row), means[row], counts[row])
+            self.columns.set_review_state(row, means[row], counts[row])
         self.written.clear()
         pool = RankingPool(self.columns)
         return tuple(pool.take_id() for _ in range(self.slot_count))
@@ -362,9 +361,9 @@ def count_column(counts: list[int]) -> np.ndarray:
 def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     """Live beliefs: customers run in order, each purchase moving a review state.
 
-    Review states live in two lists by catalog row.  Slot chances are
-    computed per slate and recomputed for the purchased slot whenever its
-    product's review state moves.  Returns the run's ``SimTrace`` columns.
+    Review states live in two lists by catalog row.  Slot chances are computed
+    per slate and redone for a purchased slot as its review state moves, so a
+    re-rank that keeps the slate keeps them.  Returns the ``SimTrace`` columns.
     """
     columns = catalog.columns
     counts, means = columns.reviews.tolist(), columns.rating.tolist()
@@ -374,8 +373,9 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     reach = min(cfg.dist.max_span, slate_len)
     span_limits = [min(y, slate_len) for y in spans.values]
     state_of = (counts.__getitem__, means.__getitem__)
+    slate = cfg.slate
     if reranker is None:
-        rows, chance = _displayed(catalog, cfg.slate, reach, *state_of, cfg)
+        rows, chance = _displayed(catalog, slate, reach, *state_of, cfg)
     draws_after = RatingDraws(cfg.seed)
     span_blocks: list[np.ndarray] = []
     viewed_column: list[int] = []
@@ -390,8 +390,9 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
         for i, (k, draws) in enumerate(zip(index.tolist(), uniforms.tolist())):
             t = first + i
             if reranker is not None and (t - 1) % cfg.rerank_every == 0:
-                slate = reranker.rank(columns.ids, counts, means)
-                rows, chance = _displayed(catalog, slate, reach, *state_of, cfg)
+                if (ranked := reranker.rank(columns.ids, counts, means)) != slate:
+                    slate = ranked
+                    rows, chance = _displayed(catalog, slate, reach, *state_of, cfg)
             viewed, purchased = span_limits[k], -1
             for j in range(viewed):
                 if draws[offset + j] < chance[j]:

@@ -343,6 +343,32 @@ class TestAudit:
         assert code == 2
         assert "unknown product id" in err
 
+    # X is pinned and Y logit, with no --prior: only a swap's revenue needs Y's demand.
+    @pytest.mark.parametrize(
+        "displayed, code, out, err",
+        [
+            ("X", 0, "findings 0\n", ""),
+            ("X,Y", 0, "findings 0\n", ""),
+            ("Y,X", 2, "", "error: purchase probability unresolvable for 'Y': "
+             "no demand override and no prior belief supplied\n"),
+        ],
+    )
+    def test_logit_demand_is_resolved_only_for_an_inverted_pair(
+        self, capsys, write_catalog, displayed, code, out, err
+    ):
+        path = write_catalog(
+            Catalog(
+                (
+                    Product(id="X", price=2.0, review_count=30, avg_rating=4.0, demand_override=0.5),
+                    Product(id="Y", price=1.0, review_count=20, avg_rating=3.0),
+                )
+            )
+        )
+        result = run(capsys, "audit", "--catalog", str(path), "--displayed", displayed, "--span", "y=2")
+        assert result[0] == code
+        assert result[1].split("# manifest")[0] == out
+        assert result[2] == err
+
 
 class TestSimulate:
     def test_deterministic_outputs(self, capsys, demo_path, tmp_path):
@@ -363,6 +389,35 @@ class TestSimulate:
         summary = json.loads((out_a / "summary.json").read_text())
         assert summary["manifest"]["command"] == "simulate"
         assert summary["purchase_count"] > 0
+
+    @pytest.mark.parametrize("rerank", [False, True])
+    def test_outputs_overwrite_longer_files_in_place(self, capsys, demo_path, tmp_path, rerank):
+        display = {"slate": None, "rerank_every": 10, "slot_count": 3} if rerank else {}
+        (tmp_path / "long").mkdir()
+        short = sim_config(tmp_path, **display)
+        long = sim_config(tmp_path / "long", horizon=500, **display)
+        fresh, reused, junk, partial = (tmp_path / name for name in ("fresh", "reused", "junk", "partial"))
+
+        def simulate(config, out):
+            argv = ["--catalog", str(demo_path), "--config", str(config), "--out", str(out)]
+            assert run(capsys, "simulate", *argv)[0] == 0
+
+        simulate(short, fresh)
+        simulate(long, reused)
+        assert all((reused / name).stat().st_size > (fresh / name).stat().st_size
+                   for name in ("trace.tsv", "summary.json"))
+        simulate(short, reused)
+        # Junk longer than either file, trace.tsv of mode 0600; in partial, trace.tsv is missing.
+        for out, names in ((junk, ("trace.tsv", "summary.json")), (partial, ("summary.json",))):
+            out.mkdir()
+            for name in names:
+                (out / name).write_bytes(b"\xff" * 20_000)
+                (out / name).chmod(0o600)
+            simulate(short, out)
+            assert all((out / name).stat().st_mode & 0o777 == 0o600 for name in names)
+        for out in (reused, junk, partial):
+            for name in ("trace.tsv", "summary.json"):
+                assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_seed_override_changes_trace(self, capsys, demo_path, tmp_path):
         config = sim_config(tmp_path)

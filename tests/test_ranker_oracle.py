@@ -334,44 +334,101 @@ def _hexed(record):
     return record, [None if c is None else c.hex() for c in cutoffs]
 
 
+def _stage1_ranked(states: dict[str, tuple[int, float]]) -> list[str]:
+    """Ids in stage-1 order (rating desc, reviews desc, id asc) of (count, mean) states."""
+    return sorted(states, key=lambda pid: (-states[pid][1], -states[pid][0], pid))
+
+
+def _rewritten(catalog: Catalog, states: dict[str, tuple[int, float]]) -> Catalog:
+    return Catalog(
+        tuple(
+            dataclasses.replace(p, review_count=states[p.id][0], avg_rating=states[p.id][1])
+            for p in catalog.products
+        )
+    )
+
+
+def _assert_pool_matches_a_fresh_one(written: RankingColumns, catalog: Catalog, k: int):
+    """A pool of written columns ranks and traces as one of columns built afresh."""
+    fresh_columns = RankingColumns(catalog, written.policy)
+    fresh, pool = RankingPool(fresh_columns), RankingPool(written)
+    assert written.ids.tolist() == fresh_columns.ids.tolist()
+    expected = _outcome(lambda: [_hexed(fresh.take()) for _ in range(k)])
+    assert _outcome(lambda: [_hexed(pool.take()) for _ in range(k)]) == expected
+
+
 @given(catalogs(), st.data(), st.sampled_from(POLICIES))
 def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
-    # ``twin`` takes the same writes but is read only at re-ranks, so that it
-    # patches several writes, some to one row, at once.
+    # ``twin`` takes the same writes but is read only when a pool is built,
+    # so that it patches and re-sorts several writes, some to one row, at once.
     columns, twin = RankingColumns(catalog, policy), RankingColumns(catalog, policy)
-    rows = columns.ids.tolist()
+    ids = catalog.columns.ids
     states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
-    n = len(rows)
+    n = len(ids)
     for _ in range(data.draw(st.integers(1, 8))):
         row = data.draw(st.integers(0, n - 1))
-        mean, count = data.draw(WRITE_RATINGS), data.draw(WRITE_COUNTS)
-        if data.draw(st.booleans()):
-            # Cancel another row's values, so that the sums can reach zero.
-            other = data.draw(st.integers(0, n - 1))
-            mean, count = -columns.rating.item(other), columns.reviews.item(other)
+        ranked = _stage1_ranked(states)
+        other = ranked[data.draw(st.integers(0, n - 1))]
+        kind = data.draw(st.sampled_from(["drawn", "cancel", "tie", "same", "neighbour"]))
+        if kind == "drawn":
+            count, mean = data.draw(WRITE_COUNTS), data.draw(WRITE_RATINGS)
+        elif kind == "cancel":
+            # Cancel another row's rating, so that the sums can reach zero.
+            count, mean = states[other][0], -states[other][1]
+        elif kind == "tie":
+            # Another row's state: the two tie on rating and reviews, and id breaks it.
+            count, mean = states[other]
+        elif kind == "same":
+            count, mean = states[ids[row]]
+        else:
+            # A rating at, just past or just short of a stage-1 neighbour's.
+            at = ranked.index(ids[row])
+            near = states[ranked[min(max(at + data.draw(st.sampled_from([-1, 1])), 0), n - 1)]][1]
+            count = states[ids[row]][0]
+            mean = data.draw(st.sampled_from([near, math.nextafter(near, math.inf),
+                                              math.nextafter(near, -math.inf)]))
         columns.set_review_state(row, mean, count)
         twin.set_review_state(row, mean, count)
-        states[rows[row]] = (count, mean)
+        states[ids[row]] = (count, mean)
         with np.errstate(over="ignore"):
             assert columns.weighted.tobytes() == (columns.rating * columns.reviews).tobytes()
             assert columns.price_weighted.tobytes() == (columns.price * columns.reviews).tobytes()
         assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
-        if not data.draw(st.booleans()):
-            continue
-        rebuilt = Catalog(
-            tuple(
-                dataclasses.replace(p, review_count=states[p.id][0], avg_rating=states[p.id][1])
-                for p in catalog.products
-            )
-        )
-        k = data.draw(st.integers(1, n))
-        expected = _outcome(lambda: two_stage_select(rebuilt, k, policy)[0].slots)
-        fresh = _outcome(lambda: _hexed(RankingPool(RankingColumns(rebuilt, policy)).peek()))
-        for written in (columns, twin):
-            pool = RankingPool(written)
-            assert _outcome(lambda: _hexed(pool.peek())) == fresh
-            assert _outcome(lambda: tuple(pool.take_id() for _ in range(k))) == expected
-        assert twin.sums == columns.sums
+        if data.draw(st.booleans()):
+            rebuilt = _rewritten(catalog, states)
+            k = data.draw(st.integers(1, n))
+            for written in (columns, twin):
+                _assert_pool_matches_a_fresh_one(written, rebuilt, k)
+            assert twin.sums == columns.sums
+            assert columns.ids.tolist() == _stage1_ranked(states)
+            assert columns.order.tolist() == [catalog.row(pid) for pid in _stage1_ranked(states)]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_write_that_keeps_the_order_does_not_re_sort(policy):
+    catalog = _catalog(("A", 1.0, 30, 4.0), ("B", 2.0, 20, 3.0), ("C", 3.0, 10, 2.0))
+    columns = RankingColumns(catalog, policy)
+    rating = columns.rating
+    columns.set_review_state(catalog.row("B"), 3.5, 21)
+    rebuilt = _rewritten(catalog, {"A": (30, 4.0), "B": (21, 3.5), "C": (10, 2.0)})
+    _assert_pool_matches_a_fresh_one(columns, rebuilt, 3)
+    assert columns.rating is rating  # written in place, never re-sorted
+    assert columns.ids.tolist() == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_two_adjacent_written_rows_that_swap_are_re_sorted(policy):
+    catalog = _catalog(("C", 3.0, 10, 2.0), ("B", 2.0, 20, 3.0), ("A", 1.0, 30, 4.0))
+    columns = RankingColumns(catalog, policy)
+    assert columns.ids.tolist() == ["A", "B", "C"]
+    # A falls to B's old rating and B rises past A's: each stays in order with
+    # its outer neighbour, and only the written pair is out of order.
+    columns.set_review_state(catalog.row("A"), 3.0, 30)
+    columns.set_review_state(catalog.row("B"), 3.5, 20)
+    rebuilt = _rewritten(catalog, {"A": (30, 3.0), "B": (20, 3.5), "C": (10, 2.0)})
+    _assert_pool_matches_a_fresh_one(columns, rebuilt, 3)
+    assert columns.ids.tolist() == ["B", "A", "C"]
+    assert columns.position.tolist() == [2, 0, 1]  # catalog rows C, B, A
 
 
 def test_review_writes_move_sums_off_and_back_onto_the_int_path():
@@ -380,7 +437,7 @@ def test_review_writes_move_sums_off_and_back_onto_the_int_path():
     columns.set_review_state(1, 1e308, 5)  # rating past 2^974, rating * count inf
     assert columns.sums == (None, None)
     columns.set_review_state(1, -3.3, MAX_REVIEWS - 1)
-    assert columns.weighted[1] == -3.3 * float(MAX_REVIEWS - 1)
+    assert columns.weighted[columns.position[1]] == -3.3 * float(MAX_REVIEWS - 1)
     assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
     assert None not in columns.sums
     # Cancelling the other two ratings brings Σrating to exactly zero.

@@ -241,6 +241,41 @@ def test_span_beyond_int64_stays_exact():
     assert trace.records[0].span == 2**70
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("every", [1, 3])
+def test_live_rerank_keeping_its_slate_matches_oracle(every, policy):
+    # A, B and C lead by far in rating and reviews and are rated near their
+    # means, so every re-rank returns A-B-C while they are bought and rated;
+    # each is priced half a point below its rating, so C is reached too.
+    leaders = [("A", 4.9, 1000), ("B", 4.6, 900), ("C", 4.3, 800)]
+    products = tuple(
+        Product(id=pid, price=rating - 0.5, review_count=count, avg_rating=rating,
+                true_quality=rating, rating_noise=0.05)
+        for pid, rating, count in leaders
+    ) + tuple(
+        Product(id=f"Z{i}", price=1.0, review_count=5, avg_rating=2.0, true_quality=2.0,
+                rating_noise=0.5)
+        for i in range(4)
+    )
+    cfg = SimConfig(
+        horizon=120, seed=11, dist=AttentionSpanDist.from_pmf({1: 0.3, 3: 0.7}),
+        prior=BeliefPrior(3.0, 1.0, 1.0), rerank_every=every, slot_count=3, policy=policy,
+    )
+    slates = []
+    rank = simulator._Reranker.rank
+
+    def spy(self, *args):
+        slates.append(rank(self, *args))
+        return slates[-1]
+
+    with mock.patch.object(simulator._Reranker, "rank", spy), \
+            mock.patch.object(simulator, "_displayed", wraps=simulator._displayed) as displayed:
+        trace = assert_matches_oracle(Catalog(products), cfg)
+    assert len(slates) == -(-cfg.horizon // every) and set(slates) == {("A", "B", "C")}
+    assert displayed.call_count == 1  # the slot chances of the one slate, kept since
+    assert {trace.records[i].purchased for i in trace.rated} == {"A", "B", "C"}
+
+
 class _FixedUniform:
     def __init__(self, u: float):
         self.u = u
