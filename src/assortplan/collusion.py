@@ -192,11 +192,12 @@ def audit_ranking(
         ref_pos[pid] = len(ref_pos)
         unplaced.discard(pid)
 
-    # Order inversions relative to the compliant order, each resolving demand.
+    # Order inversions relative to the compliant order.
+    inputs = None  # the displayed slate's demand, resolved at the first inversion
     for position in range(1, len(displayed)):
         first, second = displayed[position - 1], displayed[position]
         if ref_pos[first] > ref_pos[second]:
-            inputs = resolve_inputs(catalog, displayed, prior=prior, cost=cost, omega=omega)
+            inputs = inputs or resolve_inputs(catalog, displayed, prior=prior, cost=cost, omega=omega)
             order = [*displayed[: position - 1], second, first, *displayed[position + 1 :]]
             swapped = resolve_inputs(catalog, order, prior=prior, cost=cost, omega=omega)
             delta = expected_revenue(swapped, dist) - expected_revenue(inputs, dist)

@@ -373,8 +373,7 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     reach = min(cfg.dist.max_span, slate_len)
     span_limits = [min(y, slate_len) for y in spans.values]
     state_of = (counts.__getitem__, means.__getitem__)
-    slate = cfg.slate
-    if reranker is None:
+    if (slate := cfg.slate) is not None:
         rows, chance = _displayed(catalog, slate, reach, *state_of, cfg)
     draws_after = RatingDraws(cfg.seed)
     span_blocks: list[np.ndarray] = []
