@@ -173,10 +173,10 @@ class RankingColumns:
             raise ValueError("iteration pool is empty")
         self.policy = policy
         columns = catalog.columns
-        n = catalog.universe_size
-        # A stable sort: products sharing an id keep their listing order.
-        self.order = order = np.array(sorted(range(n), key=columns.ids.__getitem__))
-        self.id_rank = np.arange(n)
+        # Stable sorts: shared ids keep listing order; the id rank (place in by_id) breaks ties.
+        by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
+        self.id_rank = np.lexsort((-columns.reviews[by_id], -columns.rating[by_id]))
+        self.order = order = by_id[self.id_rank]
         self.ids = np.array(columns.ids, dtype=object)[order]
         self.rating = columns.rating[order]
         self.reviews = columns.reviews[order]
@@ -191,12 +191,12 @@ class RankingColumns:
         self._scaled_rows: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
-            # Ranks under (price desc, pinned demand desc, id asc); the ids ascend here.
-            self.price_desc_rank = np.empty(n, dtype=np.intp)
-            self.price_desc_rank[np.lexsort((-columns.demand[order], -self.price))] = self.id_rank
-        self.position = np.empty(n, dtype=np.intp)  # catalog row -> column row
-        self.in_order = False  # until sorted, and again once a rewrite breaks the order
-        self.sort()
+            rank = np.empty_like(by_id)  # by id rank, under (price desc, pinned demand desc, id asc)
+            rank[np.lexsort((-columns.demand[by_id], -columns.price[by_id]))] = np.arange(len(by_id))
+            self.price_desc_rank = rank[self.id_rank]
+        self.position = np.empty_like(order)  # catalog row -> column row
+        self.position[order] = np.arange(len(order))
+        self.in_order = True  # until a rewrite breaks the order
 
     def set_review_state(self, row: int, mean: float, count: int) -> None:
         """Rewrite catalog row ``row``'s rating and review count (count < 2^63)."""
