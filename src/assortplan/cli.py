@@ -378,7 +378,7 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
 
 
 def _overwrite(path: Path, text: str) -> None:
-    """Do ``path.write_text(text, encoding="utf-8")`` without O_TRUNC, slow on some file systems."""
+    """As ``path.write_text(text, encoding="utf-8")``, but O_TRUNC (slow on some disks) is skipped."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
         size = os.fstat(out.fileno()).st_size
         try:
