@@ -73,30 +73,6 @@ def _exact_sum(x: np.ndarray) -> float:
     return total / _SCALE if total else math.fsum(x.tolist())
 
 
-def _weighted_mean(weights: np.ndarray, weighted: np.ndarray) -> float | None:
-    """Σweighted / Σweights, each exactly rounded, or None when Σweights is zero."""
-    mass = _exact_sum(weights)
-    return _exact_sum(weighted) / mass if mass else None
-
-
-class _StageSum:
-    """Context of a stage's threshold sums: math.fsum's OverflowError part-way
-    and its ValueError on inf - inf leave it as one ValueError naming the stage."""
-
-    def __init__(self, stage: int):
-        self.stage = stage
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if kind is not None and issubclass(kind, (OverflowError, ValueError)):
-            raise ValueError(f"stage-{self.stage} threshold sum: {exc}") from None
-
-
-_STAGE1_SUM, _STAGE2_SUM = _StageSum(1), _StageSum(2)
-
-
 def _review_bound(cutoff: float) -> int | float:
     """The least integer review count that clears ``cutoff``.
 
@@ -184,11 +160,10 @@ class RankingColumns:
         with np.errstate(over="ignore"):  # a product past the float range is inf
             self.weighted = self.rating * self.reviews
             self.price_weighted = self.price * self.reviews
-        self._sums = [_scaled_sum(self.rating), _scaled_sum(self.weighted)]
-        # Catalog rows rewritten since the sums were last read -> their values then.
-        self._counted: dict[int, tuple[float, float]] = {}
-        # Per sum, catalog row -> its scaled value in the sum, for rows read once rewritten.
-        self._scaled_rows: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        # Σrating and Σweighted scaled by 2^1074, None until counted or while undefined.
+        self._sums: list[int | None] = [None, None]
+        # Per sum, catalog row -> its current value scaled by 2^1074, scaled on first use.
+        self._scaled_values: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
             rank = np.empty_like(by_id)  # by id rank, under (price desc, pinned demand desc, id asc)
@@ -198,15 +173,32 @@ class RankingColumns:
         self.position[order] = np.arange(len(order))
         self.in_order = True  # until a rewrite breaks the order
 
+    def scaled(self, i: int, at: int) -> int:
+        """Column row ``at``'s addend to sum i (0 Σrating, 1 Σweighted) times 2^1074,
+        while that sum is defined; kept by catalog row until the row is rewritten."""
+        cache, row = self._scaled_values[i], self.order.item(at)
+        value = cache.get(row)
+        if value is None:
+            cache[row] = value = _scaled((self.weighted if i else self.rating).item(at))
+        return value
+
     def set_review_state(self, row: int, mean: float, count: int) -> None:
-        """Rewrite catalog row ``row``'s rating and review count (count < 2^63)."""
+        """Rewrite catalog row ``row``'s rating and review count (count < 2^63);
+        each defined sum trades the row's old addend for its new one."""
         at = self.position.item(row)
-        if row not in self._counted:
-            self._counted[row] = (self.rating.item(at), self.weighted.item(at))
+        for i in (0, 1):
+            if self._sums[i] is not None:
+                self._sums[i] -= self.scaled(i, at)
+            self._scaled_values[i].pop(row, None)
         self.rating[at] = mean
         self.reviews[at] = count
         self.weighted[at] = mean * count
         self.price_weighted[at] = self.price.item(at) * count
+        for i, new in enumerate((self.rating.item(at), self.weighted.item(at))):
+            if self._sums[i] is not None and abs(new) < _ADDEND_MAX:
+                self._sums[i] += self.scaled(i, at)
+            else:  # a NaN or huge addend leaves the sum to a recount
+                self._sums[i] = None
         # The other rows keep their relative order: only pairs with this one can break it.
         pairs = range(max(at - 1, 0), min(at + 1, len(self.order) - 1))
         self.in_order = self.in_order and all(map(self._in_order, pairs))
@@ -232,24 +224,11 @@ class RankingColumns:
 
     @property
     def sums(self) -> tuple[int | None, int | None]:
-        """Exact Σrating and Σweighted, as ``_scaled_sum`` would give them now; rows
-        rewritten since the last read are patched, or their column recounted.
-
-        A patched row's scaled value is kept, so a row rewritten again is
-        scaled once, for its new value.
-        """
+        """Exact Σrating and Σweighted, as ``_scaled_sum`` would give them now;
+        only an undefined sum is counted again."""
         for i, column in enumerate((self.rating, self.weighted)):
-            scaled_rows = self._scaled_rows[i]
-            for row, counted in self._counted.items():
-                new = column.item(self.position.item(row))
-                if self._sums[i] is None or not abs(new) < _ADDEND_MAX:
-                    self._sums[i] = _scaled_sum(column)
-                    scaled_rows.clear()
-                    break
-                old = scaled_rows.get(row)
-                scaled_rows[row] = scaled = _scaled(new)
-                self._sums[i] += scaled - (_scaled(counted[i]) if old is None else old)
-        self._counted.clear()
+            if self._sums[i] is None:
+                self._sums[i] = _scaled_sum(column)
         return tuple(self._sums)
 
 
@@ -276,6 +255,7 @@ class RankingPool:
         self.price, self.price_desc_rank = columns.price, columns.price_desc_rank
         self.weighted, self.price_weighted = columns.weighted, columns.price_weighted
         self.alive = np.ones(len(self.ids), dtype=bool)
+        self._scaled = columns.scaled
         # Σrating and Σweighted over the alive products, exact and scaled by
         # 2^1074; None leaves that sum to math.fsum in every round.
         self.sums = list(columns.sums)
@@ -285,9 +265,9 @@ class RankingPool:
 
     def _drop(self, row: int) -> None:
         self.alive[row] = False
-        for i, column in enumerate((self.rating, self.weighted)):
+        for i in (0, 1):
             if self.sums[i] is not None:
-                self.sums[i] -= _scaled(column.item(row))
+                self.sums[i] -= self._scaled(i, row)
 
     def _stage1_sum(self, i: int, column: np.ndarray, live: np.ndarray) -> float:
         total = self.sums[i]
@@ -304,9 +284,12 @@ class RankingPool:
         live = self.alive.nonzero()[0]
         if not live.size:
             raise ValueError("iteration pool is empty")
-        with _STAGE1_SUM:
+        # math.fsum's OverflowError part-way and its ValueError on inf - inf name the stage.
+        try:
             mass = self._stage1_sum(0, self.rating, live)
             cutoff1 = self._stage1_sum(1, self.weighted, live) / mass if mass else None
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"stage-1 threshold sum: {exc}") from None
         if cutoff1 is None:
             shortlist = live[:0]
         else:
@@ -314,8 +297,11 @@ class RankingPool:
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
             return cutoff1, shortlist, None, shortlist, live[self.reviews[live].argmax()]
-        with _STAGE2_SUM:
-            cutoff2 = _weighted_mean(self.price[shortlist], self.price_weighted[shortlist])
+        try:
+            mass = _exact_sum(self.price[shortlist])
+            cutoff2 = _exact_sum(self.price_weighted[shortlist]) / mass if mass else None
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"stage-2 threshold sum: {exc}") from None
         if cutoff2 is None:
             passers = shortlist[:0]
         else:

@@ -425,6 +425,8 @@ def load_catalog(source: bytes | str) -> Catalog:
         raise CatalogError("malformed catalog document: nested too deeply") from None
     if not isinstance(doc, dict) or "products" not in doc:
         raise CatalogError("catalog document must be an object with a 'products' array")
+    if unknown := doc.keys() - {"products", "display_scale"}:
+        raise CatalogError(f"catalog document: unknown keys {sorted(unknown)}")
     raw_products = doc["products"]
     if not isinstance(raw_products, list):
         raise CatalogError("'products' must be an array")

@@ -13,7 +13,9 @@ Span specs follow ``y=3`` (deterministic) or ``pmf=1:0.5,3:0.5``.  The
 simulate config is a JSON document: ``horizon``, ``seed``, ``span``, and
 ``prior`` {mean, prior_var, noise_var} are required; choose a display
 policy via ``slate`` (id array) or ``rerank_every`` plus ``slot_count``;
-optional ``cost_slope``, ``policy``, ``freeze_beliefs``, ``clamp_ratings``.
+optional ``cost_slope``, ``policy``, ``freeze_beliefs``, ``clamp_ratings``;
+any other key, here or in ``prior``, is refused.  Warnings print as one
+``warning: <message>`` line each.
 Simulate writes ``trace.tsv`` (tab-separated, one line per customer) and
 ``summary.json`` into the output directory.
 """
@@ -26,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -309,6 +312,9 @@ def _cmd_audit(args) -> int:
 
 
 _NUMBER = (int, float)
+_CONFIG_KEYS = ("horizon", "seed", "span", "prior", "cost_slope", "slate", "rerank_every",
+                "slot_count", "policy", "freeze_beliefs", "clamp_ratings")
+_PRIOR_KEYS = ("mean", "prior_var", "noise_var")
 
 
 def _config_value(doc: dict, key: str, kinds: tuple[type, ...], what: str, default=None):
@@ -348,16 +354,20 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
         raise ValueError("malformed simulation config: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("simulation config must be a JSON object")
+    # A misspelt key is refused, never ignored.
+    if unknown := [key for key in doc if key not in _CONFIG_KEYS]:
+        raise ValueError(f"simulation config: unknown key {unknown[0]!r}")
     for key in ("horizon", "seed", "span", "prior"):
         if doc.get(key) is None:
             raise ValueError(f"simulation config missing required key {key!r}")
     prior_doc = _config_value(doc, "prior", (dict,), "an object with mean, prior_var, noise_var")
-    prior_fields = ("mean", "prior_var", "noise_var")
-    for key in prior_fields:
+    if unknown := [key for key in prior_doc if key not in _PRIOR_KEYS]:
+        raise ValueError(f"simulation config: 'prior' unknown key {unknown[0]!r}")
+    for key in _PRIOR_KEYS:
         if prior_doc.get(key) is None:
             raise ValueError(f"simulation config: 'prior' missing required key {key!r}")
     prior = BeliefPrior(
-        *(float(_config_value(prior_doc, key, _NUMBER, "a number")) for key in prior_fields)
+        *(float(_config_value(prior_doc, key, _NUMBER, "a number")) for key in _PRIOR_KEYS)
     )
     clamp = _config_list(doc, "clamp_ratings", _NUMBER, "a [low, high] number pair", length=2)
     slate = _config_list(doc, "slate", (str,), "an array of product ids")
@@ -417,7 +427,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="assortplan",
         description="Competitive assortment planning: rank, evaluate, audit, simulate.",
@@ -475,17 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing never changes it."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one line per warning, naming no source file
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -47,7 +47,6 @@ class SwapAnalysis:
     replaced and replacement product at the target slot.
     """
 
-    target_slot: int
     prob_before: float | None
     prob_after: float | None
     downstream_before: tuple[float, ...]
@@ -99,7 +98,6 @@ def substitution_effect(
     revenue_after = expected_revenue(after, dist)
     idx = slot - 1
     return SwapAnalysis(
-        target_slot=slot,
         prob_before=downstream_before[0] if downstream_before else None,
         prob_after=downstream_after[0] if downstream_after else None,
         downstream_before=downstream_before,

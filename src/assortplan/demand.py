@@ -33,14 +33,6 @@ class CostModel:
             raise ValueError(f"cost slope must be nonnegative and finite, got {self.slope}")
 
 
-@dataclass(frozen=True)
-class ReviewState:
-    """Running review record: count and mean rating."""
-
-    count: int
-    mean: float
-
-
 def posterior(prior: BeliefPrior, count, mean):
     """Posterior quality estimate after ``count`` reviews averaging ``mean``.
 

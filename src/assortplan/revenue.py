@@ -177,15 +177,6 @@ def cascade_probs(lambdas: Sequence[float]) -> CascadeProbs:
     return CascadeProbs(tuple([pre * lam for pre, lam in zip(prefix, lambdas)]), prefix[-1])
 
 
-def expected_revenue_fixed(inputs: SlateInputs, span: int) -> float:
-    """Expected platform revenue from a customer who views up to ``span`` slots."""
-    if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
-    return math.fsum(
-        _slot_revenues(inputs.lambdas[:span], inputs.prices[:span], inputs.omegas[:span])
-    )
-
-
 def _mixture_value(terms: Sequence[float], dist: AttentionSpanDist) -> float:
     """Span-pmf mixture of fixed-span revenues, via the cumulative ``_slot_revenues``.
 

@@ -19,9 +19,8 @@ run reads the catalog's own, a live run writes each purchase into Python
 lists, whose counts never wrap.  The trace is columnar: per customer a span
 index, the slots viewed and the catalog row bought, per rated purchase the
 rating and the review state after it, and the final review columns.
-``SimTrace.records`` and ``SimTrace.final_states`` build their objects on
-first read, and the catalog is read as columns, so a run builds no
-``Product``.
+``SimTrace.records`` builds its objects on first read, and the catalog is
+read as columns, so a run builds no ``Product``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .assortment import (
     two_stage_select,
 )
 from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns
-from .demand import CostModel, ReviewState, add_rating, posterior, purchase_chance
+from .demand import CostModel, add_rating, posterior, purchase_chance
 # perfbench/tracing.py wraps logistic under this module attribute, so it stays importable.
 from .demand import logistic  # noqa: F401
 from .philox import RatingDraws, draw_blocks
@@ -123,8 +122,8 @@ class SimTrace:
     ``post_counts`` and ``post_means``.  Per catalog row, the final review
     state: ``review_counts`` (int64, or Python ints in an object array once
     one passes int64) and ``review_means``.  ``columns`` are the catalog's,
-    for ids, prices and shares.  ``records`` and ``final_states`` are built
-    on first read.
+    for ids, prices and shares.  ``records`` is built on first read; the
+    summary holds the final review states in id order.
     """
 
     spans: tuple[int, ...]
@@ -162,24 +161,8 @@ class SimTrace:
         )
 
     @cached_property
-    def final_states(self) -> dict[str, ReviewState]:
-        states = map(ReviewState, self.review_counts.tolist(), self.review_means.tolist())
-        return dict(zip(self.columns.ids, states))
-
-    @cached_property
     def summary(self) -> SimSummary:
         return summarize(self)
-
-    def _key(self) -> tuple:
-        c = self.columns
-        return (
-            self.records, self.final_states, self.prior, c.ids, c.price.tolist(), c.share.tolist()
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
 
 
 def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:

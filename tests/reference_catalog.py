@@ -48,6 +48,9 @@ def load_catalog(source: bytes | str) -> Catalog:
         raise CatalogError(f"malformed catalog document: {exc}") from exc
     if not isinstance(doc, dict) or "products" not in doc:
         raise CatalogError("catalog document must be an object with a 'products' array")
+    unknown = set(doc) - {"products", "display_scale"}
+    if unknown:
+        raise CatalogError(f"catalog document: unknown keys {sorted(unknown)}")
     raw_products = doc["products"]
     if not isinstance(raw_products, list):
         raise CatalogError("'products' must be an array")

@@ -18,15 +18,22 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from assortplan.assortment import two_stage_select
 from assortplan.catalog import BeliefPrior, Catalog
-from assortplan.demand import ReviewState, logistic
+from assortplan.demand import logistic
 from assortplan.revenue import AttentionSpanDist
 from assortplan.simulator import CustomerRecord, SimConfig, _validate_config
+
+
+class ReviewState(NamedTuple):
+    """Running review record: count and mean rating."""
+
+    count: int
+    mean: float
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ from assortplan.revenue import (
     brute_force_optimize,
     cascade_probs,
     expected_revenue,
-    expected_revenue_fixed,
     resolve_inputs,
 )
 from assortplan.simulator import SimConfig, simulate
 from helpers import random_catalog, random_slate_params, random_span_dist
+from reference_cascade import expected_revenue_fixed
 
 
 @contextmanager

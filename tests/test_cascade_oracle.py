@@ -24,7 +24,6 @@ from assortplan.revenue import (
     _tail_value,
     cascade_probs,
     expected_revenue,
-    expected_revenue_fixed,
     resolve_inputs,
 )
 
@@ -71,11 +70,12 @@ def test_cascade_forms_match_the_scalar_loops(inputs, dist):
     probs = cascade_probs(inputs.lambdas)
     assert bits(probs.per_slot) == bits(per_slot)
     assert bits([probs.no_purchase]) == bits([no_purchase])
+    columns = (inputs.lambdas, inputs.prices, inputs.omegas)
     for span in range(1, len(inputs.ids) + 2):
-        assert bits([expected_revenue_fixed(inputs, span)]) == bits(
+        # A fixed span's revenue: the kernel's first ``span`` terms, exactly summed.
+        assert bits([math.fsum(_slot_revenues(*(c[:span] for c in columns)))]) == bits(
             [ref.expected_revenue_fixed(inputs, span)]
         )
-    columns = (inputs.lambdas, inputs.prices, inputs.omegas)
     terms = _slot_revenues(*columns)
     assert bits([_mixture_value(terms, dist)]) == bits([ref.mixture_value(*columns, dist)])
     assert bits([_tail_value(terms, dist)]) == bits([ref.tail_value(*columns, dist)])

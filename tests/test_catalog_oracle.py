@@ -157,6 +157,10 @@ def documents(draw) -> str:
         doc["display_scale"] = draw(
             st.sampled_from([[1, 5], [1.0, 5.0], [2**60 + 1, 3], None, [1], [1, Raw("NaN")]])
         )
+    if draw(st.integers(0, 9)) == 0:
+        # A misspelt or unknown top-level key, which is refused, never ignored.
+        for key in draw(st.lists(st.sampled_from(["display_scal", "Products", ""]), min_size=1)):
+            doc[key] = [1, 5]
     return render(doc)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from assortplan.cli import (
     parse_prior_spec,
     parse_span_spec,
 )
-from assortplan.demand import ReviewState, posterior
-from assortplan.revenue import AttentionSpanDist
-from assortplan.simulator import SimTrace, count_column
+from assortplan.demand import posterior
+from assortplan.revenue import AttentionSpanDist, resolve_inputs
+from assortplan.simulator import SimSummary, SimTrace, count_column
 from helpers import random_catalog
 
 
@@ -139,7 +140,8 @@ def test_summary_writer_matches_json_dumps(trace, config_path):
     expected = json.dumps({"manifest": manifest, **ref.summary_document(trace)}, indent=2)
     assert _summary_json(manifest, trace.summary) + "\n" == expected + "\n"
     # Each posterior mean has the bits of the scalar form, past int64 too.
-    scalar = [posterior(trace.prior, s.count, s.mean) for s in trace.final_states.values()]
+    states = zip(trace.review_counts.tolist(), trace.review_means.tolist())
+    scalar = [posterior(trace.prior, count, mean) for count, mean in states]
     assert list(map(repr, trace.summary.posterior_means.values())) == list(
         map(repr, [dict(zip(trace.columns.ids, scalar))[pid] for pid in trace.summary.ids])
     )
@@ -186,6 +188,14 @@ class TestRank:
         code, _, err = run(capsys, "rank", "--catalog", str(path), "--slots", "3")
         assert code == 2
         assert "malformed" in err
+
+    def test_unknown_catalog_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        product = {"id": "A", "price": 1, "reviews": 1, "avg_rating": 4.0}
+        path.write_text(json.dumps({"products": [product], "display_scal": [1, 5]}))
+        code, out, err = run(capsys, "rank", "--catalog", str(path), "--slots", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: catalog document: unknown keys ['display_scal']\n"
 
     # Valid catalogs whose threshold sums fail in math.fsum: part-way overflow
     # of the stage-2 price sum, and inf - inf among stage 1's rating * reviews.
@@ -279,6 +289,38 @@ class TestExpectedRevenue:
         )
         assert code == 2
         assert "unknown product id" in err
+
+
+class TestWarnings:
+    # Two logit products priced at 100 against ratings near 3: every utility is near -97.
+    LOGIT = Catalog((Product("A", 100.0, 1, 4.0), Product("B", 100.0, 2, 3.0)))
+    TAIL = "exceeds +/-50.0; check that prices and ratings use commensurate units"
+
+    @pytest.mark.parametrize(
+        "argv, utilities",
+        [
+            (("expected-revenue", "--slate", "A,B"), [("-96.5", "A"), ("-97.1", "B")]),
+            (
+                ("optimize", "--slots", "2"),
+                [("-96.5", "A"), ("-97", "B"), ("-97.1", "B"), ("-96.6", "A")],
+            ),
+        ],
+    )
+    def test_utility_warnings_are_one_line_each(self, capsys, write_catalog, argv, utilities):
+        shown = warnings.showwarning
+        path = write_catalog(self.LOGIT)
+        code, out, err = run(
+            capsys, *argv[:1], "--catalog", str(path), *argv[1:], "--span", "y=2",
+            "--prior", "3,1,1",
+        )
+        assert code == 0 and out
+        assert err.splitlines() == [
+            f"warning: utility {chi} for product {pid!r} {self.TAIL}" for chi, pid in utilities
+        ]
+        # The engine's own warnings are left as they were for library callers.
+        assert warnings.showwarning is shown
+        with pytest.warns(RuntimeWarning, match="commensurate"):
+            resolve_inputs(self.LOGIT, ["A"], prior=BeliefPrior(3.0, 1.0, 1.0))
 
 
 class TestOptimize:
@@ -542,20 +584,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_simulate_builds_no_review_state(self, capsys, tmp_path, monkeypatch, fmt):
-        # Review states stay columns from the run to summary.json: no
-        # ReviewState is built, and SimTrace.final_states is never read.
-        built = []
-        init = ReviewState.__init__
+        # Review states stay columns from the run to summary.json: the
+        # summary's dict views and the trace's records are never built.
+        def unread(name):
+            def read(_):
+                raise AssertionError(f"{name} read")
+            return property(read)
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        def unread(trace):
-            raise AssertionError("SimTrace.final_states read")
-
-        monkeypatch.setattr(ReviewState, "__init__", counting_init)
-        monkeypatch.setattr(SimTrace, "final_states", property(unread))
+        for owner, name in ((SimSummary, "final_states"), (SimSummary, "posterior_means"),
+                            (SimTrace, "records")):
+            monkeypatch.setattr(owner, name, unread(f"{owner.__name__}.{name}"))
         rated = Catalog(
             Product(id=p.id, price=1.0, review_count=p.review_count, avg_rating=p.avg_rating,
                     true_quality=p.avg_rating, rating_noise=0.5)
@@ -577,7 +615,28 @@ class TestSimulate:
             )
             assert (code, err) == (0, "")
             assert '"posterior_means"' in (tmp_path / f"out{i}" / "summary.json").read_text()
-        assert built == []
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"freeze_belief": True}, "unknown key 'freeze_belief'"),
+            ({"clamp_rating": [1, 5], "seed": None}, "unknown key 'clamp_rating'"),
+            (
+                {"prior": {"mean": 0.0, "prior_var": 1.0, "noise_var": 1.0, "noise": 2.0}},
+                "'prior' unknown key 'noise'",
+            ),
+        ],
+    )
+    def test_unknown_config_key_rejected(self, capsys, demo_path, tmp_path, overrides, message):
+        # A misspelt key would otherwise run with its default in silence.
+        config = sim_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "simulate", "--catalog", str(demo_path), "--config", str(config),
+            "--out", str(out),
+        )
+        assert (code, stdout, err) == (2, "", f"error: simulation config: {message}\n")
+        assert not out.exists()
 
     def test_missing_config_key_rejected(self, capsys, demo_path, tmp_path):
         path = tmp_path / "sim.json"

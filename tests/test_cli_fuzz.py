@@ -33,6 +33,10 @@ MALFORMED = {
         {"products": [{"id": "A", "price": 1, "reviews": 2**63, "avg_rating": 4.0}]}
     ),
     "deep.json": "[" * 100_000 + "]" * 100_000,
+    "unknown-top-key.json": json.dumps(
+        {"products": [{"id": "A", "price": 1, "reviews": 1, "avg_rating": 4.0}],
+         "display_scal": [1, 5]}
+    ),
     "bad-utf8.json": b"\xff\xfe{",
 }
 
@@ -53,6 +57,10 @@ SIM_CONFIGS = {
     "bad-clamp.json": {"horizon": 5, "seed": 1, "span": "y=2", "prior": PRIOR,
                        "slate": ["A"], "clamp_ratings": [5, 1]},
     "missing-keys.json": {"seed": 1},
+    "misspelt-key.json": {"horizon": 5, "seed": 1, "span": "y=2", "prior": PRIOR,
+                          "slate": ["A"], "freeze_belief": True},
+    "prior-extra-key.json": {"horizon": 5, "seed": 1, "span": "y=2", "slate": ["A"],
+                             "prior": {**PRIOR, "noise": 1.0}},
     "array.json": [],
 }
 

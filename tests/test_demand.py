@@ -7,7 +7,6 @@ import pytest
 from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.demand import (
     CostModel,
-    ReviewState,
     add_rating,
     logistic,
     posterior,
@@ -15,7 +14,7 @@ from assortplan.demand import (
     utility,
 )
 from assortplan.revenue import AttentionSpanDist, resolve_inputs
-from assortplan.simulator import SimConfig, simulate
+from assortplan.simulator import SimConfig, simulate, trace_table
 
 
 def position_cost(position: int, model: CostModel) -> float:
@@ -100,7 +99,7 @@ class TestUpdateReviewState:
                         prior=BeliefPrior(0.0, 1.0, 1.0), slate=("X",))
         trace = simulate(Catalog((product,)), cfg)
         assert trace.summary.purchase_count == 0
-        assert trace.final_states["X"] == ReviewState(7, 4.2)
+        assert trace.summary.final_states["X"] == (7, 4.2)
 
     def test_running_mean_identity_property(self):
         rng = np.random.default_rng(11)
@@ -187,7 +186,9 @@ class TestPurchaseProb:
         cfg = SimConfig(horizon=200, seed=3, dist=AttentionSpanDist.deterministic(2),
                         prior=prior, cost=model, slate=("A", "Z"), freeze_beliefs=True)
         trace = simulate(catalog, cfg)
-        assert trace == simulate(Catalog((top, unpinned)), cfg)
+        unpinned_trace = simulate(Catalog((top, unpinned)), cfg)
+        assert trace_table(trace) == trace_table(unpinned_trace)
+        assert trace.summary == unpinned_trace.summary
         assert trace.summary.per_product_purchases.get("Z", 0) > 0
 
     def test_decreasing_in_price_and_position(self):

@@ -23,6 +23,7 @@ from assortplan.assortment import (
     RankingColumns,
     RankingPool,
     _exact_sum,
+    _scaled,
     _scaled_sum,
     run_iteration,
     two_stage_select,
@@ -445,3 +446,52 @@ def test_review_writes_move_sums_off_and_back_onto_the_int_path():
     columns.set_review_state(2, 0.0, 26)
     assert columns.sums[0] == 0
     assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
+
+
+# Writes that leave a sum undefined (NaN, |x| >= 2^974) or sit just inside it.
+CACHE_RATINGS = WRITE_RATINGS | st.sampled_from(
+    [math.nan, 2.0**974, -(2.0**974), math.nextafter(2.0**974, 0.0), -0.0]
+)
+
+
+def _alive_sum(pool: RankingPool, column: np.ndarray) -> int:
+    return _scaled_sum(column[pool.alive]) if pool.alive.any() else 0
+
+
+@given(catalogs(), st.data(), st.sampled_from(POLICIES))
+def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
+    # Any interleaving of writes and pool rounds: after each step the pool's
+    # sums are those of its alive rows (None only if undefined when it was
+    # built) and the columns' those of every row, and each cached scaled
+    # value is its row's current one.
+    columns = RankingColumns(catalog, policy)
+    ids = catalog.columns.ids
+    pool = undefined = None
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(["write", "write", "take", "take_id", "remove"]))
+        if step == "write":
+            row = data.draw(st.integers(0, len(ids) - 1))
+            at = columns.position[row]
+            if data.draw(st.booleans()):  # the row's own current state
+                mean, count = columns.rating.item(at), columns.reviews.item(at)
+            else:
+                mean, count = data.draw(CACHE_RATINGS), data.draw(WRITE_COUNTS)
+            columns.set_review_state(row, mean, count)
+            pool = None  # a pool reads the columns as they stood until this write
+        else:
+            if pool is None or not len(pool):
+                pool = RankingPool(columns)
+                undefined = [total is None for total in pool.sums]
+            if step == "remove":
+                pool.remove(data.draw(st.sampled_from(pool.ids[pool.alive].tolist())))
+            else:
+                try:
+                    pool.take() if step == "take" else pool.take_id()
+                except ValueError:  # a threshold sum that fsum cannot round
+                    pass
+            expected = [_alive_sum(pool, pool.rating), _alive_sum(pool, pool.weighted)]
+            assert pool.sums == [None if u else e for u, e in zip(undefined, expected)]
+        assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
+        for cache, column in zip(columns._scaled_values, (columns.rating, columns.weighted)):
+            for row, value in cache.items():
+                assert value == _scaled(column.item(columns.position[row]))

@@ -42,7 +42,7 @@ PMFS = st.sampled_from(
 def assert_matches_oracle(catalog: Catalog, cfg: SimConfig):
     engine, oracle = simulate(catalog, cfg), ref.simulate(catalog, cfg)
     assert trace_table(engine) == ref.trace_table(oracle)
-    assert engine.final_states == oracle.final_states
+    assert engine.summary.final_states == oracle.summary.final_states
     assert json.dumps(ref.summary_document(engine)) == json.dumps(ref.summary_document(oracle))
     # Same per-product counts in the same (first-purchase) order.
     per_product = engine.summary.per_product_purchases.items()
@@ -160,7 +160,7 @@ def test_summary_totals_match_the_oracle_loop(data):
     oracle = ref.summarize(
         ref.RecordTrace(
             records=trace.records,
-            final_states=trace.final_states,
+            final_states={pid: ref.ReviewState(*s) for pid, s in trace.summary.final_states.items()},
             prior=trace.prior,
             product_params={p.id: (p.price, p.revenue_share) for p in products},
         )
