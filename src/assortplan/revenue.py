@@ -231,6 +231,7 @@ class OptimizeResult:
     compare_value: float | None = None
     gap: float | None = None
     # Slates the walk approximated; the rest of `enumerated` were bounded out.
+    # 0 when `_sorted_slate` certified the result and no walk ran.
     scored: int | None = None
 
 
@@ -402,6 +403,120 @@ def _best_slate(
     return best_value, best_slate, scored, bounded
 
 
+def _sorted_slate(
+    ids: Sequence[str],
+    lam: list[list[float]],
+    prices: Sequence[float],
+    shares: Sequence[float],
+    dist: AttentionSpanDist,
+    depth: int,
+) -> tuple[float, tuple[str, ...]] | None:
+    """`_best_slate`'s (value, slate) without the walk, when it can be proven; else None.
+
+    Applies when demand is slot-independent (every row of ``lam`` equals
+    slot 1's), the span is one point y of mass 1.0, every lambda_i and
+    ``r_i = price_i * share_i`` is > 0 and finite, no two r are equal, and
+    ``4 * N * max r`` is finite, where N = min(depth, y).
+
+    Programme.  With the rows sorted by r descending, ``V[p][j] =
+    max(V[p+1][j], lam_p r_p + (1 - lam_p) V[p+1][j-1])`` is the most one
+    unit of no-purchase mass earns from at most j of rows p.. in that
+    order.  The path from (0, N) takes row p iff V[p][j] > V[p+1][j]; at
+    each of its cells, ``take`` and ``skip`` are the two branches.
+
+    Certificate.  ``gap`` is the least of ``mass * |take - skip|`` over the
+    path's cells, mass being the no-purchase mass before the cell, and of
+    ``before * lam_a * lam_b * (r_a - r_b)`` over adjacent rows (a, b) of
+    the slate S, before being the mass before a.  S is accepted iff ``gap >
+    (16N + 16) u V[0][N] + (N + 10)**2 * scale * 2**-1073``, with u =
+    2**-53 and scale as in `_best_slate`.
+
+    Proof that S is then the walk's answer.  In real arithmetic let W be
+    the optimum V[0][N] and G the gap of the real programme's path.
+    (1) Exchanging an adjacent pair (a, b) with r_a > r_b into r order
+        raises a slate's value by P lam_a lam_b (r_a - r_b) >= 0, P the
+        mass before the pair, and leaves every other term alone (criterion
+        06).  Bubble-sorting a slate T by r therefore never lowers its
+        value, and if sorted T is S != T, the last exchange turns S with
+        one adjacent pair reversed into S, so value(T) <= W - that pair's
+        swap term.
+    (2) A sorted T != S leaves S's path at a first cell with mass M, where
+        it takes what S skips or the reverse; the common rows earn the
+        same, so value(T) <= W - M |take - skip|.
+    So every slate T != S of at most N slots is worth at most W - G.  A
+    longer slate is longer than y (then N = y), scores exactly its
+    length-y prefix, and so either loses to S or ties S as S's extension
+    and loses on ids.
+    (3) Rounding, with the conventions of `_best_slate`'s proof: a slate's
+        exact score takes at most 3N + 1 roundings of nonnegative terms, so
+        |score - value| <= a value + theta, with a = (3N + 2) u and theta
+        = N (N + 5) / 2 * scale * 2**-1075, every underflowing product
+        being multiplied at most by a price and a share later.  A cell
+        V[p][j] <= W takes at most 3j roundings and its underflow meets no
+        price, so it lies within (3N + 1) u W + 4N 2**-1075 of its real
+        value; a computed mass lies within 2N roundings of its own.  As M
+        (take + skip) <= 2 W and before lam_a lam_b (r_a + r_b) <= 2
+        before lam_a r_a <= 2 W, each computed gap term lies within (8N +
+        5) u W + (10N + 1) scale 2**-1075 of its real value.  The
+        accepting comparison exceeds that error at every path cell, so
+        each computed take/skip decision has the real sign and the path is
+        the real programme's, and G > 2 a W + 2 theta: the tolerance's
+        constants cover this with V[0][N] >= (1 - (3N + 2) u) W - 4N
+        2**-1075, the two roundings of the bound, and its own underflow.
+        Then score(S) >= (1 - a) W - theta > (1 + a)(W - G) + theta >=
+        score(T) for every T != S: S alone scores highest.
+    (4) Nothing overflows: every term and cell is at most max r (1 +
+        u)**(4N), and every running sum at most 2N max r.
+    So S and its exact score are the walk's result.
+    """
+    chance = lam[0]
+    if len(dist.pmf) != 1 or dist.pmf[0][1] != 1.0:
+        return None
+    if any(row != chance for row in lam[1:]) or not all(x > 0 for x in chance):
+        return None
+    per_sale = [p * w for p, w in zip(prices, shares)]
+    cap = min(depth, dist.max_span)
+    if not all(0 < r < math.inf for r in per_sale) or not max(per_sale) * (4 * cap) < math.inf:
+        return None
+    order = sorted(range(len(ids)), key=per_sale.__getitem__, reverse=True)
+    r = [per_sale[i] for i in order]
+    if any(a == b for a, b in zip(r, r[1:])):
+        return None
+    c = [chance[i] for i in order]
+    gain = [ci * ri for ci, ri in zip(c, r)]
+    keep = [1.0 - ci for ci in c]
+    value = [[0.0] * (cap + 1)]
+    for p in range(len(order) - 1, -1, -1):
+        below = value[-1]
+        value.append([0.0] + [max(below[j], gain[p] + keep[p] * below[j - 1]) for j in range(1, cap + 1)])
+    value.reverse()
+
+    slate: list[int] = []
+    mass = before = 1.0
+    gap = math.inf
+    j = cap
+    for p in range(len(order)):
+        if j == 0:
+            break
+        skip = value[p + 1][j]
+        take = gain[p] + keep[p] * value[p + 1][j - 1]
+        gap = min(gap, mass * abs(take - skip))
+        if value[p][j] > skip:
+            if slate:
+                q = slate[-1]
+                gap = min(gap, before * c[q] * c[p] * (r[q] - r[p]))
+            slate.append(p)
+            before, mass = mass, mass * keep[p]
+            j -= 1
+    scale = max(1.0, max(prices)) * max(1.0, max(shares))
+    tolerance = (16 * cap + 16) * 2.0**-53 * value[0][cap] + (cap + 10) ** 2 * 2.0**-1073 * scale
+    if not gap > tolerance:
+        return None
+    rows = [order[p] for p in slate]
+    terms = _slot_revenues([chance[i] for i in rows], [prices[i] for i in rows], [shares[i] for i in rows])
+    return _mixture_value(terms, dist), tuple(ids[i] for i in rows)
+
+
 def enumeration_count(universe: int, slot_count: int) -> int:
     """Number of nonempty ordered slates of at most slot_count products."""
     return sum(math.perm(universe, m) for m in range(1, min(slot_count, universe) + 1))
@@ -426,10 +541,13 @@ def brute_force_optimize(
     alone decides.  The walk skips every subtree whose proven upper bound
     lies below the best found so far, and counts its slates instead, so
     ``enumerated`` is still every slate and ``scored`` those it walked.
-    Negative prices or shares, and purchase probabilities outside [0, 1],
-    are refused: the bounds hold for nonnegative cascade terms only.  So
-    are catalogs that list an id twice.  Refuses universes beyond the guard
-    limits rather than truncating silently.
+    Under slot-independent demand and a point span, `_sorted_slate` first
+    tries to prove the walk's answer from the price * share order; when it
+    can, no walk runs and ``scored`` is 0.  Negative prices or shares, and
+    purchase probabilities outside [0, 1], are refused: the bounds hold for
+    nonnegative cascade terms only.  So are catalogs that list an id twice.
+    Refuses universes beyond the guard limits rather than truncating
+    silently.
     """
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
@@ -466,8 +584,12 @@ def brute_force_optimize(
                     f"product {pid!r}: purchase probability {row[i]} at slot {slot} outside [0, 1]"
                 )
 
-    best_value, best_slate, scored, bounded = _best_slate(ids, lam, prices, shares, dist, depth)
-    assert scored + bounded == count, (scored, bounded, count)
+    certified = _sorted_slate(ids, lam, prices, shares, dist, depth)
+    if certified is not None:
+        (best_value, best_slate), scored = certified, 0
+    else:
+        best_value, best_slate, scored, bounded = _best_slate(ids, lam, prices, shares, dist, depth)
+        assert scored + bounded == count, (scored, bounded, count)
 
     compare_value = None
     gap = None
@@ -478,7 +600,7 @@ def brute_force_optimize(
     return OptimizeResult(
         slate=best_slate,
         value=best_value,
-        enumerated=scored + bounded,
+        enumerated=count,
         compare_value=compare_value,
         gap=gap,
         scored=scored,

@@ -10,6 +10,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assortplan.assortment import two_stage_select
 from assortplan.catalog import BeliefPrior, Catalog, Product
@@ -155,6 +156,44 @@ def test_criterion_06_swap_delta_and_sort_optimality():
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0
     print(f"  swap-delta and permutation sweeps in {elapsed:.2f}s")
+
+
+# One product's (demand, price, share); pinned demand is slot-independent.
+SLOT_ITEMS = st.tuples(
+    st.sampled_from([1.0, 0.5]) | st.floats(0.001, 1.0),
+    st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 100.0),
+    st.sampled_from([1.0, 0.5]) | st.floats(0.05, 1.0),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(SLOT_ITEMS, min_size=2, max_size=6), st.data())
+def test_criterion_06_as_a_property(items, data):
+    """Criterion 06 under hypothesis: slot-independent demand, a point span covering the slate.
+
+    Exchanging slots i and i+1 changes the value by exactly prefix_i *
+    lam_i * lam_{i+1} * (r_{i+1} - r_i) in real arithmetic, r = price *
+    share, and leaves every other term alone; so no order of a set of
+    products beats the one sorted by r descending.  The float sides agree
+    to a few ulps of the values involved (every term is >= 0), or to a few
+    subnormals when a term underflows.
+    """
+    span = data.draw(st.integers(len(items), len(items) + 2))
+
+    def value(order) -> float:
+        return expected_revenue_fixed(make_inputs(*(list(t) for t in zip(*order))), span)
+
+    i = data.draw(st.integers(0, len(items) - 2))
+    swapped = [*items[:i], items[i + 1], items[i], *items[i + 2 :]]
+    before, after = value(items), value(swapped)
+    (lam_a, price_a, share_a), (lam_b, price_b, share_b) = items[i], items[i + 1]
+    prefix = math.prod(1.0 - lam for lam, _, _ in items[:i])
+    closed = prefix * lam_a * lam_b * (price_b * share_b - price_a * share_a)
+    assert abs((after - before) - closed) <= 1e-13 * (before + after) + 1e-300
+
+    best = max(value(order) for order in permutations(items))
+    ordered = sorted(items, key=lambda t: t[1] * t[2], reverse=True)
+    assert value(ordered) >= best * (1.0 - 1e-13)
 
 
 def test_criterion_07_revenue_share_independence():

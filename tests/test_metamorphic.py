@@ -13,6 +13,19 @@ catalog in a way whose effect is known and checks that the outputs follow:
   and underflow).  Under pinned demand every revenue term scales by 2^j,
   so ``optimize``'s slate stays and its values, and the audit's
   expected revenues and order-violation deltas, scale by exactly 2^j.
+- Monotonicity: ``optimize``'s value does not fall when a slot or a
+  product is added, and under pinned demand ``expected-revenue`` does not
+  fall when one price rises.  Both hold exactly in floats.  The optimum is
+  the largest exact score over the candidate slates; demand depends on
+  (product, slot) alone, so every old candidate keeps its inputs and its
+  score bits, and a larger set of candidates cannot have a smaller
+  maximum.  The sorted path returns the walk's exact answer, so it does
+  not matter which path each side takes (adding a twin moves a pinned,
+  point-span request from the sorted path to the walk).  A price enters a
+  slate's score only through its own term prefix * lambda * price * share,
+  whose factors are all >= 0; rounding is monotone, so that term, every
+  running sum after it and the correctly rounded ``fsum`` of the span
+  mixture (all terms >= 0) cannot fall when the price rises.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import re
 
 import pytest
@@ -227,3 +241,50 @@ def test_power_of_two_prices_scale_audit_deltas(catalog, data):
         for slot, (detail, delta) in order_deltas(findings, displayed, scaled_revenues).items():
             assert delta == deltas[slot][1] * 2.0**j
             assert detail.endswith(f"by {delta:.6g}")
+
+
+POINT_SPANS = st.sampled_from(["y=1", "y=2", "y=3", "y=5"])
+
+
+@settings(max_examples=40)
+@given(st.booleans(), st.data())
+def test_optimize_value_does_not_fall_with_a_slot_or_a_product(work, pinned, data):
+    catalog = data.draw(catalogs(pinned=pinned))
+    slots = data.draw(st.integers(1, min(4, catalog.universe_size)))
+    # Point spans and a zero cost slope make demand slot-independent, the
+    # sorted path's domain; the rest are the walk's alone.
+    argv = ["--span", data.draw(st.one_of(POINT_SPANS, POINT_SPANS, SPANS))]
+    if not pinned:
+        argv += ["--prior", "3,1,1", "--cost-slope", data.draw(st.sampled_from(["0", "0", "0.1"]))]
+    base = optimized(write(work, "base.json", catalog), ["--slots", str(slots), *argv])
+    wider = optimized(write(work, "base.json", catalog), ["--slots", str(slots + 1), *argv])
+    assert wider["value"] >= base["value"]
+    # A fresh product, or a twin of a listed one under a new id.
+    twin = data.draw(st.sampled_from(catalog.products))
+    fresh = data.draw(catalogs(pinned=pinned)).products[0]
+    added = dataclasses.replace(data.draw(st.sampled_from([twin, fresh])), id="Z")
+    grown = Catalog((*catalog.products, added))
+    more = optimized(write(work, "grown.json", grown), ["--slots", str(slots), *argv])
+    assert more["value"] >= base["value"]
+
+
+def revenue_of(path: str, slate: list[str], span: str) -> float:
+    code, out = run(["expected-revenue", "--catalog", path, "--slate", ",".join(slate),
+                     "--span", span, "--format", "structured"])
+    assert code == 0
+    return json.loads(out)["expected_revenue"]
+
+
+@settings(max_examples=40)
+@given(catalogs(pinned=True), st.data())
+def test_expected_revenue_does_not_fall_when_a_price_rises(work, catalog, data):
+    ids = [p.id for p in catalog.products]
+    slate, span = data.draw(slates(ids, 5)), data.draw(SPANS | POINT_SPANS)
+    base = revenue_of(write(work, "base.json", catalog), slate, span)
+    pid = data.draw(st.sampled_from(ids))
+    rise = data.draw(st.sampled_from([math.ulp(1.0), 0.5, 3.0]) | st.floats(0.0, 10.0))
+    raised = Catalog(
+        dataclasses.replace(p, price=p.price * (1.0 + rise)) if p.id == pid else p
+        for p in catalog.products
+    )
+    assert revenue_of(write(work, "raised.json", raised), slate, span) >= base

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_oracle as ref
 from assortplan import revenue
@@ -54,6 +54,16 @@ def assert_matches_oracle(catalog: Catalog, slots: int, dist: AttentionSpanDist,
     assert engine.enumerated == oracle.enumerated == enumeration_count(len(catalog.products), slots)
     assert engine_warnings == oracle_warnings
     return engine
+
+
+def _walk(catalog: Catalog, slots: int, dist: AttentionSpanDist, prior=None, cost=None) -> tuple:
+    """``revenue._best_slate`` on brute_force_optimize's inputs: the walk, whether or not
+    the sorted path would certify them.  Returns (value, slate, scored, bounded)."""
+    columns = catalog.columns
+    depth = min(slots, catalog.universe_size)
+    lam = revenue._lambda_table(catalog, depth, prior, cost or CostModel())
+    prices, shares = columns.price.tolist(), columns.share.tolist()
+    return revenue._best_slate(columns.ids, lam, prices, shares, dist, depth)
 
 
 @st.composite
@@ -208,7 +218,15 @@ def test_benchmark_sized_random_catalogs():
             for i in rng.permutation(size)
         )
         result = assert_matches_oracle(Catalog(products), 5, dist, prior=prior, cost=CostModel(0.2))
-        assert 0 < result.scored < result.enumerated
+        if size == 10 and dist.kind == "deterministic":
+            # Pinned demand and a point span: the sorted path certifies the
+            # result, so the walk is run on the same inputs by itself.
+            assert result.scored == 0
+            value, slate, scored, bounded = _walk(Catalog(products), 5, dist)
+            assert (slate, value.hex()) == (result.slate, result.value.hex())
+            assert 0 < scored < scored + bounded == result.enumerated
+        else:
+            assert 0 < result.scored < result.enumerated
 
 
 def test_utility_scale_warnings_match_oracle_order():
@@ -247,11 +265,141 @@ def test_memory_does_not_grow_with_slate_count():
     catalog = _pinned(
         *((f"P{i:02d}", float(rng.uniform(1.0, 100.0)), float(rng.uniform(0.01, 0.99))) for i in range(12))
     )
+    dist = AttentionSpanDist.deterministic(6)
     tracemalloc.start()
     try:
-        result = brute_force_optimize(catalog, 6, AttentionSpanDist.deterministic(6))
+        result = brute_force_optimize(catalog, 6, dist)
         _, peak = tracemalloc.get_traced_memory()
+        # The sorted path certifies these inputs; the walk must stay small too.
+        tracemalloc.reset_peak()
+        value, slate, scored, bounded = _walk(catalog, 6, dist)
+        _, walk_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.enumerated == enumeration_count(12, 6)
+    assert result.enumerated == enumeration_count(12, 6) == scored + bounded
+    assert result.scored == 0
+    assert (slate, value.hex()) == (result.slate, result.value.hex())
     assert peak < 16 * 2**20
+    assert walk_peak < 16 * 2**20
+
+
+# The sorted path (revenue._sorted_slate): slot-independent demand and a point span.
+SORTED_PRICES = st.one_of(
+    st.floats(0.01, 100.0),
+    st.floats(0.01, 100.0),
+    st.sampled_from([0.0, math.inf, 5e-324, 2.5e-310, 1e-300, 1.0, 2.5, 10.0]),
+)
+SORTED_DEMANDS = st.sampled_from([1.0, 0.999, 0.5, 0.2]) | st.floats(0.001, 1.0)
+SHARES = st.sampled_from([1.0, 0.5]) | st.floats(0.05, 1.0)
+
+
+@st.composite
+def sorted_path_problems(draw) -> tuple:
+    """Pinned or zero-cost logit demand (or both) and a point span.
+
+    Each product after the first may copy an earlier one (a twin, under
+    another id), share its r = price * share with other demand (price
+    doubled, share halved), or sit one ulp of price above it.  Prices
+    include 0, infinity and subnormals, and pinned demand includes 1.
+    """
+    size = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.text("ABCab", min_size=1, max_size=2), min_size=size, max_size=size, unique=True))
+    logit = draw(st.sampled_from(["none", "none", "some", "all"]))
+    products: list[Product] = []
+    for pid in ids:
+        kind = draw(st.sampled_from([*["fresh"] * 4, "twin", "same-r", "ulp"])) if products else "fresh"
+        base = draw(st.sampled_from(products)) if products else None
+        price, share = draw(SORTED_PRICES), draw(SHARES)
+        if kind == "twin":
+            products.append(Product(**{**vars(base), "id": pid}))
+            continue
+        if kind == "same-r":
+            price, share = base.price * 2.0, base.revenue_share / 2.0
+        elif kind == "ulp":
+            price, share = math.nextafter(base.price, math.inf), base.revenue_share
+        pinned = logit == "none" or (logit == "some" and draw(st.booleans()))
+        products.append(
+            Product(
+                id=pid,
+                price=price,
+                review_count=draw(st.integers(0, 50)),
+                avg_rating=draw(st.floats(0.0, 5.0)),
+                revenue_share=share,
+                demand_override=draw(SORTED_DEMANDS) if pinned else None,
+            )
+        )
+    kwargs = {"omega": draw(st.none() | st.sampled_from([1.0, 0.3]))}
+    if logit != "none":
+        kwargs["prior"] = BeliefPrior(draw(st.floats(-2.0, 6.0)), 1.0, 4.0)
+        kwargs["cost"] = CostModel(0.0)
+    dist = AttentionSpanDist.deterministic(draw(st.integers(1, 7)))
+    return Catalog(tuple(products)), draw(st.integers(1, 6)), dist, kwargs
+
+
+def _point(catalog: Catalog, slots: int) -> tuple:
+    return catalog, slots, AttentionSpanDist.deterministic(slots), {"omega": None}
+
+
+# B's price is one ulp above A's: the DP sorts (B, A), but both orders
+# score the same bits, so the walk returns (A, B); only the swap term,
+# 0.25 * (r_B - r_A), tells the certificate so.
+@example(_point(_pinned(("A", 3.3, 0.5), ("B", math.nextafter(3.3, math.inf), 0.5)), 2))
+# A subnormal price: AA's term (about 2.5e-313) vanishes when added to A's
+# 0.999, so (A,) and (A, AA) score the same bits and the shorter wins; a
+# certificate with no rounding tolerance certifies (A, AA).
+@example(_point(_pinned(("A", 1.0, 0.999), ("AA", 2.5e-310, 1.0)), 2))
+# The optimum skips the larger r: the path takes a row only on a strict rise.
+@example(_point(_pinned(("A", 10.0, 0.01), ("B", 5.0, 0.9)), 1))
+# Shared r: the walk decides, though the unique best (B,) has its own r.
+@example(_point(_pinned(("A", 1.0, 1.0), ("B", 2.0, 1.0), ("AA", 1.0, 1.0)), 1))
+@settings(max_examples=200)
+@given(sorted_path_problems())
+def test_sorted_path_matches_oracle(problem):
+    catalog, slots, dist, kwargs = problem
+    engine = assert_matches_oracle(catalog, slots, dist, **kwargs)
+    omega = kwargs["omega"]
+    r = [p.price * (omega if omega is not None else p.revenue_share) for p in catalog.products]
+    if len(set(r)) < len(r) or not all(0 < x < math.inf for x in r):
+        # Tied (or zero, or infinite) sort keys: the walk decides.
+        assert engine.scored > 0
+
+
+def test_sorted_path_falls_back_on_exact_ties():
+    # Twins: (A, B) and (B, A) tie exactly, and so do (A,) and (B,).
+    twins = _pinned(("B", 10.0, 0.5), ("A", 10.0, 0.5), ("C", 4.0, 0.5))
+    for slots, slate in ((2, ("A", "B")), (1, ("A",))):
+        result = assert_matches_oracle(twins, slots, AttentionSpanDist.deterministic(slots))
+        assert result.slate == slate
+        assert result.scored > 0
+    # A sure sale (lambda 1) first: every extension ties with it.
+    sure = _pinned(("X", 10.0, 1.0), ("Y", 5.0, 0.5))
+    result = assert_matches_oracle(sure, 2, AttentionSpanDist.deterministic(2))
+    assert result.slate == ("X",)
+    assert result.scored > 0
+
+
+def test_benchmark_shaped_pinned_catalogs_certify():
+    # The benchmark's pinned requests: n=10, 5 slots, a span of 5, prices and
+    # demand rounded as perfbench generates them.  Every one is proven by the
+    # sorted path and agrees with the walk run by itself.
+    rng = np.random.default_rng(16)
+    dist = AttentionSpanDist.deterministic(5)
+    for _ in range(20):
+        catalog = Catalog(
+            tuple(
+                Product(
+                    id=f"P{i:05d}",
+                    price=round(float(rng.uniform(1.0, 6.0)), 2),
+                    review_count=1,
+                    avg_rating=1.0,
+                    revenue_share=round(float(rng.uniform(0.5, 1.0)), 3),
+                    demand_override=round(float(rng.uniform(0.05, 0.9)), 3),
+                )
+                for i in range(10)
+            )
+        )
+        result = brute_force_optimize(catalog, 5, dist)
+        value, slate, scored, bounded = _walk(catalog, 5, dist)
+        assert result.scored == 0
+        assert (result.slate, result.value.hex()) == (slate, value.hex())
+        assert result.enumerated == scored + bounded == enumeration_count(10, 5)
