@@ -1,6 +1,6 @@
 """Replayable mutants: each entry breaks one snippet of ``src/`` and names the tests that catch it.
 
-Run from anywhere (it takes minutes, so it is not part of the tier-1 suite):
+Run from anywhere (a few seconds per entry; it is not part of the tier-1 suite):
 
     python tests/mutants.py            # every entry
     python tests/mutants.py NAME ...   # only the named entries
