@@ -253,6 +253,7 @@ class RankingPool:
         self.policy = columns.policy
         self.ids, self.rating, self.reviews = columns.ids, columns.rating, columns.reviews
         self.price, self.price_desc_rank = columns.price, columns.price_desc_rank
+        self.position = columns.position
         self.weighted, self.price_weighted = columns.weighted, columns.price_weighted
         self.alive = np.ones(len(self.ids), dtype=bool)
         self._scaled = columns.scaled
@@ -274,10 +275,11 @@ class RankingPool:
         # An exact zero goes to fsum for its sign, as in _exact_sum.
         return total / _SCALE if total else _exact_sum(column[live])
 
-    def remove(self, product_id: str) -> None:
-        """Drop a product from the pool without running a round."""
-        for row in np.flatnonzero(self.alive & (self.ids == product_id)).tolist():
-            self._drop(row)
+    def remove(self, row: int) -> None:
+        """Drop catalog row ``row`` from the pool without running a round (if it is still in)."""
+        at = self.position.item(row)
+        if self.alive.item(at):
+            self._drop(at)
 
     def _select(self) -> tuple:
         """One round: its cutoffs, shortlist, ordered passers and pick, as columns."""

@@ -171,7 +171,13 @@ class Catalog:
 
     @cached_property
     def columns(self) -> CatalogColumns:
-        return CatalogColumns.from_products(self.products)
+        """Refuses an id listed twice: every engine operation reads the columns first."""
+        columns = CatalogColumns.from_products(self.products)
+        last = {pid: row for row, pid in enumerate(columns.ids)}
+        if len(last) != self.universe_size:
+            pid = next(pid for row, pid in enumerate(columns.ids) if last[pid] != row)
+            raise ValueError(f"catalog lists product id {pid!r} more than once")
+        return columns
 
     @cached_property
     def by_id(self) -> dict[str, Product]:
@@ -182,17 +188,11 @@ class Catalog:
         return {product_id: row for row, product_id in enumerate(self.columns.ids)}
 
     def row(self, product_id: str) -> int:
-        """The product's row in ``columns`` (the last one, should an id repeat)."""
+        """The product's row in ``columns``."""
         try:
             return self._rows[product_id]
         except KeyError:
             raise KeyError(f"unknown product id {product_id!r}") from None
-
-    def require_unique_ids(self) -> None:
-        """Raise ValueError naming the first id the catalog lists more than once."""
-        if len(self._rows) != self.universe_size:
-            pid = next(pid for row, pid in enumerate(self.columns.ids) if self._rows[pid] != row)
-            raise ValueError(f"catalog lists product id {pid!r} more than once")
 
     def get(self, product_id: str) -> Product:
         if "products" in self.__dict__:
@@ -415,11 +415,9 @@ def load_catalog(source: bytes | str) -> Catalog:
     The products are checked as columns; the returned catalog builds its
     ``Product`` objects only when they are asked for.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogError(f"malformed catalog document: {exc}") from exc
     except RecursionError:
         raise CatalogError("malformed catalog document: nested too deeply") from None

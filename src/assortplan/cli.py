@@ -14,8 +14,8 @@ simulate config is a JSON document: ``horizon``, ``seed``, ``span``, and
 ``prior`` {mean, prior_var, noise_var} are required; choose a display
 policy via ``slate`` (id array) or ``rerank_every`` plus ``slot_count``;
 optional ``cost_slope``, ``policy``, ``freeze_beliefs``, ``clamp_ratings``;
-any other key, here or in ``prior``, is refused.  Warnings print as one
-``warning: <message>`` line each.
+any other key, here or in ``prior``, is refused.  Each distinct warning
+prints once per request, as one ``warning: <message>`` line.
 Simulate writes ``trace.tsv`` (tab-separated, one line per customer) and
 ``summary.json`` into the output directory.
 """
@@ -238,20 +238,18 @@ def _cmd_expected_revenue(args) -> int:
     dist = parse_span_spec(args.span)
     omega = parse_omega_spec(args.omega) if args.omega else None
     inputs = resolve_inputs(catalog, slate, omega=omega, **_demand_args(args))
-    evaluation = evaluate_slate(inputs, dist)
+    per_slot, no_purchase, value = evaluate_slate(inputs, dist)
     config = {"slate": slate, "span": args.span, "omega": args.omega}
     manifest = _manifest("expected-revenue", config, digest)
     body = {
-        "expected_revenue": evaluation.expected_revenue,
-        "per_slot_purchase_prob": list(evaluation.per_slot_purchase_prob),
-        "no_purchase_prob": evaluation.no_purchase_prob,
+        "expected_revenue": value,
+        "per_slot_purchase_prob": list(per_slot),
+        "no_purchase_prob": no_purchase,
     }
-    lines = [f"expected_revenue {_fmt(evaluation.expected_revenue)}"]
-    for slot, (pid, prob) in enumerate(
-        zip(slate, evaluation.per_slot_purchase_prob), start=1
-    ):
+    lines = [f"expected_revenue {_fmt(value)}"]
+    for slot, (pid, prob) in enumerate(zip(slate, per_slot), start=1):
         lines.append(f"slot {slot} {pid} purchase_prob {_fmt(prob)}")
-    lines.append(f"no_purchase {_fmt(evaluation.no_purchase_prob)}")
+    lines.append(f"no_purchase {_fmt(no_purchase)}")
     _emit(args, manifest, body, lines)
     return EXIT_OK
 
@@ -348,7 +346,7 @@ def _config_list(
 def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed simulation config: {exc}") from exc
     except RecursionError:
         raise ValueError("malformed simulation config: nested too deeply") from None
@@ -490,8 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():  # one line per warning, naming no source file
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        # Each distinct warning prints once per request, as one line naming no source file.
+        with warnings.catch_warnings():
+            once = functools.cache(lambda line: print(line, file=sys.stderr))
+            warnings.showwarning = lambda message, *_: once(f"warning: {message}")
             return args.func(args)
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -505,7 +505,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return EXIT_INPUT
     except (CatalogError, ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # A KeyError's str() quotes its message; a UnicodeError's first argument is its codec.
+        message = exc.args[0] if exc.args and not isinstance(exc, UnicodeError) else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -49,8 +49,6 @@ class SwapAnalysis:
 
     prob_before: float | None
     prob_after: float | None
-    downstream_before: tuple[float, ...]
-    downstream_after: tuple[float, ...]
     revenue_before: float
     revenue_after: float
     middle_term_before: float
@@ -92,16 +90,14 @@ def substitution_effect(
     swapped[slot - 1] = replacement
     after = resolve_inputs(catalog, swapped, prior=prior, cost=cost, omega=omega)
 
-    downstream_before = cascade_probs(before.lambdas).per_slot[slot:]
-    downstream_after = cascade_probs(after.lambdas).per_slot[slot:]
+    per_slot_before = cascade_probs(before.lambdas)[0]
+    per_slot_after = cascade_probs(after.lambdas)[0]
     revenue_before = expected_revenue(before, dist)
     revenue_after = expected_revenue(after, dist)
     idx = slot - 1
     return SwapAnalysis(
-        prob_before=downstream_before[0] if downstream_before else None,
-        prob_after=downstream_after[0] if downstream_after else None,
-        downstream_before=downstream_before,
-        downstream_after=downstream_after,
+        prob_before=per_slot_before[slot] if slot < len(slate) else None,
+        prob_after=per_slot_after[slot] if slot < len(slate) else None,
         revenue_before=revenue_before,
         revenue_after=revenue_after,
         middle_term_before=before.lambdas[idx] * before.prices[idx] * before.omegas[idx],
@@ -148,8 +144,7 @@ def audit_ranking(
     displayed = list(displayed)
     if len(set(displayed)) != len(displayed):
         raise ValueError(f"displayed slate contains duplicate ids: {displayed}")
-    for pid in displayed:
-        catalog.row(pid)
+    rows = [catalog.row(pid) for pid in displayed]
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
 
@@ -160,9 +155,9 @@ def audit_ranking(
     reviews = catalog.columns.reviews
     columns = RankingColumns(catalog, policy)
     replay = RankingPool(columns)
-    for slot, pid in enumerate(displayed, start=1):
+    for slot, (pid, row) in enumerate(zip(displayed, rows), start=1):
         record = replay.peek()
-        review_count = reviews.item(catalog.row(pid))
+        review_count = reviews.item(row)
         # Stage 2 is checked only for a product that clears a defined stage 1.
         for kind, stage, cutoff, pool in (
             (KIND_BELOW_STAGE1, 1, record.stage1_threshold, record.stage1_order),
@@ -177,7 +172,7 @@ def audit_ranking(
                 )
                 findings.append(AuditFinding(slot, pid, kind, detail))
                 break
-        replay.remove(pid)
+        replay.remove(row)
 
     # The compliant order, placed only as far as the audit reads it: its
     # first slot_count picks are the compliant slate, and only the relative

@@ -66,7 +66,12 @@ class AttentionSpanDist:
     def from_pmf(
         cls, entries: Mapping[int, float] | Iterable[tuple[int, float]]
     ) -> "AttentionSpanDist":
-        items = sorted(dict(entries).items())
+        pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
+        items = sorted(dict(pairs).items())
+        if len(items) < len(pairs):  # pairs, unlike a mapping, can repeat a span
+            spans = [span for span, _ in pairs]
+            repeated = next(span for i, span in enumerate(spans) if span in spans[:i])
+            raise ValueError(f"repeated span {repeated!r} in span pmf")
         if not items:
             raise ValueError("span pmf is empty")
         total = 0.0
@@ -97,21 +102,6 @@ class SlateInputs:
     lambdas: tuple[float, ...]
     prices: tuple[float, ...]
     omegas: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CascadeProbs:
-    """Unconditional slot purchase probabilities and the no-purchase mass."""
-
-    per_slot: tuple[float, ...]
-    no_purchase: float
-
-
-@dataclass(frozen=True)
-class SlateEvaluation:
-    per_slot_purchase_prob: tuple[float, ...]
-    no_purchase_prob: float
-    expected_revenue: float
 
 
 def resolve_inputs(
@@ -163,8 +153,8 @@ def _slot_revenues(
     return [pre * lam * price * w for pre, lam, price, w in zip(prefix, lambdas, prices, omegas)]
 
 
-def cascade_probs(lambdas: Sequence[float]) -> CascadeProbs:
-    """Slot-level purchase split under sequential browsing.
+def cascade_probs(lambdas: Sequence[float]) -> tuple[tuple[float, ...], float]:
+    """Slot-level purchase split under sequential browsing: (per slot, no purchase).
 
     Slot k receives prefix * lambda_k where prefix is the probability that
     every earlier slot was rejected; the leftover prefix is the no-purchase
@@ -174,7 +164,7 @@ def cascade_probs(lambdas: Sequence[float]) -> CascadeProbs:
         if not 0 < lam < 1:
             raise ValueError(f"purchase probability must lie in (0, 1), got {lam}")
     prefix = _cascade_prefix(lambdas)
-    return CascadeProbs(tuple([pre * lam for pre, lam in zip(prefix, lambdas)]), prefix[-1])
+    return tuple([pre * lam for pre, lam in zip(prefix, lambdas)]), prefix[-1]
 
 
 def _mixture_value(terms: Sequence[float], dist: AttentionSpanDist) -> float:
@@ -213,14 +203,11 @@ def expected_revenue(inputs: SlateInputs, dist: AttentionSpanDist) -> float:
     return direct
 
 
-def evaluate_slate(inputs: SlateInputs, dist: AttentionSpanDist) -> SlateEvaluation:
-    """Bundle the cascade split with the span-weighted expected revenue."""
-    probs = cascade_probs(inputs.lambdas)
-    return SlateEvaluation(
-        per_slot_purchase_prob=probs.per_slot,
-        no_purchase_prob=probs.no_purchase,
-        expected_revenue=expected_revenue(inputs, dist),
-    )
+def evaluate_slate(
+    inputs: SlateInputs, dist: AttentionSpanDist
+) -> tuple[tuple[float, ...], float, float]:
+    """The cascade split and the span-weighted expected revenue: (per slot, no purchase, value)."""
+    return *cascade_probs(inputs.lambdas), expected_revenue(inputs, dist)
 
 
 @dataclass(frozen=True)
@@ -334,9 +321,7 @@ def _best_slate(
     tail = [dist.tail(m) for m in range(depth + 1)]
     reach = min(depth, dist.max_span)
     # below[m]: the extensions of one slate of length m, up to length depth.
-    below = [
-        sum(math.perm(count - m, j) for j in range(1, depth - m + 1)) for m in range(depth + 1)
-    ]
+    below = [enumeration_count(count - m, depth - m) for m in range(depth + 1)]
     per_sale = price * share
     unit = np.zeros(reach + 1)
     for t in range(reach - 1, -1, -1):
@@ -553,7 +538,7 @@ def brute_force_optimize(
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
     if not catalog.universe_size:
         raise ValueError("catalog is empty")
-    catalog.require_unique_ids()
+    columns = catalog.columns
     size = catalog.universe_size
     count = enumeration_count(size, slot_count)
     if size > MAX_UNIVERSE or slot_count > MAX_SLOTS or count > ENUMERATION_LIMIT:
@@ -566,7 +551,6 @@ def brute_force_optimize(
         )
 
     cost = cost if cost is not None else CostModel()
-    columns = catalog.columns
     ids = columns.ids
     depth = min(slot_count, size)
     lam = _lambda_table(catalog, depth, prior, cost)

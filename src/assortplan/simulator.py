@@ -184,7 +184,7 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
             raise ValueError(f"clamp_ratings bounds must be numbers, got NaN: {cfg.clamp_ratings}")
         if cfg.clamp_ratings[0] > cfg.clamp_ratings[1]:
             raise ValueError(f"clamp_ratings bounds out of order: {cfg.clamp_ratings}")
-    catalog.require_unique_ids()
+    columns = catalog.columns
     if cfg.slate is not None:
         if not cfg.slate:
             raise ValueError("fixed slate is empty")
@@ -194,7 +194,6 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
     else:
         reachable = np.arange(catalog.universe_size)
     if not cfg.freeze_beliefs:
-        columns = catalog.columns
         unrated = (columns.demand[reachable] == 0) & (
             np.isnan(columns.true_quality[reachable]) | np.isnan(columns.rating_noise[reachable])
         )

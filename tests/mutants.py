@@ -75,6 +75,37 @@ MUTANTS = (
         "tolerance = 0.0",
         (SORTED_ORACLE,),
     ),
+    Mutant(
+        "columns-accept-repeated-ids",
+        "catalog.py",
+        "if len(last) != self.universe_size:",
+        "if False:",
+        (
+            "tests/test_catalog.py::TestRepeatedIds::test_every_engine_entry_point_refuses_it",
+            "tests/test_catalog.py::TestRepeatedIds::test_the_first_id_listed_twice_is_named",
+        ),
+    ),
+    Mutant(
+        "pool-remove-drops-a-taken-row-again",
+        "assortment.py",
+        "if self.alive.item(at):",
+        "if True:",
+        ("tests/test_ranker_oracle.py::test_record_free_picks_and_removals_keep_the_pool_in_step",),
+    ),
+    Mutant(
+        "walk-counts-one-slot-too-deep",
+        "revenue.py",
+        "enumeration_count(count - m, depth - m)",
+        "enumeration_count(count - m, depth - m + 1)",
+        ("tests/test_optimize_oracle.py::test_engine_matches_oracle",),
+    ),
+    Mutant(
+        "live-run-needs-rating-parameters-off-the-slate",
+        "simulator.py",
+        "reachable = np.array([catalog.row(pid) for pid in cfg.slate], dtype=np.intp)",
+        "reachable = np.arange(catalog.universe_size)",
+        ("tests/test_metamorphic.py::test_products_outside_a_fixed_slate_change_no_simulation",),
+    ),
 )
 
 

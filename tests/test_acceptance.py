@@ -67,8 +67,8 @@ def test_criterion_02_third_slot_cascade_probabilities(demo):
     with criterion(2, "third-slot cascade probabilities"):
         quality_order = resolve_inputs(demo, ["A", "B", "F"], omega=1.0)
         substituted = resolve_inputs(demo, ["A", "D", "F"], omega=1.0)
-        prob_abf = cascade_probs(quality_order.lambdas).per_slot[2]
-        prob_adf = cascade_probs(substituted.lambdas).per_slot[2]
+        prob_abf = cascade_probs(quality_order.lambdas)[0][2]
+        prob_adf = cascade_probs(substituted.lambdas)[0][2]
         assert abs(prob_abf - 0.005625) <= 1e-12
         assert abs(prob_adf - 0.03375) <= 1e-12
 
@@ -92,8 +92,8 @@ def test_criterion_04_cascade_normalization():
         rng = np.random.default_rng(404)
         for _ in range(10_000):
             lambdas = rng.uniform(0.001, 0.999, size=int(rng.integers(1, 9)))
-            probs = cascade_probs(list(lambdas))
-            total = math.fsum(probs.per_slot) + probs.no_purchase
+            per_slot, no_purchase = cascade_probs(list(lambdas))
+            total = math.fsum(per_slot) + no_purchase
             assert abs(total - 1.0) <= 1e-12
 
 
@@ -245,7 +245,7 @@ def _simulated_slate(demo, slate: tuple[str, ...], horizon: int) -> dict:
     trace = simulate(demo, cfg)
     elapsed = time.perf_counter() - start
     inputs = resolve_inputs(demo, list(slate), omega=1.0)
-    slot_probs = cascade_probs(inputs.lambdas).per_slot
+    slot_probs = cascade_probs(inputs.lambdas)[0]
     purchases = trace.summary.per_product_purchases
     # demo shares are all 1, so platform revenue is gross revenue
     exact = expected_revenue(inputs, dist)

@@ -67,9 +67,9 @@ def _outcome(fn, *args):
 @given(slates(), spans())
 def test_cascade_forms_match_the_scalar_loops(inputs, dist):
     per_slot, no_purchase = ref.cascade_probs(inputs.lambdas)
-    probs = cascade_probs(inputs.lambdas)
-    assert bits(probs.per_slot) == bits(per_slot)
-    assert bits([probs.no_purchase]) == bits([no_purchase])
+    got_per_slot, got_no_purchase = cascade_probs(inputs.lambdas)
+    assert bits(got_per_slot) == bits(per_slot)
+    assert bits([got_no_purchase]) == bits([no_purchase])
     columns = (inputs.lambdas, inputs.prices, inputs.omegas)
     for span in range(1, len(inputs.ids) + 2):
         # A fixed span's revenue: the kernel's first ``span`` terms, exactly summed.

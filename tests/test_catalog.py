@@ -18,7 +18,7 @@ from assortplan.catalog import (
 )
 from assortplan.cli import main
 from assortplan.collusion import audit_ranking
-from assortplan.revenue import AttentionSpanDist
+from assortplan.revenue import AttentionSpanDist, brute_force_optimize, resolve_inputs
 from assortplan.simulator import SimConfig, simulate, trace_table
 from reference_simulator import summary_document
 
@@ -51,6 +51,11 @@ class TestLoadCatalog:
     def test_accepts_bytes(self):
         raw = doc([{"id": "X", "price": 5.0, "reviews": 3, "avg_rating": 2.0}])
         assert load_catalog(raw.encode("utf-8")).universe_size == 1
+
+    def test_undecodable_bytes_rejected(self):
+        raw = doc([{"id": "X", "price": 5.0, "reviews": 3, "avg_rating": 2.0}]).encode("utf-8")
+        with pytest.raises(CatalogError, match="^malformed catalog document: 'utf-8' codec can't decode"):
+            load_catalog(raw.replace(b"X", b"\xff"))
 
     def test_duplicate_id_rejected(self):
         entries = [
@@ -398,6 +403,55 @@ class TestValidateCatalog:
     def test_loaded_documents_validate_clean(self):
         raw = serialize_catalog(demo_catalog())
         assert validate_catalog(load_catalog(raw)) == []
+
+
+class TestRepeatedIds:
+    """A catalog built in code may list an id twice.  Every engine operation reads
+    ``columns`` first, and refuses it there; ``products`` still hold both rows."""
+
+    MESSAGE = "catalog lists product id 'A' more than once"
+    # A is listed twice: once with 100 reviews, once with 5.
+    CATALOG = Catalog(
+        (
+            Product("A", 10.0, 100, 4.0, demand_override=0.5),
+            Product("B", 9.0, 40, 4.5, demand_override=0.4),
+            Product("A", 8.0, 5, 3.0, demand_override=0.3),
+            Product("C", 7.0, 20, 3.5, demand_override=0.2),
+        )
+    )
+
+    def test_every_engine_entry_point_refuses_it(self):
+        dist = AttentionSpanDist.deterministic(2)
+        cfg = SimConfig(horizon=5, seed=1, dist=dist, prior=BeliefPrior(0.0, 1.0, 1.0),
+                        slate=("B",), freeze_beliefs=True)
+        calls = {
+            "two_stage_select": lambda c: two_stage_select(c, 4),
+            "audit_ranking": lambda c: audit_ranking(c, ["A", "B"], 2, dist),
+            "resolve_inputs": lambda c: resolve_inputs(c, ["A"]),
+            "brute_force_optimize": lambda c: brute_force_optimize(c, 2, dist),
+            "simulate": lambda c: simulate(c, cfg),
+        }
+        # One catalog throughout: a refused build of the columns is not cached.
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                call(self.CATALOG)
+                pytest.fail(f"{name} accepted the catalog")
+        assert "columns" not in self.CATALOG.__dict__
+
+    def test_the_first_id_listed_twice_is_named(self):
+        rows = [Product(pid, 1.0, 1, 1.0) for pid in ("X", "Y", "Y", "X", "Z", "Z")]
+        with pytest.raises(ValueError, match="^catalog lists product id 'X' more than once$"):
+            Catalog(rows).columns
+
+    def test_document_functions_still_read_and_report_it(self):
+        catalog = self.CATALOG
+        assert validate_catalog(catalog) == ["duplicate product id 'A'"]
+        entries = json.loads(serialize_catalog(catalog))["products"]
+        assert [e["id"] for e in entries] == ["A", "B", "A", "C"]
+        with pytest.raises(CatalogError, match="duplicate product id 'A'"):
+            load_catalog(serialize_catalog(catalog))
+        assert catalog.get("B").price == 9.0
+        assert catalog == Catalog(catalog.products) and hash(catalog) == hash(Catalog(catalog.products))
 
 
 class TestBeliefPrior:

@@ -322,6 +322,21 @@ class TestWarnings:
         with pytest.warns(RuntimeWarning, match="commensurate"):
             resolve_inputs(self.LOGIT, ["A"], prior=BeliefPrior(3.0, 1.0, 1.0))
 
+    def test_each_distinct_warning_prints_once_per_request(self, capsys, write_catalog):
+        # The demand table and the compare slate warn from different lines,
+        # so the warnings registry alone printed (B, 1) and (A, 2) twice.
+        path = write_catalog(self.LOGIT)
+        argv = ("optimize", "--catalog", str(path), "--slots", "2", "--span", "y=2",
+                "--prior", "3,1,1", "--cost-slope", "0.2", "--compare", "B,A")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out
+        utilities = [("-96.5", "A"), ("-97", "B"), ("-97.2", "B"), ("-96.7", "A")]
+        assert err.splitlines() == [
+            f"warning: utility {chi} for product {pid!r} {self.TAIL}" for chi, pid in utilities
+        ]
+        # Once per request, not once per process.
+        assert run(capsys, *argv) == (code, out, err)
+
 
 class TestOptimize:
     def test_compare_reports_nonnegative_gap(self, capsys, write_catalog):
@@ -731,6 +746,50 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert err == "error: product 'A': price must be a finite number, got nan\n"
+
+
+class TestUnicodeErrors:
+    """Each error line gives the reason, not just the codec's name."""
+
+    ENTRY = {"id": "A", "price": 1.0, "reviews": 1, "avg_rating": 4.0}
+
+    def test_catalog_with_a_non_utf8_byte(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_bytes(json.dumps({"products": [self.ENTRY]}).encode().replace(b'"A"', b'"A\xff"'))
+        code, out, err = run(capsys, "rank", "--catalog", str(path), "--slots", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: malformed catalog document: 'utf-8' codec can't decode byte 0xff "
+            "in position 23: invalid start byte\n"
+        )
+
+    def test_config_with_a_non_utf8_byte(self, capsys, demo_path, tmp_path):
+        config = sim_config(tmp_path, slate=["\u00ff"])
+        config.write_bytes(config.read_bytes().replace(b"\\u00ff", b"\xff"))
+        code, out, err = run(
+            capsys, "simulate", "--catalog", str(demo_path), "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: malformed simulation config: 'utf-8' codec can't decode byte 0xff in position "
+        )
+        assert err.endswith(": invalid start byte\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_text_output_of_a_lone_surrogate(self, capsys, tmp_path):
+        # JSON may escape a lone surrogate, which no UTF-8 text can hold.
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"products": [{**self.ENTRY, "id": "\ud800"}]}))
+        code, out, err = run(capsys, "rank", "--catalog", str(path), "--slots", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 'utf-8' codec can't encode character '\\ud800' in position 0: "
+            "surrogates not allowed\n"
+        )
+        # The structured report escapes it.
+        code, out, _ = run(capsys, "rank", "--catalog", str(path), "--slots", "1", "--format", "structured")
+        assert code == 0 and json.loads(out)["ranking"] == ["\ud800"]
 
 
 class TestManifest:

@@ -47,7 +47,6 @@ class TestSubstitutionEffect:
         analysis = substitution_effect(demo, ["A", "B", "F"], 3, "D", DIST3, omega=1.0)
         assert analysis.prob_before is None
         assert analysis.prob_after is None
-        assert analysis.downstream_before == ()
 
     def test_slot_out_of_range_rejected(self, demo):
         with pytest.raises(ValueError, match="slot"):
@@ -84,8 +83,8 @@ class TestSubstitutionRaisesDownstream:
             lam1, lam3 = rng.uniform(0.01, 0.99, size=2)
             lam2 = float(rng.uniform(0.02, 0.99))
             lam4 = float(rng.uniform(0.01, lam2 - 0.005)) if lam2 > 0.015 else lam2 / 2
-            original = cascade_probs([lam1, lam2, lam3]).per_slot[2]
-            swapped = cascade_probs([lam1, lam4, lam3]).per_slot[2]
+            original = cascade_probs([lam1, lam2, lam3])[0][2]
+            swapped = cascade_probs([lam1, lam4, lam3])[0][2]
             assert swapped > original
             assert substitution_raises_downstream(lam2, lam4)
 

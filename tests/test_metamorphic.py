@@ -13,6 +13,10 @@ catalog in a way whose effect is known and checks that the outputs follow:
   and underflow).  Under pinned demand every revenue term scales by 2^j,
   so ``optimize``'s slate stays and its values, and the audit's
   expected revenues and order-violation deltas, scale by exactly 2^j.
+- Products outside the slate: a fixed-slate ``simulate``, frozen or live,
+  reads only the slate's rows, so adding other products (with no rating
+  parameters) and shuffling the listing leaves ``trace.tsv``, stdout and the summary's totals and slate
+  review states unchanged.
 - Monotonicity: ``optimize``'s value does not fall when a slot or a
   product is added, and under pinned demand ``expected-revenue`` does not
   fall when one price rises.  Both hold exactly in floats.  The optimum is
@@ -159,6 +163,33 @@ def test_listing_order_leaves_every_output_unchanged(work, catalog, data):
     for argv in command_lines(data, catalog, work):
         listed = outputs(argv, paths[0])
         assert outputs(argv, paths[1]) == listed, argv
+
+
+@settings(max_examples=20)
+@given(catalogs(pinned=False), catalogs(pinned=False), st.data())
+def test_products_outside_a_fixed_slate_change_no_simulation(work, catalog, extra, data):
+    ids = [p.id for p in catalog.products]
+    # New ids that sort between the listed ones (A, AA, B, BB, ...), without the rating
+    # parameters that a live run needs only for the products it shows.
+    others = [dataclasses.replace(p, id=p.id * 2, true_quality=None, rating_noise=None)
+              for p in extra.products]
+    grown = Catalog(data.draw(st.permutations([*catalog.products, *others])))
+    paths = write(work, "listed.json", catalog), write(work, "grown.json", grown)
+    doc = {"horizon": 80, "seed": data.draw(st.integers(0, 2**64 - 1)), "span": data.draw(SPANS),
+           "prior": PRIOR, "slate": data.draw(slates(ids, 3))}
+    config, out = work / "outside.json", work / "outside"
+    for freeze in (True, False):
+        config.write_text(json.dumps({**doc, "freeze_beliefs": freeze}), encoding="utf-8")
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        results = []
+        for path in paths:
+            code, stdout, trace, summary = outputs(argv, path)
+            report = json.loads(summary)
+            for key in ("final_states", "posterior_means"):
+                report[key] = {pid: report[key][pid] for pid in ids}
+            results.append((code, stdout, trace, report))
+        assert results[0][0] == 0
+        assert results[1] == results[0], freeze
 
 
 def scaled(catalog: Catalog, j: int) -> Catalog:

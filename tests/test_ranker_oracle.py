@@ -118,7 +118,7 @@ def test_record_free_picks_and_removals_keep_the_pool_in_step(name, policy):
         selected = pool.take().selected
         assert twin.take_id() == selected
         # Removing a product already taken changes nothing.
-        pool.remove(selected)
+        pool.remove(CASES[name].row(selected))
         assert len(pool) == len(twin)
         if len(pool):
             assert pool.peek() == twin.peek()
@@ -483,7 +483,7 @@ def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
                 pool = RankingPool(columns)
                 undefined = [total is None for total in pool.sums]
             if step == "remove":
-                pool.remove(data.draw(st.sampled_from(pool.ids[pool.alive].tolist())))
+                pool.remove(catalog.row(data.draw(st.sampled_from(pool.ids[pool.alive].tolist()))))
             else:
                 try:
                     pool.take() if step == "take" else pool.take_id()

@@ -75,20 +75,29 @@ class TestAttentionSpanDist:
         with pytest.raises(ValueError, match="empty"):
             AttentionSpanDist.from_pmf({})
 
+    def test_repeated_span_pairs_rejected(self):
+        # dict() of the pairs would keep the last probability of span 1 in silence.
+        with pytest.raises(ValueError, match="repeated span 1 in span pmf"):
+            AttentionSpanDist.from_pmf([(1, 0.5), (1, 0.5), (2, 0.5)])
+        # The first pair that repeats an earlier span is named, as the CLI's spec check does.
+        with pytest.raises(ValueError, match="repeated span 2 in span pmf"):
+            AttentionSpanDist.from_pmf([(3, 0.25), (2, 0.25), (1, 0.25), (2, 0.0), (3, 0.25)])
+        assert AttentionSpanDist.from_pmf([(2, 0.5), (1, 0.5)]).pmf == ((1, 0.5), (2, 0.5))
+
 
 class TestCascadeProbs:
     def test_low_demand_middle_raises_third_slot(self):
-        probs = cascade_probs([0.95, 0.10, 0.75])
-        assert probs.per_slot[2] == pytest.approx(0.03375, abs=1e-12)
+        per_slot, _ = cascade_probs([0.95, 0.10, 0.75])
+        assert per_slot[2] == pytest.approx(0.03375, abs=1e-12)
 
     def test_high_demand_middle_starves_third_slot(self):
-        probs = cascade_probs([0.95, 0.85, 0.75])
-        assert probs.per_slot[2] == pytest.approx(0.005625, abs=1e-12)
+        per_slot, _ = cascade_probs([0.95, 0.85, 0.75])
+        assert per_slot[2] == pytest.approx(0.005625, abs=1e-12)
 
     def test_single_slot(self):
-        probs = cascade_probs([0.3])
-        assert probs.per_slot == (0.3,)
-        assert probs.no_purchase == pytest.approx(0.7, abs=1e-15)
+        per_slot, no_purchase = cascade_probs([0.3])
+        assert per_slot == (0.3,)
+        assert no_purchase == pytest.approx(0.7, abs=1e-15)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, 1.4])
     def test_probabilities_outside_open_interval_rejected(self, lam):
@@ -99,8 +108,8 @@ class TestCascadeProbs:
         rng = np.random.default_rng(13)
         for _ in range(2000):
             lambdas = rng.uniform(0.001, 0.999, size=int(rng.integers(1, 9)))
-            probs = cascade_probs(list(lambdas))
-            total = math.fsum(probs.per_slot) + probs.no_purchase
+            per_slot, no_purchase = cascade_probs(list(lambdas))
+            total = math.fsum(per_slot) + no_purchase
             assert abs(total - 1.0) <= 1e-12
 
 
@@ -254,10 +263,10 @@ class TestExpectedRevenue:
 
     def test_evaluate_slate_bundles_probs_and_value(self, demo):
         inputs = resolve_inputs(demo, ["A", "B", "F"], omega=1.0)
-        evaluation = evaluate_slate(inputs, AttentionSpanDist.deterministic(3))
-        assert evaluation.per_slot_purchase_prob[2] == pytest.approx(0.005625, abs=1e-12)
-        assert evaluation.expected_revenue == pytest.approx(628.981875, abs=1e-9)
-        total = math.fsum(evaluation.per_slot_purchase_prob) + evaluation.no_purchase_prob
+        per_slot, no_purchase, value = evaluate_slate(inputs, AttentionSpanDist.deterministic(3))
+        assert per_slot[2] == pytest.approx(0.005625, abs=1e-12)
+        assert value == pytest.approx(628.981875, abs=1e-9)
+        total = math.fsum(per_slot) + no_purchase
         assert abs(total - 1.0) <= 1e-12
 
 

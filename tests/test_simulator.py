@@ -287,7 +287,7 @@ class TestConvergence:
     def test_slot_frequencies_track_cascade_probs(self, demo):
         horizon = 20_000
         trace = simulate(demo, frozen_config(horizon=horizon, seed=101))
-        expected = cascade_probs((0.95, 0.85, 0.75)).per_slot
+        expected = cascade_probs((0.95, 0.85, 0.75))[0]
         for slot, pid in enumerate(("A", "B", "F")):
             frequency = sum(1 for r in trace.records if r.purchased == pid) / horizon
             se = math.sqrt(expected[slot] * (1 - expected[slot]) / horizon)
