@@ -235,12 +235,12 @@ class RankingColumns:
 class RankingPool:
     """The products a two-stage ranking has yet to place, a view of sorted columns.
 
-    The columns, in stage-1 order, are read as they stand until their next
-    write; an ``alive`` mask marks the products still in the pool.  A
-    round's stage-1 shortlist is the alive products clearing the cutoff, in
-    column order; its stage-2 passers are the shortlist members clearing the
-    second cutoff, re-sorted by (price desc, pinned demand desc, id asc)
-    under the price-desc policy.
+    The columns, in stage-1 order, are read through ``columns`` as they
+    stand until their next write; an ``alive`` mask marks the products still
+    in the pool.  A round's stage-1 shortlist is the alive products clearing
+    the cutoff, in column order; its stage-2 passers are the shortlist
+    members clearing the second cutoff, re-sorted by (price desc, pinned
+    demand desc, id asc) under the price-desc policy.
 
     Fallbacks: with all ratings zero (or no product clearing the stage-1
     cutoff) the most-reviewed product is taken; with the shortlist priced
@@ -250,13 +250,8 @@ class RankingPool:
 
     def __init__(self, columns: RankingColumns):
         columns.sort()
-        self.policy = columns.policy
-        self.ids, self.rating, self.reviews = columns.ids, columns.rating, columns.reviews
-        self.price, self.price_desc_rank = columns.price, columns.price_desc_rank
-        self.position = columns.position
-        self.weighted, self.price_weighted = columns.weighted, columns.price_weighted
-        self.alive = np.ones(len(self.ids), dtype=bool)
-        self._scaled = columns.scaled
+        self.columns = columns
+        self.alive = np.ones(len(columns.ids), dtype=bool)
         # Σrating and Σweighted over the alive products, exact and scaled by
         # 2^1074; None leaves that sum to math.fsum in every round.
         self.sums = list(columns.sums)
@@ -268,7 +263,7 @@ class RankingPool:
         self.alive[row] = False
         for i in (0, 1):
             if self.sums[i] is not None:
-                self.sums[i] -= self._scaled(i, row)
+                self.sums[i] -= self.columns.scaled(i, row)
 
     def _stage1_sum(self, i: int, column: np.ndarray, live: np.ndarray) -> float:
         total = self.sums[i]
@@ -277,45 +272,47 @@ class RankingPool:
 
     def remove(self, row: int) -> None:
         """Drop catalog row ``row`` from the pool without running a round (if it is still in)."""
-        at = self.position.item(row)
+        at = self.columns.position.item(row)
         if self.alive.item(at):
             self._drop(at)
 
     def _select(self) -> tuple:
         """One round: its cutoffs, shortlist, ordered passers and pick, as columns."""
+        c = self.columns
         live = self.alive.nonzero()[0]
         if not live.size:
             raise ValueError("iteration pool is empty")
         # math.fsum's OverflowError part-way and its ValueError on inf - inf name the stage.
         try:
-            mass = self._stage1_sum(0, self.rating, live)
-            cutoff1 = self._stage1_sum(1, self.weighted, live) / mass if mass else None
+            mass = self._stage1_sum(0, c.rating, live)
+            cutoff1 = self._stage1_sum(1, c.weighted, live) / mass if mass else None
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"stage-1 threshold sum: {exc}") from None
         if cutoff1 is None:
             shortlist = live[:0]
         else:
-            shortlist = live[self.reviews[live] >= _review_bound(cutoff1)]
+            shortlist = live[c.reviews[live] >= _review_bound(cutoff1)]
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
-            return cutoff1, shortlist, None, shortlist, live[self.reviews[live].argmax()]
+            return cutoff1, shortlist, None, shortlist, live[c.reviews[live].argmax()]
         try:
-            mass = _exact_sum(self.price[shortlist])
-            cutoff2 = _exact_sum(self.price_weighted[shortlist]) / mass if mass else None
+            mass = _exact_sum(c.price[shortlist])
+            cutoff2 = _exact_sum(c.price_weighted[shortlist]) / mass if mass else None
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"stage-2 threshold sum: {exc}") from None
         if cutoff2 is None:
             passers = shortlist[:0]
         else:
-            passers = shortlist[self.reviews[shortlist] >= _review_bound(cutoff2)]
-        if self.policy == POLICY_PRICE_DESC:
-            passers = passers[self.price_desc_rank[passers].argsort()]
+            passers = shortlist[c.reviews[shortlist] >= _review_bound(cutoff2)]
+        if c.policy == POLICY_PRICE_DESC:
+            passers = passers[c.price_desc_rank[passers].argsort()]
         return cutoff1, shortlist, cutoff2, passers, passers[0] if passers.size else shortlist[0]
 
     def _record(self, cutoff1, shortlist, cutoff2, passers, pick) -> IterationRecord:
-        order = tuple(self.ids[shortlist].tolist())
-        passed = tuple(self.ids[passers].tolist())
-        return IterationRecord(cutoff1, order, cutoff2, passed, self.ids[pick], not passed)
+        ids = self.columns.ids
+        order = tuple(ids[shortlist].tolist())
+        passed = tuple(ids[passers].tolist())
+        return IterationRecord(cutoff1, order, cutoff2, passed, ids[pick], not passed)
 
     def peek(self) -> IterationRecord:
         """Run one selection round over the pool as it stands."""
@@ -331,7 +328,7 @@ class RankingPool:
         """``take().selected``, without building the round's record."""
         pick = self._select()[-1]
         self._drop(pick)
-        return self.ids[pick]
+        return self.columns.ids[pick]
 
 
 def run_iteration(pool: Sequence[Product], policy: str = POLICY_STAGE1_ORDER) -> IterationRecord:

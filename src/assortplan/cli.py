@@ -149,14 +149,10 @@ def _json_indented(value, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
-# json's C encoder with a newline between the items of a list: an encoded
-# scalar never holds a raw newline, so its output splits back into items.
-_encode_lines = json.JSONEncoder(separators=("\n", ": ")).encode
-
-
 def _encoded(values: list) -> list[str]:
-    """Each value as ``json.dumps`` writes it, from one C-encoder call."""
-    return _encode_lines(values)[1:-1].split("\n") if values else []
+    """Each scalar as ``json.dumps`` writes it, from one C-encoder call; an
+    encoded scalar never holds a raw newline, so the list splits back into items."""
+    return _flat_encoder("")(values)[1:-1].split(",\n") if values else []
 
 
 def _object_block(items: list[str]) -> str:
@@ -385,15 +381,14 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     )
 
 
-def _overwrite(path: Path, text: str) -> None:
-    """As ``path.write_text(text, encoding="utf-8")``, but O_TRUNC (slow on some disks) is skipped."""
+def _overwrite(path: Path, data: bytes) -> None:
+    """As ``path.write_bytes(data)``, but O_TRUNC (slow on some disks) is skipped:
+    only a longer old file is cut."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
         size = os.fstat(out.fileno()).st_size
-        try:
-            out.write(text.encode("utf-8"))
-        finally:  # cut only a longer old file; unencodable text leaves it empty, as write_text does
-            if size > out.tell():
-                out.truncate()
+        out.write(data)
+        if size > len(data):
+            out.truncate()
 
 
 def _cmd_simulate(args) -> int:
@@ -409,10 +404,13 @@ def _cmd_simulate(args) -> int:
     manifest = _manifest("simulate", config, digest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _overwrite(out_dir / "trace.tsv", trace_table(trace))
+    table = trace_table(trace).encode("utf-8")
     summary = trace.summary
     report = _summary_json(manifest, summary)
-    _overwrite(out_dir / "summary.json", report + "\n")
+    document = (report + "\n").encode("utf-8")
+    # Both files are encoded before either is written: a failed encode leaves both as they were.
+    _overwrite(out_dir / "trace.tsv", table)
+    _overwrite(out_dir / "summary.json", document)
     lines = [
         f"customers {cfg.horizon}",
         f"purchases {summary.purchase_count}",

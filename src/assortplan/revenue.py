@@ -58,7 +58,7 @@ class AttentionSpanDist:
 
     @classmethod
     def deterministic(cls, span: int) -> "AttentionSpanDist":
-        if not isinstance(span, int) or span < 1:
+        if isinstance(span, bool) or not isinstance(span, int) or span < 1:
             raise ValueError(f"span must be an integer >= 1, got {span!r}")
         return cls(kind="deterministic", pmf=((span, 1.0),))
 
@@ -76,7 +76,7 @@ class AttentionSpanDist:
             raise ValueError("span pmf is empty")
         total = 0.0
         for span, prob in items:
-            if not isinstance(span, int) or span < 1:
+            if isinstance(span, bool) or not isinstance(span, int) or span < 1:
                 raise ValueError(f"span values must be integers >= 1, got {span!r}")
             if not 0 <= prob < math.inf:
                 raise ValueError(f"span probability must be nonnegative and finite, got {prob}")

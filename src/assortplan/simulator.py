@@ -117,9 +117,9 @@ class SimTrace:
 
     Per customer, customer t at index t-1: ``span_index`` into ``spans``,
     the slots ``viewed``, and the catalog row ``purchased`` (-1 for none).
-    Per purchase that drew a rating, in customer order: the customer's
-    index in ``rated``, the rating, and the review state right after, as
-    ``post_counts`` and ``post_means``.  Per catalog row, the final review
+    Per purchase that drew a rating, in customer order, one ``rated`` tuple:
+    the customer's index, the rating, and the review count and mean right
+    after it.  Per catalog row, the final review
     state: ``review_counts`` (int64, or Python ints in an object array once
     one passes int64) and ``review_means``.  ``columns`` are the catalog's,
     for ids, prices and shares.  ``records`` is built on first read; the
@@ -130,10 +130,7 @@ class SimTrace:
     span_index: np.ndarray
     viewed: np.ndarray
     purchased: np.ndarray
-    rated: list[int]
-    ratings: list[float]
-    post_counts: list[int]
-    post_means: list[float]
+    rated: list[tuple[int, float, int, float]]
     review_counts: np.ndarray
     review_means: np.ndarray
     prior: BeliefPrior
@@ -145,8 +142,7 @@ class SimTrace:
         ids = [*self.columns.ids, None]
         ratings: list[float | None] = [None] * horizon
         post_states: list[tuple[int, float] | None] = [None] * horizon
-        rated = zip(self.rated, self.ratings, self.post_counts, self.post_means)
-        for i, rating, count, mean in rated:
+        for i, rating, count, mean in self.rated:
             ratings[i], post_states[i] = rating, (count, mean)
         return tuple(
             map(
@@ -326,8 +322,7 @@ def _frozen_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     span_index, viewed, purchased = map(np.concatenate, zip(*blocks))
     return dict(
         span_index=span_index, viewed=viewed, purchased=purchased,
-        rated=[], ratings=[], post_counts=[], post_means=[],
-        review_counts=columns.reviews, review_means=columns.rating,
+        rated=[], review_counts=columns.reviews, review_means=columns.rating,
     )
 
 
@@ -361,10 +356,7 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     span_blocks: list[np.ndarray] = []
     viewed_column: list[int] = []
     purchased_column: list[int] = []
-    rated: list[int] = []
-    ratings: list[float] = []
-    post_counts: list[int] = []
-    post_means: list[float] = []
+    rated: list[tuple[int, float, int, float]] = []
     for first, raw, uniforms in draw_blocks(cfg.seed, cfg.horizon, offset + reach):
         index = spans.index(uniforms)
         span_blocks.append(index)
@@ -394,10 +386,7 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
                         )
                         if reranker is not None:
                             reranker.record(purchased, count)
-                        rated.append(t - 1)
-                        ratings.append(rating)
-                        post_counts.append(count)
-                        post_means.append(mean)
+                        rated.append((t - 1, rating, count, mean))
                     break
             viewed_column.append(viewed)
             purchased_column.append(purchased)
@@ -405,8 +394,7 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
         span_index=np.concatenate(span_blocks),
         viewed=np.array(viewed_column, dtype=np.int64),
         purchased=np.array(purchased_column, dtype=np.intp),
-        rated=rated, ratings=ratings, post_counts=post_counts, post_means=post_means,
-        review_counts=count_column(counts), review_means=np.array(means),
+        rated=rated, review_counts=count_column(counts), review_means=np.array(means),
     )
 
 
@@ -467,8 +455,7 @@ def trace_table(trace: SimTrace) -> str:
     ]
     unrated = np.array([middle + "\t-\t-\t-\n" for middle in middles], dtype=object)
     suffixes = unrated[inverse].tolist()
-    rated = zip(trace.rated, trace.ratings, trace.post_counts, trace.post_means)
-    for i, rating, count, mean in rated:
+    for i, rating, count, mean in trace.rated:
         suffixes[i] = f"{middles[inverse.item(i)]}\t{rating!r}\t{count}\t{mean!r}\n"
     lines = chain.from_iterable(zip(range(1, horizon + 1), suffixes))
     header = "t\tspan\tviewed\tpurchased\trating\tpost_reviews\tpost_avg_rating\n"

@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 
 SORTED_ORACLE = "tests/test_optimize_oracle.py::test_sorted_path_matches_oracle"
 SORTED_TIES = "tests/test_optimize_oracle.py::test_sorted_path_falls_back_on_exact_ties"
+REBUILT_CATALOG = "tests/test_ranker_oracle.py::test_review_writes_match_a_rebuilt_catalog"
+BOOL_SPANS = "tests/test_revenue.py::TestAttentionSpanDist::test_bool_spans_rejected"
 
 MUTANTS = (
     Mutant(
@@ -98,6 +100,122 @@ MUTANTS = (
         "enumeration_count(count - m, depth - m)",
         "enumeration_count(count - m, depth - m + 1)",
         ("tests/test_optimize_oracle.py::test_engine_matches_oracle",),
+    ),
+    Mutant(
+        "write-keeps-the-order-without-checking-neighbours",
+        "assortment.py",
+        "self.in_order = self.in_order and all(map(self._in_order, pairs))",
+        "self.in_order = self.in_order",
+        (
+            "tests/test_ranker_oracle.py::test_review_writes_match_a_rebuilt_catalog",
+            "tests/test_ranker_oracle.py::test_two_adjacent_written_rows_that_swap_are_re_sorted",
+        ),
+    ),
+    Mutant(
+        "neighbour-check-without-the-id-tie-break",
+        "assortment.py",
+        "return above > below or above == below and self.id_rank.item(a) < self.id_rank.item(a + 1)",
+        "return above >= below",
+        (REBUILT_CATALOG,),
+    ),
+    Mutant(
+        "write-checks-only-the-pair-above",
+        "assortment.py",
+        "pairs = range(max(at - 1, 0), min(at + 1, len(self.order) - 1))",
+        "pairs = range(max(at - 1, 0), min(at, len(self.order) - 1))",
+        (REBUILT_CATALOG,),
+    ),
+    Mutant(
+        "write-keeps-the-rows-cached-value",
+        "assortment.py",
+        "self._scaled_values[i].pop(row, None)",
+        "pass",
+        ("tests/test_ranker_oracle.py::test_scaled_value_cache_keeps_both_sums_exact",),
+    ),
+    Mutant(
+        "ties-broken-by-listing-order",
+        "assortment.py",
+        "by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
+        "by_id = np.arange(catalog.universe_size)",
+        (
+            "tests/test_metamorphic.py::test_listing_order_leaves_every_output_unchanged",
+            "tests/test_ranker_oracle.py::test_shuffled_catalog_ranks_identically",
+        ),
+    ),
+    Mutant(
+        "stage-2-price-mass-plus-one",
+        "assortment.py",
+        "mass = _exact_sum(c.price[shortlist])",
+        "mass = _exact_sum(c.price[shortlist]) + 1.0",
+        ("tests/test_metamorphic.py::test_power_of_two_prices_keep_the_ranking",),
+    ),
+    Mutant(
+        "ranker-reads-revenue-shares",
+        "assortment.py",
+        "self.price = columns.price[order]",
+        "self.price = (columns.price * columns.share)[order]",
+        ("tests/test_acceptance.py::test_criterion_07_as_a_property",),
+    ),
+    Mutant(
+        "mixture-value-rounded-to-9-decimals",
+        "revenue.py",
+        "return math.fsum(h * cumulative[min(y, len(terms))] for y, h in dist.pmf)",
+        "return round(math.fsum(h * cumulative[min(y, len(terms))] for y, h in dist.pmf), 9)",
+        ("tests/test_metamorphic.py::test_power_of_two_prices_scale_optimize_values",),
+    ),
+    Mutant(
+        "walk-stops-one-slot-short",
+        "revenue.py",
+        "if d + 1 == reach:",
+        "if d + 2 >= reach:",
+        ("tests/test_acceptance.py::test_criterion_08_as_a_property",),
+    ),
+    Mutant(
+        "deterministic-span-accepts-a-bool",
+        "revenue.py",
+        "if isinstance(span, bool) or not isinstance(span, int) or span < 1:\n"
+        "            raise ValueError(f\"span must",
+        "if not isinstance(span, int) or span < 1:\n            raise ValueError(f\"span must",
+        (BOOL_SPANS,),
+    ),
+    Mutant(
+        "pmf-span-accepts-a-bool",
+        "revenue.py",
+        "if isinstance(span, bool) or not isinstance(span, int) or span < 1:\n"
+        "                raise ValueError(f\"span values",
+        "if not isinstance(span, int) or span < 1:\n                raise ValueError(f\"span values",
+        (BOOL_SPANS,),
+    ),
+    Mutant(
+        "audit-delta-rounded-to-cents",
+        "collusion.py",
+        "delta = expected_revenue(swapped, dist) - expected_revenue(inputs, dist)",
+        "delta = round(expected_revenue(swapped, dist) - expected_revenue(inputs, dist), 2)",
+        ("tests/test_metamorphic.py::test_power_of_two_prices_scale_audit_deltas",),
+    ),
+    Mutant(
+        "rerank-keeps-slot-chances-of-the-old-slate",
+        "simulator.py",
+        "slate = ranked\n"
+        "                    rows, chance = _displayed(catalog, slate, reach, *state_of, cfg)",
+        "rows, fresh = _displayed(catalog, ranked, reach, *state_of, cfg)\n"
+        "                    chance = fresh if slate is None else chance\n"
+        "                    slate = ranked",
+        ("tests/test_simulator_oracle.py::test_engine_matches_oracle",),
+    ),
+    Mutant(
+        "writer-never-truncates",
+        "cli.py",
+        "out.truncate()",
+        "pass",
+        ("tests/test_cli.py::TestSimulate::test_outputs_overwrite_longer_files_in_place",),
+    ),
+    Mutant(
+        "trace-written-before-the-summary-is-encoded",
+        "cli.py",
+        '    document = (report + "\\n").encode("utf-8")\n',
+        '    _overwrite(out_dir / "trace.tsv", table)\n    document = (report + "\\n").encode("utf-8")\n',
+        ("tests/test_cli.py::TestSimulate::test_a_failed_encode_leaves_both_files_as_they_were",),
     ),
     Mutant(
         "live-run-needs-rating-parameters-off-the-slate",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assortplan.assortment import two_stage_select
+from assortplan.assortment import POLICIES, two_stage_select
 from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.cli import main
 from assortplan.collusion import substitution_effect
@@ -212,6 +212,60 @@ def test_criterion_07_revenue_share_independence():
             assert two_stage_select(reshuffled, slots) == baseline
 
 
+# A product's (price, reviews, rating, share, pinned demand); repeated
+# values make ties and cutoffs that land on a review count common.  Prices
+# stay on the rating scale, so logit utilities stay moderate.
+PRODUCT_ROWS = st.tuples(
+    st.sampled_from([1.0, 4.0]) | st.floats(0.0, 8.0),
+    st.sampled_from([0, 5, 20]) | st.integers(0, 100_000),
+    st.sampled_from([1.0, 4.0]) | st.floats(0.5, 5.0),
+    st.floats(0.05, 1.0),
+    st.sampled_from([0.5]) | st.floats(0.01, 0.99),
+)
+
+
+@st.composite
+def small_catalogs(draw, pinned: bool = True) -> Catalog:
+    rows = draw(st.lists(PRODUCT_ROWS, min_size=2, max_size=8))
+    return Catalog(
+        tuple(
+            Product(
+                id=f"P{i:02d}",
+                price=price,
+                review_count=reviews,
+                avg_rating=rating if reviews else 0.0,
+                revenue_share=share,
+                demand_override=demand if pinned else None,
+            )
+            for i, (price, reviews, rating, share, demand) in enumerate(rows)
+        )
+    )
+
+
+@st.composite
+def span_dists(draw, max_span: int = 4) -> AttentionSpanDist:
+    """A point span, or a pmf over a few spans up to ``max_span``."""
+    spans = draw(st.lists(st.integers(1, max_span), min_size=1, max_size=3, unique=True))
+    if len(spans) == 1:
+        return AttentionSpanDist.deterministic(spans[0])
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(spans), max_size=len(spans)))
+    return AttentionSpanDist.from_pmf({s: w / sum(weights) for s, w in zip(spans, weights)})
+
+
+@settings(max_examples=60)
+@given(small_catalogs(), st.data(), st.sampled_from(POLICIES))
+def test_criterion_07_as_a_property(catalog, data, policy):
+    """Criterion 07 under hypothesis: the ranker never reads a revenue share,
+    so reassigning every share leaves the ranking and its trace unchanged."""
+    n = catalog.universe_size
+    slots = data.draw(st.integers(1, n))
+    shares = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    reassigned = Catalog(
+        tuple(dataclasses.replace(p, revenue_share=w) for p, w in zip(catalog.products, shares))
+    )
+    assert two_stage_select(reassigned, slots, policy) == two_stage_select(catalog, slots, policy)
+
+
 def test_criterion_08_oracle_dominance():
     with criterion(8, "exhaustive oracle dominates the two-stage slate"):
         rng = np.random.default_rng(808)
@@ -228,6 +282,21 @@ def test_criterion_08_oracle_dominance():
         f"  two-stage optimality gap over 50 catalogs: mean {np.mean(gaps):.4f}, "
         f"max {np.max(gaps):.4f}, zero-gap share {np.mean(np.array(gaps) == 0):.2f}"
     )
+
+
+@settings(max_examples=60)
+@given(st.booleans(), st.data())
+def test_criterion_08_as_a_property(pinned, data):
+    """Criterion 08 under hypothesis, for pinned and logit demand and point and
+    pmf spans: no slate the oracle can show, the two-stage slate among them,
+    is worth more than the oracle's value."""
+    catalog = data.draw(small_catalogs(pinned))
+    slots = data.draw(st.integers(1, 4))
+    dist = data.draw(span_dists())
+    prior = None if pinned else BeliefPrior(3.0, 1.0, 4.0)
+    ranking, _ = two_stage_select(catalog, slots)
+    result = brute_force_optimize(catalog, slots, dist, prior=prior, compare=ranking.slots)
+    assert result.value >= result.compare_value
 
 
 def _simulated_slate(demo, slate: tuple[str, ...], horizon: int) -> dict:

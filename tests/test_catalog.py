@@ -250,7 +250,7 @@ class TestLazyProducts:
             # Nor did the run, the trace writer or the summary build records.
             assert "records" not in trace.__dict__
             if not display.get("freeze_beliefs"):
-                assert trace.rated and trace.records[trace.rated[0]].rating is not None
+                assert trace.rated and trace.records[trace.rated[0][0]].rating is not None
 
     def test_cli_simulate_reads_no_records(self, built, demo_path, tmp_path, monkeypatch):
         def unread(trace):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_simulator as ref
+from assortplan import cli
 from assortplan.catalog import (
     BeliefPrior,
     Catalog,
@@ -126,7 +128,7 @@ def summary_traces(draw) -> SimTrace:
     return SimTrace(
         spans=(1,), span_index=np.zeros(horizon, dtype=np.intp),
         viewed=np.ones(horizon, dtype=np.int64), purchased=np.array(purchased, dtype=np.intp),
-        rated=[], ratings=[], post_counts=[], post_means=[],
+        rated=[],
         review_counts=count_column(draw(st.lists(SUMMARY_COUNTS, min_size=n, max_size=n))),
         review_means=np.array(draw(st.lists(SUMMARY_MEANS, min_size=n, max_size=n))),
         prior=BeliefPrior(draw(st.floats(-5, 5)), draw(st.floats(0.1, 10)), 1.0),
@@ -475,6 +477,39 @@ class TestSimulate:
         for out in (reused, junk, partial):
             for name in ("trace.tsv", "summary.json"):
                 assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("unencodable", ["trace.tsv", "summary.json"])
+    def test_a_failed_encode_leaves_both_files_as_they_were(
+        self, capsys, demo_path, tmp_path, monkeypatch, unencodable
+    ):
+        out = tmp_path / "out"
+        names = ("trace.tsv", "summary.json")
+        argv = ["simulate", "--config", str(sim_config(tmp_path)), "--out", str(out)]
+        assert run(capsys, *argv, "--catalog", str(demo_path))[0] == 0
+        before = {name: (out / name).read_bytes() for name in names}
+        # A lone surrogate: JSON may escape one, but no UTF-8 text can hold it.
+        renamed = Catalog(tuple(
+            dataclasses.replace(p, id="\ud800") if p.id == "C" else p for p in demo_catalog().products
+        ))
+        catalog = tmp_path / "surrogate.json"
+        catalog.write_text(serialize_catalog(renamed), encoding="utf-8")
+        if unencodable == "trace.tsv":  # the slate's first product is bought and named in the trace
+            config = sim_config(tmp_path, slate=["\ud800", "B", "F"], horizon=100)
+        else:
+            # An unbought one is escaped in summary.json, so that run writes both files ...
+            assert run(capsys, *argv, "--catalog", str(catalog))[0] == 0
+            assert b'"\\ud800": {' in (out / "summary.json").read_bytes()
+            assert run(capsys, *argv, "--catalog", str(demo_path))[0] == 0
+            assert {name: (out / name).read_bytes() for name in names} == before
+            # ... and a summary that cannot be encoded is made here, beside a new trace.
+            config = sim_config(tmp_path, horizon=100)
+            summary_json = cli._summary_json
+            monkeypatch.setattr(cli, "_summary_json", lambda *args: summary_json(*args) + "\ud800")
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        code, stdout, err = run(capsys, *argv, "--catalog", str(catalog))
+        assert (code, stdout) == (2, "")
+        assert "surrogates not allowed" in err
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_seed_override_changes_trace(self, capsys, demo_path, tmp_path):
         config = sim_config(tmp_path)

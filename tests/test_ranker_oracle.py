@@ -483,13 +483,13 @@ def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
                 pool = RankingPool(columns)
                 undefined = [total is None for total in pool.sums]
             if step == "remove":
-                pool.remove(catalog.row(data.draw(st.sampled_from(pool.ids[pool.alive].tolist()))))
+                pool.remove(catalog.row(data.draw(st.sampled_from(columns.ids[pool.alive].tolist()))))
             else:
                 try:
                     pool.take() if step == "take" else pool.take_id()
                 except ValueError:  # a threshold sum that fsum cannot round
                     pass
-            expected = [_alive_sum(pool, pool.rating), _alive_sum(pool, pool.weighted)]
+            expected = [_alive_sum(pool, columns.rating), _alive_sum(pool, columns.weighted)]
             assert pool.sums == [None if u else e for u, e in zip(undefined, expected)]
         assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
         for cache, column in zip(columns._scaled_values, (columns.rating, columns.weighted)):

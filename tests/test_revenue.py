@@ -71,6 +71,22 @@ class TestAttentionSpanDist:
         with pytest.raises(ValueError):
             AttentionSpanDist.deterministic(span)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: AttentionSpanDist.deterministic(True), "span must be an integer >= 1, got True"),
+            (lambda: AttentionSpanDist.from_pmf({True: 1.0}), "span values must be integers >= 1, got True"),
+            (lambda: AttentionSpanDist.from_pmf([(True, 0.5), (2, 0.5)]),
+             "span values must be integers >= 1, got True"),
+        ],
+        ids=["deterministic", "pmf-mapping", "pmf-pairs"],
+    )
+    def test_bool_spans_rejected(self, make, message):
+        # bool is an int to Python; a flag is never read as span 1.
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        assert str(excinfo.value) == message
+
     def test_empty_pmf_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             AttentionSpanDist.from_pmf({})

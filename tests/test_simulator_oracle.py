@@ -148,9 +148,6 @@ def test_summary_totals_match_the_oracle_loop(data):
         viewed=np.ones(horizon, dtype=np.int64),
         purchased=np.array(bought, dtype=np.int64),
         rated=[],
-        ratings=[],
-        post_counts=[],
-        post_means=[],
         review_counts=np.zeros(len(products), dtype=np.int64),
         review_means=np.zeros(len(products)),
         prior=BeliefPrior(3.0, 1.0, 4.0),
@@ -273,7 +270,7 @@ def test_live_rerank_keeping_its_slate_matches_oracle(every, policy):
         trace = assert_matches_oracle(Catalog(products), cfg)
     assert len(slates) == -(-cfg.horizon // every) and set(slates) == {("A", "B", "C")}
     assert displayed.call_count == 1  # the slot chances of the one slate, kept since
-    assert {trace.records[i].purchased for i in trace.rated} == {"A", "B", "C"}
+    assert {trace.records[i].purchased for i, *_ in trace.rated} == {"A", "B", "C"}
 
 
 class _FixedUniform:
