@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import is_
@@ -137,6 +137,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@dataclass(frozen=True, init=False)
 class Catalog:
     """Immutable ordered universe of products.
 
@@ -145,6 +146,10 @@ class Catalog:
     columns and builds ``products`` on first access; one built from products
     derives its columns on first access.  Either is built at most once.
     """
+
+    # Each of products and columns is set at construction or built from the other.
+    products: tuple[Product, ...] = cached_property(lambda self: self.columns.products())
+    display_scale: tuple[float, float] | None = None
 
     def __init__(
         self, products: Iterable[Product], display_scale: tuple[float, float] | None = None
@@ -163,11 +168,6 @@ class Catalog:
             columns=columns, display_scale=display_scale, universe_size=len(columns.ids), _built={}
         )
         return catalog
-
-    # Each of these two is set at construction or built from the other.
-    @cached_property
-    def products(self) -> tuple[Product, ...]:
-        return self.columns.products()
 
     @cached_property
     def columns(self) -> CatalogColumns:
@@ -205,23 +205,6 @@ class Catalog:
         if product_id not in self._built:
             self._built[product_id] = self.columns.products(slice(row, row + 1))[0]
         return self._built[product_id]
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.products, self.display_scale) == (other.products, other.display_scale)
-
-    def __hash__(self):
-        return hash((self.products, self.display_scale))
-
-    def __repr__(self):
-        return f"Catalog(products={self.products!r}, display_scale={self.display_scale!r})"
 
 
 _MISSING = object()  # stands in for a key an entry lacks

@@ -10,6 +10,7 @@ no claims about intent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,7 +140,8 @@ def audit_ranking(
     to the compliant slate that raise the next slot's purchase probability
     while strictly losing expected revenue.  The engine's own output always
     audits clean.  The compliant order is ranked once, and only until it has
-    placed every displayed product and its first slot_count slots.
+    placed its first slot_count slots and one product of every adjacent
+    displayed pair; an unplaced product ranks after every placed one.
     """
     displayed = list(displayed)
     if len(set(displayed)) != len(displayed):
@@ -175,21 +177,22 @@ def audit_ranking(
         replay.remove(row)
 
     # The compliant order, placed only as far as the audit reads it: its
-    # first slot_count picks are the compliant slate, and only the relative
-    # order of displayed products is compared.
+    # first slot_count picks are the compliant slate, and an adjacent
+    # displayed pair is ordered once one of the two is placed, since an
+    # unplaced product ranks after every placed one.
     compliant = RankingPool(columns)
-    unplaced = set(displayed)
+    open_pairs = set(zip(displayed, displayed[1:]))  # neither member placed yet
     ref_pos: dict[str, int] = {}
-    while len(compliant) and (unplaced or len(ref_pos) < slot_count):
+    while len(compliant) and (open_pairs or len(ref_pos) < slot_count):
         pid = compliant.take_id()
         ref_pos[pid] = len(ref_pos)
-        unplaced.discard(pid)
+        open_pairs = {pair for pair in open_pairs if pid not in pair}
 
     # Order inversions relative to the compliant order.
     inputs = None  # the displayed slate's demand, resolved at the first inversion
     for position in range(1, len(displayed)):
         first, second = displayed[position - 1], displayed[position]
-        if ref_pos[first] > ref_pos[second]:
+        if ref_pos.get(first, math.inf) > ref_pos.get(second, math.inf):
             inputs = inputs or resolve_inputs(catalog, displayed, prior=prior, cost=cost, omega=omega)
             order = [*displayed[: position - 1], second, first, *displayed[position + 1 :]]
             swapped = resolve_inputs(catalog, order, prior=prior, cost=cost, omega=omega)

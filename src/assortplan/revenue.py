@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,6 +68,9 @@ class AttentionSpanDist:
         cls, entries: Mapping[int, float] | Iterable[tuple[int, float]]
     ) -> "AttentionSpanDist":
         pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
+        for span, _ in pairs:  # before sorting, which compares the spans
+            if isinstance(span, bool) or not isinstance(span, int) or span < 1:
+                raise ValueError(f"span values must be integers >= 1, got {span!r}")
         items = sorted(dict(pairs).items())
         if len(items) < len(pairs):  # pairs, unlike a mapping, can repeat a span
             spans = [span for span, _ in pairs]
@@ -76,10 +80,8 @@ class AttentionSpanDist:
             raise ValueError("span pmf is empty")
         total = 0.0
         for span, prob in items:
-            if isinstance(span, bool) or not isinstance(span, int) or span < 1:
-                raise ValueError(f"span values must be integers >= 1, got {span!r}")
-            if not 0 <= prob < math.inf:
-                raise ValueError(f"span probability must be nonnegative and finite, got {prob}")
+            if isinstance(prob, bool) or not isinstance(prob, Real) or not 0 <= prob < math.inf:
+                raise ValueError(f"span probability must be nonnegative and finite, got {prob!r}")
             total += prob
         if abs(total - 1.0) > _PMF_TOL:
             raise ValueError(f"span probabilities must sum to 1, got {total!r}")
@@ -177,6 +179,16 @@ def _mixture_value(terms: Sequence[float], dist: AttentionSpanDist) -> float:
     """
     cumulative = list(accumulate(terms, initial=0.0))
     return math.fsum(h * cumulative[min(y, len(terms))] for y, h in dist.pmf)
+
+
+def _exact_score(
+    rows: Sequence[int], lam: list[list[float]], prices: Sequence[float], shares: Sequence[float],
+    dist: AttentionSpanDist,
+) -> float:
+    """The exact score of the slate of catalog ``rows``, ``lam[slot][row]`` being its demand."""
+    lambdas = [lam[slot][i] for slot, i in enumerate(rows)]
+    terms = _slot_revenues(lambdas, [prices[i] for i in rows], [shares[i] for i in rows])
+    return _mixture_value(terms, dist)
 
 
 def _tail_value(terms: Sequence[float], dist: AttentionSpanDist) -> float:
@@ -347,14 +359,7 @@ def _best_slate(
         for code in codes[candidates].tolist():
             row = [code >> shift & _CODE_MASK for shift in shifts]
             slate = tuple(ids[i] for i in row)
-            value = _mixture_value(
-                _slot_revenues(
-                    [lam[slot][i] for slot, i in enumerate(row)],
-                    [prices[i] for i in row],
-                    [shares[i] for i in row],
-                ),
-                dist,
-            )
+            value = _exact_score(row, lam, prices, shares, dist)
             if value > best_value or (value == best_value and slate < best_slate):
                 best_value = value
                 best_slate = slate
@@ -498,8 +503,7 @@ def _sorted_slate(
     if not gap > tolerance:
         return None
     rows = [order[p] for p in slate]
-    terms = _slot_revenues([chance[i] for i in rows], [prices[i] for i in rows], [shares[i] for i in rows])
-    return _mixture_value(terms, dist), tuple(ids[i] for i in rows)
+    return _exact_score(rows, lam, prices, shares, dist), tuple(ids[i] for i in rows)
 
 
 def enumeration_count(universe: int, slot_count: int) -> int:
@@ -530,12 +534,15 @@ def brute_force_optimize(
     tries to prove the walk's answer from the price * share order; when it
     can, no walk runs and ``scored`` is 0.  Negative prices or shares, and
     purchase probabilities outside [0, 1], are refused: the bounds hold for
-    nonnegative cascade terms only.  So are catalogs that list an id twice.
-    Refuses universes beyond the guard limits rather than truncating
-    silently.
+    nonnegative cascade terms only.  So are catalogs that list an id twice,
+    and a ``compare`` slate longer than slot_count, which the optimum may
+    not match.  Refuses universes beyond the guard limits rather than
+    truncating silently.
     """
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
+    if compare is not None and len(compare) > slot_count:
+        raise ValueError(f"compare slate of {len(compare)} products exceeds slot_count {slot_count}")
     if not catalog.universe_size:
         raise ValueError("catalog is empty")
     columns = catalog.columns

@@ -53,8 +53,9 @@ class SimConfig:
 
     Exactly one of ``slate`` (fixed display order) or ``rerank_every``
     (recompute the two-stage ranking every r customers, needs
-    ``slot_count``) must be set.  ``freeze_beliefs`` pins review states at
-    their catalog values: no ratings are drawn and demand never moves.
+    ``slot_count``, which a fixed slate refuses) must be set.
+    ``freeze_beliefs`` pins review states at their catalog values: no
+    ratings are drawn and demand never moves.
     ``clamp_ratings`` optionally clips drawn ratings to a display scale.
     """
 
@@ -173,6 +174,8 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
             raise ValueError(f"rerank_every must be >= 1, got {cfg.rerank_every}")
         if cfg.slot_count is None or cfg.slot_count < 1:
             raise ValueError("slot_count must be >= 1 when re-ranking")
+    elif cfg.slot_count is not None:
+        raise ValueError("slot_count applies only with rerank_every")
     if cfg.policy not in POLICIES:
         raise ValueError(f"unknown ordering policy {cfg.policy!r}")
     if cfg.clamp_ratings is not None:
@@ -203,10 +206,11 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
 
 
 class _SpanDraw:
-    """Attention spans from each customer's first uniform (random spans only).
+    """Attention spans from each customer's first uniform, or first slot's for a point span.
 
     The span is the first one whose running pmf sum, added up in pmf order,
-    exceeds the uniform, or the last span when the float sum ends below it.
+    exceeds the uniform, or the last span when the float sum ends below it;
+    a point span's sum is [1.0], which every uniform in [0, 1) lies below.
     Spans stay Python ints, however large.
     """
 
@@ -221,8 +225,6 @@ class _SpanDraw:
 
     def index(self, uniforms: np.ndarray) -> np.ndarray:
         """Each customer's position in ``values``."""
-        if not self.uses_uniform:
-            return np.zeros(len(uniforms), dtype=np.intp)
         index = np.searchsorted(self.cumulative, uniforms[:, 0], side="right")
         return np.minimum(index, len(self.values) - 1)
 

@@ -40,6 +40,9 @@ SORTED_ORACLE = "tests/test_optimize_oracle.py::test_sorted_path_matches_oracle"
 SORTED_TIES = "tests/test_optimize_oracle.py::test_sorted_path_falls_back_on_exact_ties"
 REBUILT_CATALOG = "tests/test_ranker_oracle.py::test_review_writes_match_a_rebuilt_catalog"
 BOOL_SPANS = "tests/test_revenue.py::TestAttentionSpanDist::test_bool_spans_rejected"
+MALFORMED_PMF = "tests/test_revenue.py::TestAttentionSpanDist::test_malformed_pmf_entries_rejected"
+AUDIT = "tests/test_collusion.py::TestAuditRanking::"
+FOREIGN_PAIR = AUDIT + "test_adjacent_foreign_products_inverted_between_themselves"
 
 MUTANTS = (
     Mutant(
@@ -223,6 +226,79 @@ MUTANTS = (
         "reachable = np.array([catalog.row(pid) for pid in cfg.slate], dtype=np.intp)",
         "reachable = np.arange(catalog.universe_size)",
         ("tests/test_metamorphic.py::test_products_outside_a_fixed_slate_change_no_simulation",),
+    ),
+    Mutant(
+        "catalog-not-frozen",
+        "catalog.py",
+        "@dataclass(frozen=True, init=False)",
+        "@dataclass(frozen=False, init=False)",
+        ("tests/test_catalog.py::TestLazyProducts::test_catalog_surface_is_unchanged",),
+    ),
+    Mutant(
+        "point-span-spends-a-uniform-on-its-span",
+        "simulator.py",
+        'self.uses_uniform = dist.kind != "deterministic"',
+        "self.uses_uniform = True",
+        ("tests/test_simulator_oracle.py::test_engine_matches_oracle",),
+    ),
+    Mutant(
+        "exact-score-reads-slot-one-demand",
+        "revenue.py",
+        "lambdas = [lam[slot][i] for slot, i in enumerate(rows)]",
+        "lambdas = [lam[0][i] for i in rows]",
+        ("tests/test_optimize_oracle.py::test_engine_matches_oracle",),
+    ),
+    Mutant(
+        "optimize-accepts-a-longer-compare-slate",
+        "revenue.py",
+        "if compare is not None and len(compare) > slot_count:",
+        "if False:",
+        (
+            "tests/test_optimize_oracle.py::test_refused_before_any_work",
+            "tests/test_cli.py::TestOptimize::test_compare_longer_than_the_slots_rejected",
+        ),
+    ),
+    Mutant(
+        "fixed-slate-accepts-slot-count",
+        "simulator.py",
+        "elif cfg.slot_count is not None:",
+        "elif False:",
+        ("tests/test_cli.py::TestSimulate::test_config_refusals",),
+    ),
+    Mutant(
+        "pmf-probability-type-unchecked",
+        "revenue.py",
+        "if isinstance(prob, bool) or not isinstance(prob, Real) or not 0 <= prob < math.inf:",
+        "if not 0 <= prob < math.inf:",
+        (MALFORMED_PMF,),
+    ),
+    Mutant(
+        "pmf-spans-sorted-before-their-check",
+        "revenue.py",
+        "for span, _ in pairs:  # before sorting",
+        "for span, _ in sorted(pairs):  # before sorting",
+        (MALFORMED_PMF,),
+    ),
+    Mutant(
+        "audit-ranks-until-every-displayed-product-is-placed",
+        "collusion.py",
+        "while len(compliant) and (open_pairs or len(ref_pos) < slot_count):",
+        "while len(compliant) and (set(displayed) - set(ref_pos) or len(ref_pos) < slot_count):",
+        (AUDIT + "test_compliant_order_stops_once_every_displayed_pair_is_ordered",),
+    ),
+    Mutant(
+        "audit-stops-with-a-pair-unordered",
+        "collusion.py",
+        "open_pairs = {pair for pair in open_pairs if pid not in pair}",
+        "open_pairs = set()",
+        (FOREIGN_PAIR, AUDIT + "test_order_violations_match_the_full_compliant_order"),
+    ),
+    Mutant(
+        "audit-ranks-an-unplaced-product-first",
+        "collusion.py",
+        "if ref_pos.get(first, math.inf) > ref_pos.get(second, math.inf):",
+        "if ref_pos.get(first, -1) > ref_pos.get(second, -1):",
+        (FOREIGN_PAIR,),
     ),
 )
 

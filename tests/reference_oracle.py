@@ -42,6 +42,8 @@ def brute_force_optimize(
     """
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
+    if compare is not None and len(compare) > slot_count:
+        raise ValueError(f"compare slate of {len(compare)} products exceeds slot_count {slot_count}")
     if not catalog.products:
         raise ValueError("catalog is empty")
     ids = [p.id for p in catalog.products]

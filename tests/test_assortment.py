@@ -1,10 +1,17 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from assortplan.assortment import POLICY_PRICE_DESC, run_iteration, two_stage_select
+from assortplan.assortment import (
+    POLICY_PRICE_DESC,
+    RankingColumns,
+    RankingPool,
+    run_iteration,
+    two_stage_select,
+)
 from assortplan.catalog import Catalog, Product
 from helpers import random_catalog
 from reference_ranker import stage1_rank, stage2_filter
@@ -118,6 +125,13 @@ class TestStage2Filter:
             stage2_filter(["F"], 0.0, demo.by_id, "by-vibes")
 
 
+def round_after_exhausting(catalog):
+    pool = RankingPool(RankingColumns(catalog))
+    for _ in range(catalog.universe_size):
+        pool.take_id()
+    return pool.take()
+
+
 class TestTwoStageSelect:
     def test_demo_catalog_top_three(self, demo):
         ranking, trace = two_stage_select(demo, 3)
@@ -205,6 +219,19 @@ class TestTwoStageSelect:
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             two_stage_select(Catalog(()), 3)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda demo: two_stage_select(demo, 3, "bogus"), "unknown ordering policy 'bogus'"),
+            (lambda demo: run_iteration([]), "iteration pool is empty"),
+            (round_after_exhausting, "iteration pool is empty"),
+        ],
+        ids=["unknown-policy", "empty-pool", "exhausted-pool"],
+    )
+    def test_library_refusals(self, demo, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(demo)
 
     def test_fallback_on_all_zero_ratings(self):
         catalog = Catalog(

@@ -278,9 +278,9 @@ class TestLazyProducts:
         assert repr(loaded) == repr(built)
         assert repr(built).startswith("Catalog(products=(Product(id='A', price=629.0")
         assert built.columns is built.columns
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'display_scale'$"):
             loaded.display_scale = (1.0, 5.0)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError, match="^cannot delete field 'products'$"):
             del built.products
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_simulator as ref
-from assortplan import cli
+from assortplan import cli, revenue
 from assortplan.catalog import (
     BeliefPrior,
     Catalog,
@@ -355,6 +355,14 @@ class TestOptimize:
         assert float(lines["gap"]) >= 0
         assert lines["enumerated"] == "15"
 
+    def test_compare_longer_than_the_slots_rejected(self, capsys, demo_path):
+        # The one-slot optimum was printed below the compare slate, as a gap of -89.4805.
+        result = run(
+            capsys, "optimize", "--catalog", str(demo_path), "--slots", "1", "--span", "y=5",
+            "--compare", "B,A,F,J,G", "--omega", "uniform:1.0",
+        )
+        assert result == (2, "", "error: compare slate of 5 products exceeds slot_count 1\n")
+
     def test_single_product_catalog(self, capsys, write_catalog):
         demo = demo_catalog()
         path = write_catalog(Catalog((demo.get("A"),)))
@@ -373,6 +381,28 @@ class TestOptimize:
         assert code == 3
         assert "enumeration guard" in err
         assert "1885" in err  # 13 + 13*12 + 13*12*11 ordered slates
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optimize", "--slots", "3", "--span", "y=3", "--prior", "1,2"],
+         "prior spec must be 'MEAN,PRIOR_VAR,NOISE_VAR', got '1,2'"),
+        (["expected-revenue", "--slate", ",", "--span", "y=3"], "empty slate spec ','"),
+    ],
+)
+def test_flag_refusals(capsys, demo_path, argv, message):
+    result = run(capsys, argv[0], "--catalog", str(demo_path), *argv[1:])
+    assert result == (2, "", f"error: {message}\n")
+
+
+def test_internal_consistency_error_exits_three(capsys, demo_path, monkeypatch):
+    monkeypatch.setattr(revenue, "_tail_value", lambda terms, dist: -1.0)
+    code, out, err = run(
+        capsys, "expected-revenue", "--catalog", str(demo_path), "--slate", "A,B,F", "--span", "y=3"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal consistency error: span-expectation forms disagree: ")
 
 
 class TestAudit:
@@ -551,6 +581,39 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(key) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"clamp_ratings": [1]},
+             "simulation config: 'clamp_ratings' must be a [low, high] number pair, got [1]"),
+            ({"prior": {"mean": 0.0, "prior_var": 1.0}},
+             "simulation config: 'prior' missing required key 'noise_var'"),
+            ({"slate": None, "rerank_every": 0, "slot_count": 3}, "rerank_every must be >= 1, got 0"),
+            ({"policy": "bogus"}, "unknown ordering policy 'bogus'"),
+            ({"slate": []}, "fixed slate is empty"),
+            # It ran and showed all three products of the slate.
+            ({"slot_count": 1}, "slot_count applies only with rerank_every"),
+        ],
+    )
+    def test_config_refusals(self, capsys, demo_path, tmp_path, overrides, message):
+        config = sim_config(tmp_path, **overrides)
+        result = run(
+            capsys, "simulate", "--catalog", str(demo_path), "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        )
+        assert result == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_rerank_over_an_empty_catalog_rejected(self, capsys, tmp_path):
+        catalog = tmp_path / "empty.json"
+        catalog.write_text('{"products": []}', encoding="utf-8")
+        config = sim_config(tmp_path, slate=None, rerank_every=2, slot_count=3)
+        result = run(
+            capsys, "simulate", "--catalog", str(catalog), "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        )
+        assert result == (2, "", "error: catalog is empty\n")
 
     def test_missing_config_file(self, capsys, demo_path, tmp_path):
         path = tmp_path / "nope.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_cascade as ref
-from assortplan.assortment import two_stage_select
+from assortplan.assortment import RankingPool, two_stage_select
 from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.cli import main
 from assortplan.collusion import (
@@ -172,9 +172,52 @@ class TestAuditRanking:
         stage2 = [f for f in findings if f.kind == KIND_BELOW_STAGE2]
         assert [(f.product_id, f.slot) for f in stage2] == [("F", 3)]
 
+    def test_compliant_order_stops_once_every_displayed_pair_is_ordered(self, demo, monkeypatch):
+        # The compliant order is A B F J G E C I H D.  Its first three picks
+        # fill the slots and place A and F, so each displayed pair has a
+        # placed member and D, last in the order, is never ranked.
+        rounds = []
+        take_id = RankingPool.take_id
+        monkeypatch.setattr(RankingPool, "take_id", lambda pool: rounds.append(1) or take_id(pool))
+        findings = audit_ranking(demo, ["A", "D", "F"], 3, DIST3, omega=1.0)
+        assert len(rounds) == 3
+        assert [(f.slot, f.product_id, f.kind) for f in findings] == [
+            (2, "D", KIND_BELOW_STAGE1),
+            (3, "F", KIND_BELOW_STAGE2),
+            (2, "D", KIND_ORDER_VIOLATION),
+            (2, "D", KIND_REVENUE_DOMINATED),
+        ]
+
+    def test_adjacent_foreign_products_inverted_between_themselves(self, demo):
+        # Neither H nor I is in the compliant slate A B; I comes before H in
+        # the compliant order, so ranking goes on until I is placed.
+        findings = audit_ranking(demo, ["H", "I"], 2, DIST3, omega=1.0)
+        violations = [(f.slot, f.product_id) for f in findings if f.kind == KIND_ORDER_VIOLATION]
+        assert violations == [(1, "H")]
+
+    def test_order_violations_match_the_full_compliant_order(self):
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            catalog = random_catalog(rng)
+            ids = [p.id for p in catalog.products]
+            displayed = [str(pid) for pid in rng.permutation(ids)[: int(rng.integers(1, len(ids) + 1))]]
+            slots = int(rng.integers(1, len(ids) + 1))
+            order = two_stage_select(catalog, len(ids))[0].slots
+            expected = [
+                (slot, first)
+                for slot, (first, second) in enumerate(zip(displayed, displayed[1:]), start=1)
+                if order.index(first) > order.index(second)
+            ]
+            findings = audit_ranking(catalog, displayed, slots, DIST3)
+            assert [(f.slot, f.product_id) for f in findings if f.kind == KIND_ORDER_VIOLATION] == expected
+
     def test_unknown_displayed_id_rejected(self, demo):
         with pytest.raises(KeyError, match="unknown product id"):
             audit_ranking(demo, ["A", "Z"], 2, DIST3)
+
+    def test_slot_count_below_one_rejected(self, demo):
+        with pytest.raises(ValueError, match="^slot_count must be >= 1, got 0$"):
+            audit_ranking(demo, ["A", "B"], 0, DIST3)
 
     def test_duplicate_displayed_ids_rejected(self, demo):
         with pytest.raises(ValueError, match="duplicate"):

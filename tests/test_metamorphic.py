@@ -121,7 +121,7 @@ def command_lines(data, catalog: Catalog, work) -> list[list[str]]:
     n = len(ids)
     span, policy = data.draw(SPANS), data.draw(POLICIES)
     demand = ["--prior", "3,1,1"]
-    slate = ",".join(data.draw(slates(ids, 4)))
+    slate = data.draw(slates(ids, 4))
     displayed = ",".join(data.draw(slates(ids, n)))
     configs = {
         "frozen": {"slate": data.draw(slates(ids, 3)), "freeze_beliefs": True},
@@ -131,9 +131,9 @@ def command_lines(data, catalog: Catalog, work) -> list[list[str]]:
     lines = [
         ["rank", "--slots", str(data.draw(st.integers(1, n))), "--policy", policy, "--trace"],
         ["rank", "--slots", str(n), "--policy", policy, "--trace", "--format", "structured"],
-        ["expected-revenue", "--slate", slate, "--span", span, *demand],
-        ["optimize", "--slots", str(data.draw(st.integers(1, 3))), "--span", span,
-         "--compare", slate, *demand, "--format", "structured"],
+        ["expected-revenue", "--slate", ",".join(slate), "--span", span, *demand],
+        ["optimize", "--slots", str(slots := data.draw(st.integers(1, 3))), "--span", span,
+         "--compare", ",".join(slate[:slots]), *demand, "--format", "structured"],
         ["audit", "--displayed", displayed, "--span", span, "--policy", policy, *demand],
     ]
     for name, display in configs.items():
@@ -217,9 +217,9 @@ def optimized(path: str, argv: list[str]) -> dict:
 @given(catalogs(pinned=True), st.data())
 def test_power_of_two_prices_scale_optimize_values(work, catalog, data):
     ids = [p.id for p in catalog.products]
-    compare = ",".join(data.draw(slates(ids, 3)))
-    argv = ["--slots", str(data.draw(st.integers(1, 3))), "--span", data.draw(SPANS),
-            "--compare", compare]
+    compare = data.draw(slates(ids, 3))
+    slots = data.draw(st.integers(1, 3))
+    argv = ["--slots", str(slots), "--span", data.draw(SPANS), "--compare", ",".join(compare[:slots])]
     base = optimized(write(work, "base.json", catalog), argv)
     for j in SCALES:
         report = optimized(write(work, f"x{j}.json", scaled(catalog, j)), argv)

@@ -8,6 +8,7 @@ same enumeration count and the same warnings.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_oracle as ref
 from assortplan import revenue
-from assortplan.catalog import BeliefPrior, Catalog, Product
+from assortplan.catalog import BeliefPrior, Catalog, Product, demo_catalog
 from assortplan.demand import UTILITY_SCALE_WARN, CostModel
 from assortplan.revenue import (
     AttentionSpanDist,
@@ -120,7 +121,10 @@ def problems(draw) -> tuple:
     if not pinned:
         kwargs["prior"] = BeliefPrior(draw(st.floats(-2.0, 6.0)), 1.0, 4.0)
         kwargs["cost"] = CostModel(draw(st.sampled_from([0.0, 0.1, 0.25])))
-    return catalog, draw(st.integers(1, 6)), draw(spans()), kwargs
+    slots = draw(st.integers(1, 6))
+    if kwargs["compare"] is not None:  # no longer than the slot count, which the optimizer requires
+        kwargs["compare"] = kwargs["compare"][:slots]
+    return catalog, slots, draw(spans()), kwargs
 
 
 # Four identical products walked one parent at a time: every slate ties
@@ -147,6 +151,21 @@ def test_engine_matches_oracle(problem, block):
     # The block size sets the walk order, and with it which bounds prune.
     with mock.patch.object(revenue, "_BLOCK", block):
         assert_matches_oracle(catalog, slots, dist, **kwargs)
+
+
+@pytest.mark.parametrize("solver", [brute_force_optimize, ref.brute_force_optimize], ids=["engine", "oracle"])
+@pytest.mark.parametrize(
+    "slots, compare, message",
+    [
+        (0, None, "slot_count must be >= 1, got 0"),
+        # The one-slot optimum, 597.55, was reported 89.48 below this slate's value.
+        (1, ("B", "A", "F", "J", "G"), "compare slate of 5 products exceeds slot_count 1"),
+    ],
+    ids=["no-slots", "compare-longer-than-slots"],
+)
+def test_refused_before_any_work(solver, slots, compare, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solver(demo_catalog(), slots, AttentionSpanDist.deterministic(5), omega=1.0, compare=compare)
 
 
 def _pinned(*rows: tuple) -> Catalog:

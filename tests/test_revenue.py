@@ -87,6 +87,21 @@ class TestAttentionSpanDist:
             make()
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"a": 0.5, 1: 0.5}, "span values must be integers >= 1, got 'a'"),
+            ({1: 0.5, 2: "0.5"}, "span probability must be nonnegative and finite, got '0.5'"),
+            ({2: True}, "span probability must be nonnegative and finite, got True"),
+        ],
+        ids=["str-span", "str-probability", "bool-probability"],
+    )
+    def test_malformed_pmf_entries_rejected(self, entries, message):
+        # Sorting mixed span types and comparing a str with 0 raised TypeError; True passed as 1.0.
+        with pytest.raises(ValueError) as excinfo:
+            AttentionSpanDist.from_pmf(entries)
+        assert str(excinfo.value) == message
+
     def test_empty_pmf_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             AttentionSpanDist.from_pmf({})
