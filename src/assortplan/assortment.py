@@ -11,13 +11,21 @@ neither depends on the order products are listed in.  Stage 1's sums are
 exact integers, patched as review states are rewritten and products leave,
 and the columns stay sorted across rewrites, so a ``RankingPool`` set-up
 sums nothing and sorts only what a rewrite put out of order.
+
+A round run by ``RankingPool.take_recorded`` leaves a ``RoundRecord``:
+its rounded cutoffs, its shortlist's price weights and price mass, its
+passers and its pick, by catalog row.  After a few review writes,
+``RankingPool.replay`` takes the round again from its record, in work
+proportional to the written rows plus one ``math.fsum`` over the
+shortlist, when it can prove that the writes leave the round's pick as
+``_select`` would make it; otherwise the caller runs the round afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,6 +180,9 @@ class RankingColumns:
         self.position = np.empty_like(order)  # catalog row -> column row
         self.position[order] = np.arange(len(order))
         self.in_order = True  # until a rewrite breaks the order
+        # With no price negative or NaN, no price weight is negative, and whether
+        # fsum over them overflows part-way does not depend on their order.
+        self.replayable = bool((self.price >= 0).all())
 
     def scaled(self, i: int, at: int) -> int:
         """Column row ``at``'s addend to sum i (0 Σrating, 1 Σweighted) times 2^1074,
@@ -186,17 +197,18 @@ class RankingColumns:
         """Rewrite catalog row ``row``'s rating and review count (count < 2^63);
         each defined sum trades the row's old addend for its new one."""
         at = self.position.item(row)
-        for i in (0, 1):
-            if self._sums[i] is not None:
-                self._sums[i] -= self.scaled(i, at)
-            self._scaled_values[i].pop(row, None)
+        old = (self.rating.item(at), self.weighted.item(at))
         self.rating[at] = mean
         self.reviews[at] = count
         self.weighted[at] = mean * count
         self.price_weighted[at] = self.price.item(at) * count
         for i, new in enumerate((self.rating.item(at), self.weighted.item(at))):
-            if self._sums[i] is not None and abs(new) < _ADDEND_MAX:
-                self._sums[i] += self.scaled(i, at)
+            cache, total = self._scaled_values[i], self._sums[i]
+            was = cache.pop(row, None)
+            if total is not None and abs(new) < _ADDEND_MAX:
+                # A defined sum's addends are all finite, the old one too.
+                cache[row] = value = _scaled(new)
+                self._sums[i] = total - (_scaled(old[i]) if was is None else was) + value
             else:  # a NaN or huge addend leaves the sum to a recount
                 self._sums[i] = None
         # The other rows keep their relative order: only pairs with this one can break it.
@@ -230,6 +242,38 @@ class RankingColumns:
             if self._sums[i] is None:
                 self._sums[i] = _scaled_sum(column)
         return tuple(self._sums)
+
+
+class _Round(NamedTuple):
+    """One ``_select`` round as column rows: its stage-1 cutoff and shortlist,
+    the shortlist's price mass (None unless stage 2 ran), its stage-2 cutoff,
+    its ordered passers and its pick."""
+
+    cutoff1: float | None
+    shortlist: np.ndarray
+    mass: float | None
+    cutoff2: float | None
+    passers: np.ndarray
+    pick: int
+
+
+@dataclass(slots=True)
+class RoundRecord:
+    """A round that ``RankingPool.replay`` may take again, by catalog row.
+
+    ``bound1`` and ``bound2`` are its cutoffs as ``_review_bound`` rounds
+    them; ``weights`` maps each shortlisted row to its ``price_weighted``
+    value and ``mass`` is the shortlist's exact price sum; ``passers`` holds
+    the stage-2 passers (``passer_set`` as a set) and ``pick`` the row taken.
+    """
+
+    bound1: int
+    weights: dict[int, float]
+    mass: float
+    bound2: int
+    passers: np.ndarray
+    passer_set: set[int]
+    pick: int
 
 
 class RankingPool:
@@ -276,8 +320,8 @@ class RankingPool:
         if self.alive.item(at):
             self._drop(at)
 
-    def _select(self) -> tuple:
-        """One round: its cutoffs, shortlist, ordered passers and pick, as columns."""
+    def _select(self) -> _Round:
+        """One round over the pool as it stands."""
         c = self.columns
         live = self.alive.nonzero()[0]
         if not live.size:
@@ -294,7 +338,7 @@ class RankingPool:
             shortlist = live[c.reviews[live] >= _review_bound(cutoff1)]
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
-            return cutoff1, shortlist, None, shortlist, live[c.reviews[live].argmax()]
+            return _Round(cutoff1, shortlist, None, None, shortlist, live[c.reviews[live].argmax()])
         try:
             mass = _exact_sum(c.price[shortlist])
             cutoff2 = _exact_sum(c.price_weighted[shortlist]) / mass if mass else None
@@ -306,27 +350,119 @@ class RankingPool:
             passers = shortlist[c.reviews[shortlist] >= _review_bound(cutoff2)]
         if c.policy == POLICY_PRICE_DESC:
             passers = passers[c.price_desc_rank[passers].argsort()]
-        return cutoff1, shortlist, cutoff2, passers, passers[0] if passers.size else shortlist[0]
+        pick = passers[0] if passers.size else shortlist[0]
+        return _Round(cutoff1, shortlist, mass, cutoff2, passers, pick)
 
-    def _record(self, cutoff1, shortlist, cutoff2, passers, pick) -> IterationRecord:
+    def take_recorded(self) -> tuple[int, RoundRecord | None]:
+        """Run one round and eliminate its pick; return the pick's catalog row and
+        the round's record, or None for a round ``replay`` cannot take again: a
+        fallback, a cutoff that is not finite, or a catalog with a negative or NaN price."""
+        cutoff1, shortlist, mass, cutoff2, passers, pick = self._select()
+        self._drop(pick)
+        c = self.columns
+        row = c.order.item(pick)
+        if not (passers.size and c.replayable and math.isfinite(cutoff1) and math.isfinite(cutoff2)):
+            return row, None
+        weights = dict(zip(c.order[shortlist].tolist(), c.price_weighted[shortlist].tolist()))
+        passer_rows = c.order[passers]
+        record = RoundRecord(
+            math.ceil(cutoff1), weights, mass, math.ceil(cutoff2),
+            passer_rows, set(passer_rows.tolist()), row,
+        )
+        return row, record
+
+    def states(self, rows: Iterable[int]) -> list[tuple[int, int, int, float]]:
+        """Each catalog row of ``rows`` with its column row, review count and price
+        weight, as ``replay`` reads them; valid until the columns are written."""
+        c = self.columns
+        out = []
+        for row in rows:
+            at = c.position.item(row)
+            out.append((row, at, c.reviews.item(at), c.price_weighted.item(at)))
+        return out
+
+    def replay(self, record: RoundRecord, written: list[tuple[int, int, int, float]]) -> int | None:
+        """Take the recorded round again after review writes, or return None.
+
+        ``record`` is the round as the pool stood before the writes, with the
+        same products alive; ``written`` gives the written rows' states
+        (``states``).  Rows not written kept their review counts and price
+        weights: with no alive row written the round is the recorded one, and
+        otherwise the round's pick is ``_select``'s when: both stage-1 sums
+        are defined and nonzero and their cutoff rounds to ``bound1``; no alive
+        written row entered or left the shortlist; the patched price weights'
+        fsum, nonzero and below 2^1000, divided by ``mass`` rounds to
+        ``bound2``; and no written shortlisted row changed its pass status.
+        The passers are then the recorded ones; under the stage-1-order policy
+        a written passer may now stand before the recorded pick, so the pick is
+        the passer with the least current column row.  The pick is dropped and
+        stored in ``record``.  On None the pool is unchanged and ``record`` is
+        stale: the caller runs the round afresh.
+        """
+        weights, passer_set = record.weights, record.passer_set
+        moved = patched = promoted = False
+        for row, at, count, weight in written:
+            if not self.alive.item(at):
+                continue
+            moved = True
+            listed = row in weights
+            if (count >= record.bound1) != listed:
+                return None
+            if listed:
+                passed = row in passer_set
+                if (count >= record.bound2) != passed:
+                    return None
+                weights[row] = weight
+                patched, promoted = True, promoted or passed
+        if moved:
+            total0, total1 = self.sums
+            if not (total0 and total1):
+                return None
+            # As _select computes it; the exact sums' quotients are finite and nonzero.
+            cutoff1 = total1 / _SCALE / (total0 / _SCALE)
+            if not math.isfinite(cutoff1) or math.ceil(cutoff1) != record.bound1:
+                return None
+        if patched:
+            try:
+                total = math.fsum(weights.values())
+            except OverflowError:  # part-way; with no weight negative, no inf - inf
+                return None
+            # Zero goes to _select for its sign; below 2^1000, with no term
+            # negative, fsum overflows part-way in no order of the terms.
+            if not 0.0 < total < 2.0**1000:
+                return None
+            cutoff2 = total / record.mass
+            if not math.isfinite(cutoff2) or math.ceil(cutoff2) != record.bound2:
+                return None
+        c = self.columns
+        pick = record.pick
+        if promoted and c.policy == POLICY_STAGE1_ORDER:
+            pick = record.passers.item(c.position[record.passers].argmin())
+        record.pick = pick
+        self._drop(c.position.item(pick))
+        return pick
+
+    def _record(self, selection: _Round) -> IterationRecord:
         ids = self.columns.ids
-        order = tuple(ids[shortlist].tolist())
-        passed = tuple(ids[passers].tolist())
-        return IterationRecord(cutoff1, order, cutoff2, passed, ids[pick], not passed)
+        order = tuple(ids[selection.shortlist].tolist())
+        passed = tuple(ids[selection.passers].tolist())
+        return IterationRecord(
+            selection.cutoff1, order, selection.cutoff2, passed, ids[selection.pick], not passed
+        )
 
     def peek(self) -> IterationRecord:
         """Run one selection round over the pool as it stands."""
-        return self._record(*self._select())
+        return self._record(self._select())
 
     def take(self) -> IterationRecord:
         """Run one selection round and eliminate the product it selected."""
         selection = self._select()
-        self._drop(selection[-1])
-        return self._record(*selection)
+        self._drop(selection.pick)
+        return self._record(selection)
 
     def take_id(self) -> str:
         """``take().selected``, without building the round's record."""
-        pick = self._select()[-1]
+        pick = self._select().pick
         self._drop(pick)
         return self.columns.ids[pick]
 

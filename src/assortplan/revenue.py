@@ -239,17 +239,22 @@ def _lambda_table(
 ) -> list[list[float]]:
     """Demand of every catalog row at slots 1..depth, as ``table[slot - 1][row]``.
 
-    Demand depends only on (product, slot).  The table is filled in the
-    order a lexicographic walk over the slates first reaches each pair, so
+    Demand depends only on (product, slot).  A pinned demand is the same at
+    every slot and never warns, so each slot's row starts as a copy of the
+    pinned column.  The logit entries are filled in the order a
+    lexicographic walk over the slates first reaches each pair, so
     utility-scale warnings come out in that order: for slot s, the rows
     s-1..n-1 ascending, then s-2..0 descending.
     """
     c = catalog.columns
     rows = list(zip(c.ids, *(col.tolist() for col in (c.demand, c.reviews, c.rating, c.price))))
-    table = [[0.0] * len(rows) for _ in range(depth)]
+    # purchase_chance returns a truthy pinned demand itself.
+    pinned = [row[1] or 0.0 for row in rows]
+    table = [pinned.copy() for _ in range(depth)]
     for slot in range(1, depth + 1):
         for i in [*range(slot - 1, len(rows)), *range(slot - 2, -1, -1)]:
-            table[slot - 1][i] = purchase_chance(*rows[i], slot, prior, cost, warn_stacklevel=2)
+            if not rows[i][1]:
+                table[slot - 1][i] = purchase_chance(*rows[i], slot, prior, cost, warn_stacklevel=2)
     return table
 
 

@@ -12,7 +12,9 @@ Because the streams are counter-based, a numpy Philox4x64-10 kernel
 equal bit for bit to numpy's own.  Frozen runs are then array code; live
 runs walk customers in order over the precomputed uniforms, ask numpy for
 the rating draw only, and re-rank after writing the review states of the
-products bought since the last re-rank into the ranking columns in place.
+products bought since the last re-rank into the ranking columns in place;
+a re-rank replays each round of the last one that those writes provably
+leave as it was (``RankingPool.replay``) and runs the others afresh.
 
 Review states are two columns by catalog row, count and mean: a frozen
 run reads the catalog's own, a live run writes each purchase into Python
@@ -37,6 +39,7 @@ from .assortment import (
     POLICY_STAGE1_ORDER,
     RankingColumns,
     RankingPool,
+    RoundRecord,
     two_stage_select,
 )
 from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns
@@ -163,6 +166,15 @@ class SimTrace:
 
 
 def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
+    # bool is an int to Python; a flag is never read as 1, nor 1 as a flag.
+    for name in ("horizon", "seed", "rerank_every", "slot_count"):
+        value = getattr(cfg, name)
+        if value is None and name in ("rerank_every", "slot_count"):
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(cfg.freeze_beliefs, bool):
+        raise ValueError(f"freeze_beliefs must be a bool, got {cfg.freeze_beliefs!r}")
     if cfg.horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {cfg.horizon}")
     if not 0 <= cfg.seed < 2**64:
@@ -233,7 +245,10 @@ class _Reranker:
     """Two-stage re-ranking over review columns kept in step with the run's.
 
     A purchase notes its catalog row in ``written``; a re-rank first writes
-    those rows' review states into the ranking columns, once each.
+    those rows' review states into the ranking columns, once each.  It keeps
+    each round's pick and ``RoundRecord``; while every earlier round of a
+    re-rank took the pick it took the time before, the next round is
+    replayed from its record (``RankingPool.replay``) where the writes allow.
     """
 
     def __init__(self, catalog: Catalog, cfg: SimConfig):
@@ -241,6 +256,8 @@ class _Reranker:
         self.slot_count = min(cfg.slot_count, catalog.universe_size)
         self.written: set[int] = set()
         self.overflow: tuple[int, int] | None = None
+        self.records: list[RoundRecord | None] = [None] * self.slot_count
+        self.picks: list[int] = []  # the last re-rank's, by catalog row
 
     def record(self, row: int, count: int) -> None:
         self.written.add(row)
@@ -257,9 +274,21 @@ class _Reranker:
             )
         for row in self.written:
             self.columns.set_review_state(row, means[row], counts[row])
-        self.written.clear()
         pool = RankingPool(self.columns)
-        return tuple(pool.take_id() for _ in range(self.slot_count))
+        written = pool.states(self.written)
+        self.written.clear()
+        # Cleared until this re-rank completes, so that a failed one replays nothing.
+        previous, self.picks = self.picks, []
+        picks: list[int] = []
+        replaying = bool(previous)
+        for i, record in enumerate(self.records):
+            row = pool.replay(record, written) if replaying and record is not None else None
+            if row is None:
+                row, self.records[i] = pool.take_recorded()
+            replaying = replaying and row == previous[i]
+            picks.append(row)
+        self.picks = picks
+        return tuple(map(ids.__getitem__, picks))
 
 
 def _displayed(catalog: Catalog, slate: tuple[str, ...], reach: int, count_of, mean_of, cfg):

@@ -42,6 +42,9 @@ REBUILT_CATALOG = "tests/test_ranker_oracle.py::test_review_writes_match_a_rebui
 BOOL_SPANS = "tests/test_revenue.py::TestAttentionSpanDist::test_bool_spans_rejected"
 MALFORMED_PMF = "tests/test_revenue.py::TestAttentionSpanDist::test_malformed_pmf_entries_rejected"
 AUDIT = "tests/test_collusion.py::TestAuditRanking::"
+SIM_ORACLE = "tests/test_simulator_oracle.py::"
+OVERTAKING = SIM_ORACLE + "test_long_live_rerank_with_overtaking_leaders_matches_oracle"
+RATED_RERANKS = "tests/test_ranker_oracle.py::test_reranks_after_rated_purchases_match_a_fresh_ranking"
 FOREIGN_PAIR = AUDIT + "test_adjacent_foreign_products_inverted_between_themselves"
 
 MUTANTS = (
@@ -131,8 +134,8 @@ MUTANTS = (
     Mutant(
         "write-keeps-the-rows-cached-value",
         "assortment.py",
-        "self._scaled_values[i].pop(row, None)",
-        "pass",
+        "was = cache.pop(row, None)",
+        "was = cache.get(row)",
         ("tests/test_ranker_oracle.py::test_scaled_value_cache_keeps_both_sums_exact",),
     ),
     Mutant(
@@ -299,6 +302,74 @@ MUTANTS = (
         "if ref_pos.get(first, math.inf) > ref_pos.get(second, math.inf):",
         "if ref_pos.get(first, -1) > ref_pos.get(second, -1):",
         (FOREIGN_PAIR,),
+    ),
+    Mutant(
+        "replay-without-the-stage-1-bound",
+        "assortment.py",
+        "if not math.isfinite(cutoff1) or math.ceil(cutoff1) != record.bound1:",
+        "if not math.isfinite(cutoff1):",
+        (RATED_RERANKS,),
+    ),
+    Mutant(
+        "replay-skips-the-stage-1-check-after-a-write",
+        "assortment.py",
+        "            moved = True\n",
+        "",
+        (RATED_RERANKS,),
+    ),
+    Mutant(
+        "replay-leaves-a-written-stage-2-weight-unpatched",
+        "assortment.py",
+        "weights[row] = weight",
+        "weights[row] = weights[row]",
+        (RATED_RERANKS,),
+    ),
+    Mutant(
+        "replay-without-the-pass-status-check",
+        "assortment.py",
+        "if (count >= record.bound2) != passed:",
+        "if False:",
+        (RATED_RERANKS,),
+    ),
+    Mutant(
+        # The first unwritten passer in recorded order is taken as the least of
+        # the unwritten ones: stale once a row written at an earlier re-rank moved.
+        "replay-picks-from-the-recorded-passer-order",
+        "assortment.py",
+        "pick = record.passers.item(c.position[record.passers].argmin())",
+        "moved = {row for row, *_ in written}\n"
+        "            passers = record.passers.tolist()\n"
+        "            rest = [row for row in passers if row not in moved][:1]\n"
+        "            pick = min([row for row in passers if row in moved] + rest, key=c.position.item)",
+        (OVERTAKING,),
+    ),
+    Mutant(
+        "replayed-pick-not-stored",
+        "assortment.py",
+        "record.pick = pick",
+        "pass",
+        (OVERTAKING,),
+    ),
+    Mutant(
+        "replay-continues-after-a-changed-pick",
+        "simulator.py",
+        "replaying = replaying and row == previous[i]",
+        "replaying = replaying",
+        (RATED_RERANKS, OVERTAKING),
+    ),
+    Mutant(
+        "lambda-table-drops-pinned-rows",
+        "revenue.py",
+        "pinned = [row[1] or 0.0 for row in rows]",
+        "pinned = [0.0 for row in rows]",
+        ("tests/test_optimize_oracle.py::test_lambda_table_matches_a_per_pair_loop",),
+    ),
+    Mutant(
+        "sim-config-takes-a-bool-as-an-integer",
+        "simulator.py",
+        "if isinstance(value, bool) or not isinstance(value, int):",
+        "if not isinstance(value, int):",
+        ("tests/test_simulator.py::TestValidation::test_values_are_taken_as_typed",),
     ),
 )
 

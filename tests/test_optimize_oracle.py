@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_oracle as ref
 from assortplan import revenue
 from assortplan.catalog import BeliefPrior, Catalog, Product, demo_catalog
-from assortplan.demand import UTILITY_SCALE_WARN, CostModel
+from assortplan.demand import UTILITY_SCALE_WARN, CostModel, purchase_chance
 from assortplan.revenue import (
     AttentionSpanDist,
     EnumerationGuardError,
@@ -263,6 +263,46 @@ def test_utility_scale_warnings_match_oracle_order():
     assert len(engine_warnings) == 9
     assert all(f"+/-{UTILITY_SCALE_WARN}" in message for message in engine_warnings)
     assert engine_warnings == oracle_warnings
+
+
+def _per_pair_lambda_table(catalog: Catalog, depth: int, prior, cost: CostModel) -> list[list[float]]:
+    """``revenue._lambda_table`` as one ``purchase_chance`` per (row, slot), in walk order."""
+    c = catalog.columns
+    rows = list(zip(c.ids, *(col.tolist() for col in (c.demand, c.reviews, c.rating, c.price))))
+    table = [[0.0] * len(rows) for _ in range(depth)]
+    for slot in range(1, depth + 1):
+        for i in [*range(slot - 1, len(rows)), *range(slot - 2, -1, -1)]:
+            table[slot - 1][i] = purchase_chance(*rows[i], slot, prior, cost, warn_stacklevel=2)
+    return table
+
+
+@given(st.data())
+def test_lambda_table_matches_a_per_pair_loop(data):
+    # Pinned, unpinned and pinned-0.0 rows mixed; prices far off the rating
+    # scale warn, and without a prior the first unpinned row in walk order raises.
+    products = tuple(
+        Product(
+            id=f"P{i}",
+            price=data.draw(PRICES | st.sampled_from([90.0, -80.0])),
+            review_count=data.draw(st.integers(0, 50)),
+            avg_rating=data.draw(st.floats(0.0, 5.0)),
+            demand_override=data.draw(st.none() | st.just(0.0) | DEMANDS),
+        )
+        for i in range(data.draw(st.integers(1, 7)))
+    )
+    catalog = Catalog(products)
+    depth = data.draw(st.integers(1, len(products)))  # brute_force_optimize's min(slots, n)
+    prior = data.draw(st.none() | st.just(BeliefPrior(3.0, 1.0, 4.0)))
+    cost = CostModel(data.draw(st.sampled_from([0.0, 0.2, 30.0])))
+
+    def outcome(build):
+        try:
+            table, messages = _run(build, catalog, depth, prior, cost)
+        except ValueError as exc:
+            return str(exc)
+        return [[value.hex() for value in row] for row in table], messages
+
+    assert outcome(revenue._lambda_table) == outcome(_per_pair_lambda_table)
 
 
 @pytest.mark.parametrize("size, slots", [(13, 3), (4, 9)])

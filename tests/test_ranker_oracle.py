@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from assortplan.assortment import (
     two_stage_select,
 )
 from assortplan.catalog import MAX_REVIEWS, Catalog, Product
+from assortplan.demand import add_rating
 from assortplan.collusion import audit_ranking
 from assortplan.revenue import AttentionSpanDist
+from assortplan.simulator import _Reranker
 
 # Decimal fractions such as 0.1 and 0.3 are inexact in binary, which is
 # where a plain sum() depended on the order of its terms.  Catalogs accept
@@ -362,17 +366,26 @@ def _assert_pool_matches_a_fresh_one(written: RankingColumns, catalog: Catalog, 
 def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
     # ``twin`` takes the same writes but is read only when a pool is built,
     # so that it patches and re-sorts several writes, some to one row, at once.
+    # ``reranker`` takes them as the simulator does, and re-ranks at each
+    # check, replaying the rounds of its last re-rank that the writes allow.
     columns, twin = RankingColumns(catalog, policy), RankingColumns(catalog, policy)
     ids = catalog.columns.ids
     states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
     n = len(ids)
+    reranker = _Reranker(catalog, SimpleNamespace(policy=policy, slot_count=data.draw(st.integers(1, n))))
+    counts, means = catalog.columns.reviews.tolist(), catalog.columns.rating.tolist()
     for _ in range(data.draw(st.integers(1, 8))):
         row = data.draw(st.integers(0, n - 1))
         ranked = _stage1_ranked(states)
         other = ranked[data.draw(st.integers(0, n - 1))]
-        kind = data.draw(st.sampled_from(["drawn", "cancel", "tie", "same", "neighbour"]))
+        kind = data.draw(st.sampled_from(["drawn", "cancel", "tie", "same", "neighbour", "rated"]))
         if kind == "drawn":
             count, mean = data.draw(WRITE_COUNTS), data.draw(WRITE_RATINGS)
+        elif kind == "rated":
+            # One more rating, as a simulated purchase writes it.
+            count, mean = states[ids[row]]
+            if count < MAX_REVIEWS - 1:
+                count, mean = add_rating(count, mean, data.draw(RATINGS))
         elif kind == "cancel":
             # Cancel another row's rating, so that the sums can reach zero.
             count, mean = states[other][0], -states[other][1]
@@ -390,7 +403,9 @@ def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
                                               math.nextafter(near, -math.inf)]))
         columns.set_review_state(row, mean, count)
         twin.set_review_state(row, mean, count)
+        reranker.record(row, count)
         states[ids[row]] = (count, mean)
+        counts[row], means[row] = count, mean
         with np.errstate(over="ignore"):
             assert columns.weighted.tobytes() == (columns.rating * columns.reviews).tobytes()
             assert columns.price_weighted.tobytes() == (columns.price * columns.reviews).tobytes()
@@ -400,6 +415,8 @@ def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
             k = data.draw(st.integers(1, n))
             for written in (columns, twin):
                 _assert_pool_matches_a_fresh_one(written, rebuilt, k)
+            fresh = _outcome(lambda: two_stage_select(rebuilt, reranker.slot_count, policy)[0].slots)
+            assert _outcome(lambda: reranker.rank(ids, counts, means)) == fresh
             assert twin.sums == columns.sums
             assert columns.ids.tolist() == _stage1_ranked(states)
             assert columns.order.tolist() == [catalog.row(pid) for pid in _stage1_ranked(states)]
@@ -495,3 +512,46 @@ def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
         for cache, column in zip(columns._scaled_values, (columns.rating, columns.weighted)):
             for row, value in cache.items():
                 assert value == _scaled(column.item(columns.position[row]))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reranks_after_rated_purchases_match_a_fresh_ranking(seed, policy):
+    # As in a live simulation: between re-ranks a few shown products are
+    # bought and rated.  With twelve products and small review counts a
+    # purchase often moves a count across a cutoff or a cutoff across a
+    # count, yet more than half the rounds replay; every re-rank must equal
+    # a ranking of the rebuilt catalog.
+    rng = np.random.default_rng(seed)
+    n = 12
+    reviews = rng.integers(0, 12, n)
+    catalog = Catalog(
+        tuple(
+            Product(id=f"P{i:02d}", price=float(rng.choice([1.0, 2.5, 4.0])), review_count=int(reviews[i]),
+                    avg_rating=float(np.round(rng.uniform(2.0, 5.0), 1)) if reviews[i] else 0.0)
+            for i in range(n)
+        )
+    )
+    reranker = _Reranker(catalog, SimpleNamespace(policy=policy, slot_count=5))
+    ids = catalog.columns.ids
+    counts, means = catalog.columns.reviews.tolist(), catalog.columns.rating.tolist()
+    states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
+    replays = []
+    replay = RankingPool.replay
+
+    def spy(self, record, written):
+        row = replay(self, record, written)
+        replays.append(row is not None)
+        return row
+
+    slate = reranker.rank(ids, counts, means)
+    with mock.patch.object(RankingPool, "replay", spy):
+        for _ in range(300):
+            for pid in rng.choice(slate, int(rng.integers(0, 4)), replace=False).tolist():
+                row = catalog.row(pid)
+                counts[row], means[row] = add_rating(counts[row], means[row], float(rng.normal(3.5, 2.0)))
+                states[pid] = (counts[row], means[row])
+                reranker.record(row, counts[row])
+            slate = reranker.rank(ids, counts, means)
+            assert slate == two_stage_select(_rewritten(catalog, states), 5, policy)[0].slots
+    assert sum(replays) > len(replays) // 2

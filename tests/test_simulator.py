@@ -236,6 +236,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed"):
             simulate(demo, frozen_config(seed=-1))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(horizon=True), "horizon must be an integer, got True"),
+            (dict(horizon=2.5), "horizon must be an integer, got 2.5"),
+            (dict(seed=True), "seed must be an integer, got True"),
+            (dict(slate=None, rerank_every=True, slot_count=3), "rerank_every must be an integer, got True"),
+            (dict(slate=None, rerank_every=2, slot_count=True), "slot_count must be an integer, got True"),
+            (dict(freeze_beliefs=1), "freeze_beliefs must be a bool, got 1"),
+        ],
+        ids=["bool-horizon", "float-horizon", "bool-seed", "bool-rerank-every", "bool-slot-count",
+             "int-freeze-beliefs"],
+    )
+    def test_values_are_taken_as_typed(self, demo, overrides, message):
+        # A bool is an int to Python: each of these used to run as 1 or as a flag,
+        # and a float horizon failed inside range().
+        with pytest.raises(ValueError) as excinfo:
+            simulate(demo, frozen_config(**overrides))
+        assert str(excinfo.value) == message
+
 
 class TestSummarize:
     def test_zero_purchases(self):

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_simulator as ref
 from assortplan import philox, simulator
-from assortplan.assortment import POLICIES
+from assortplan.assortment import POLICIES, POLICY_STAGE1_ORDER, RankingPool
 from assortplan.catalog import BeliefPrior, Catalog, Product, demo_catalog
 from assortplan.demand import CostModel
 from assortplan.revenue import AttentionSpanDist
@@ -271,6 +271,65 @@ def test_live_rerank_keeping_its_slate_matches_oracle(every, policy):
     assert len(slates) == -(-cfg.horizon // every) and set(slates) == {("A", "B", "C")}
     assert displayed.call_count == 1  # the slot chances of the one slate, kept since
     assert {trace.records[i].purchased for i, *_ in trace.rated} == {"A", "B", "C"}
+    # The first re-rank runs its three rounds; after it, at least half the
+    # rounds, whose cutoffs a few ratings of the leaders do not move, replay.
+    with mock.patch.object(RankingPool, "_select", autospec=True, side_effect=RankingPool._select) as select:
+        simulate(Catalog(products), cfg)
+    assert 3 <= select.call_count <= 3 * len(slates) // 2
+
+
+def _overtaking_catalog(seed: int) -> Catalog:
+    """30-60 products led by six with close ratings, many reviews and noisy raters.
+
+    The leaders clear both cutoffs and fill the slate.  A rating moves a
+    leader's mean by a few hundredths, as far as the leaders lie apart, so
+    they overtake one another in the stage-1 order between re-ranks, while
+    the cutoffs, set by the whole pool, mostly stay where they were.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 61))
+    products = []
+    for i in range(n):
+        leader = i < 6
+        rating = float(np.round(rng.uniform(4.2, 4.3) if leader else rng.uniform(1.0, 4.0), 2))
+        reviews = int(rng.integers(60, 100) if leader else 1 + np.floor(rng.lognormal(2.5, 1.0)))
+        products.append(
+            Product(
+                id=f"L{i}" if leader else f"F{i:02d}",
+                price=float(np.round(rating - rng.uniform(0.0, 1.0), 2)),
+                review_count=reviews,
+                avg_rating=rating,
+                true_quality=float(np.round(rng.uniform(4.0, 4.5) if leader else rating, 2)),
+                rating_noise=float(np.round(rng.uniform(1.5, 2.5) if leader else 0.5, 2)),
+            )
+        )
+    order = rng.permutation(n)
+    return Catalog(tuple(products[i] for i in order))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("seed", [3, 5])
+def test_long_live_rerank_with_overtaking_leaders_matches_oracle(seed, policy):
+    rng = np.random.default_rng(seed + 100)
+    cfg = SimConfig(
+        horizon=int(rng.integers(300, 601)), seed=seed, dist=AttentionSpanDist.from_pmf({1: 0.2, 3: 0.4, 5: 0.4}),
+        prior=BeliefPrior(3.0, 1.0, 4.0), rerank_every=int(rng.integers(1, 6)), slot_count=5, policy=policy,
+    )
+    replays = []
+    replay = RankingPool.replay
+
+    def spy(self, record, written):
+        before = record.pick
+        row = replay(self, record, written)
+        replays.append(None if row is None else row != before)
+        return row
+
+    with mock.patch.object(RankingPool, "replay", spy):
+        assert_matches_oracle(_overtaking_catalog(seed), cfg)
+    # Most rounds replay, and under stage-1 order some replays take a
+    # leader that overtook the recorded pick.
+    assert replays.count(False) + replays.count(True) > len(replays) // 2
+    assert (True in replays) == (policy == POLICY_STAGE1_ORDER)
 
 
 class _FixedUniform:
