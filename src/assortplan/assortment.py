@@ -8,9 +8,9 @@ never read, so the resulting order cannot favor the platform's own cut.
 
 Both cutoffs are exactly rounded sums (bit for bit ``math.fsum``), so
 neither depends on the order products are listed in.  Stage 1's sums are
-exact integers, patched as review states are rewritten and products leave,
-and the columns stay sorted across rewrites, so a ``RankingPool`` set-up
-sums nothing and sorts only what a rewrite put out of order.
+exact integers, patched as review states are rewritten and products leave;
+the columns stay by catalog row behind one stage-1 permutation, so a
+``RankingPool`` set-up sums nothing and re-sorts only that permutation.
 
 A round run by ``RankingPool.take_recorded`` leaves a ``RoundRecord``:
 its rounded cutoffs, its shortlist's price weights and price mass, its
@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import Catalog, Product
+from .catalog import Catalog, Product, require_int
 
 POLICY_STAGE1_ORDER = "stage1-order"
 POLICY_PRICE_DESC = "price-desc"
@@ -138,16 +138,16 @@ class TwoStageTrace:
 
 
 class RankingColumns:
-    """The inputs of a two-stage ranking as numpy columns in stage-1 order.
+    """The inputs of a two-stage ranking as numpy columns by catalog row.
 
-    Sorted once by (rating desc, reviews desc, id asc through ``id_rank``);
-    no ``Product`` is read; ``order`` maps column rows to catalog rows and
-    ``position`` back.  The columns are copies, so ``set_review_state`` may
-    rewrite a product's review state between rankings (the simulator writes
-    each product bought since the last one) while the catalog stays as it
-    was; ``weighted``, ``price_weighted`` and the exact ``sums`` follow, and
-    the next ``RankingPool`` re-sorts only if a rewrite broke the order.
-    Price and pinned demand are fixed, so each price-desc rank is computed once.
+    No ``Product`` is read; ``order`` lists the rows in stage-1 order (rating
+    desc, reviews desc, id asc) and ``position`` is its inverse.  The review
+    columns are copies, so ``set_review_state`` may rewrite a product's
+    review state between rankings (the simulator writes each product bought
+    since the last one) while the catalog stays as it was; ``weighted``,
+    ``price_weighted`` and the exact ``sums`` follow, and the next
+    ``RankingPool`` re-sorts ``order`` only if a rewrite broke it.  Price
+    and pinned demand are fixed, so each price-desc rank is computed once.
     """
 
     def __init__(self, catalog: Catalog, policy: str = POLICY_STAGE1_ORDER):
@@ -157,14 +157,12 @@ class RankingColumns:
             raise ValueError("iteration pool is empty")
         self.policy = policy
         columns = catalog.columns
-        # Stable sorts: shared ids keep listing order; the id rank (place in by_id) breaks ties.
-        by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
-        self.id_rank = np.lexsort((-columns.reviews[by_id], -columns.rating[by_id]))
-        self.order = order = by_id[self.id_rank]
-        self.ids = np.array(columns.ids, dtype=object)[order]
-        self.rating = columns.rating[order]
-        self.reviews = columns.reviews[order]
-        self.price = columns.price[order]
+        # Catalog rows in id order: a stable sort of them breaks ties by id.
+        self.by_id = by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
+        self.ids = np.array(columns.ids, dtype=object)
+        self.rating = columns.rating.copy()
+        self.reviews = columns.reviews.copy()
+        self.price = columns.price
         with np.errstate(over="ignore"):  # a product past the float range is inf
             self.weighted = self.rating * self.reviews
             self.price_weighted = self.price * self.reviews
@@ -174,35 +172,33 @@ class RankingColumns:
         self._scaled_values: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
-            rank = np.empty_like(by_id)  # by id rank, under (price desc, pinned demand desc, id asc)
-            rank[np.lexsort((-columns.demand[by_id], -columns.price[by_id]))] = np.arange(len(by_id))
-            self.price_desc_rank = rank[self.id_rank]
-        self.position = np.empty_like(order)  # catalog row -> column row
-        self.position[order] = np.arange(len(order))
-        self.in_order = True  # until a rewrite breaks the order
+            self.price_desc_rank = rank = np.empty_like(by_id)  # row -> place by price, demand, id
+            rank[by_id[np.lexsort((-columns.demand[by_id], -self.price[by_id]))]] = np.arange(len(by_id))
+        self.position = np.empty_like(by_id)
+        self.in_order = False  # until sort() computes ``order``
+        self.sort()
         # With no price negative or NaN, no price weight is negative, and whether
         # fsum over them overflows part-way does not depend on their order.
         self.replayable = bool((self.price >= 0).all())
 
-    def scaled(self, i: int, at: int) -> int:
-        """Column row ``at``'s addend to sum i (0 Σrating, 1 Σweighted) times 2^1074,
-        while that sum is defined; kept by catalog row until the row is rewritten."""
-        cache, row = self._scaled_values[i], self.order.item(at)
+    def scaled(self, i: int, row: int) -> int:
+        """Row ``row``'s addend to sum i (0 Σrating, 1 Σweighted) times 2^1074,
+        while that sum is defined; kept until the row is rewritten."""
+        cache = self._scaled_values[i]
         value = cache.get(row)
         if value is None:
-            cache[row] = value = _scaled((self.weighted if i else self.rating).item(at))
+            cache[row] = value = _scaled((self.weighted if i else self.rating).item(row))
         return value
 
     def set_review_state(self, row: int, mean: float, count: int) -> None:
         """Rewrite catalog row ``row``'s rating and review count (count < 2^63);
         each defined sum trades the row's old addend for its new one."""
-        at = self.position.item(row)
-        old = (self.rating.item(at), self.weighted.item(at))
-        self.rating[at] = mean
-        self.reviews[at] = count
-        self.weighted[at] = mean * count
-        self.price_weighted[at] = self.price.item(at) * count
-        for i, new in enumerate((self.rating.item(at), self.weighted.item(at))):
+        old = (self.rating.item(row), self.weighted.item(row))
+        self.rating[row] = mean
+        self.reviews[row] = count
+        self.weighted[row] = mean * count
+        self.price_weighted[row] = self.price.item(row) * count
+        for i, new in enumerate((self.rating.item(row), self.weighted.item(row))):
             cache, total = self._scaled_values[i], self._sums[i]
             was = cache.pop(row, None)
             if total is not None and abs(new) < _ADDEND_MAX:
@@ -212,26 +208,24 @@ class RankingColumns:
             else:  # a NaN or huge addend leaves the sum to a recount
                 self._sums[i] = None
         # The other rows keep their relative order: only pairs with this one can break it.
-        pairs = range(max(at - 1, 0), min(at + 1, len(self.order) - 1))
-        self.in_order = self.in_order and all(map(self._in_order, pairs))
+        at = self.position.item(row)
+        near = self.order[max(at - 1, 0) : at + 2].tolist()
+        self.in_order = self.in_order and all(map(self._in_order, near, near[1:]))
 
-    def _in_order(self, a: int) -> bool:
-        """Whether column rows a and a + 1 are in stage-1 order (a NaN rating never is)."""
-        above, below = self.rating.item(a), self.rating.item(a + 1)
+    def _in_order(self, top: int, bottom: int) -> bool:
+        """Whether row ``top`` comes before row ``bottom`` in stage-1 order (a NaN rating never does)."""
+        above, below = self.rating.item(top), self.rating.item(bottom)
         if above != below:
             return above > below
-        above, below = self.reviews.item(a), self.reviews.item(a + 1)
-        return above > below or above == below and self.id_rank.item(a) < self.id_rank.item(a + 1)
+        above, below = self.reviews.item(top), self.reviews.item(bottom)
+        return above > below or above == below and self.ids[top] < self.ids[bottom]
 
     def sort(self) -> None:
-        """Restore the stage-1 order if a rewrite broke it; ``id_rank`` breaks ties."""
+        """Restore ``order`` and ``position`` if a rewrite broke the stage-1 order."""
         if not self.in_order:
-            perm = np.lexsort((self.id_rank, -self.reviews, -self.rating))
-            for name in ("order", "id_rank", "ids", "rating", "reviews", "price", "weighted",
-                         "price_weighted", "price_desc_rank"):
-                if getattr(self, name) is not None:
-                    setattr(self, name, getattr(self, name)[perm])
-            self.position[self.order] = np.arange(len(perm))
+            by_id = self.by_id
+            self.order = order = by_id[np.lexsort((-self.reviews[by_id], -self.rating[by_id]))]
+            self.position[order] = np.arange(len(order))
             self.in_order = True
 
     @property
@@ -245,7 +239,7 @@ class RankingColumns:
 
 
 class _Round(NamedTuple):
-    """One ``_select`` round as column rows: its stage-1 cutoff and shortlist,
+    """One ``_select`` round as catalog rows: its stage-1 cutoff and shortlist,
     the shortlist's price mass (None unless stage 2 ran), its stage-2 cutoff,
     its ordered passers and its pick."""
 
@@ -277,14 +271,14 @@ class RoundRecord:
 
 
 class RankingPool:
-    """The products a two-stage ranking has yet to place, a view of sorted columns.
+    """The products a two-stage ranking has yet to place, a view of the columns.
 
-    The columns, in stage-1 order, are read through ``columns`` as they
-    stand until their next write; an ``alive`` mask marks the products still
-    in the pool.  A round's stage-1 shortlist is the alive products clearing
-    the cutoff, in column order; its stage-2 passers are the shortlist
-    members clearing the second cutoff, re-sorted by (price desc, pinned
-    demand desc, id asc) under the price-desc policy.
+    The columns are read through ``columns`` as they stand until their next
+    write; an ``alive`` mask by catalog row marks the products still in the
+    pool.  A round's stage-1 shortlist is the alive products clearing the
+    cutoff, in stage-1 order; its stage-2 passers are the shortlist members
+    clearing the second cutoff, re-sorted by (price desc, pinned demand
+    desc, id asc) under the price-desc policy.
 
     Fallbacks: with all ratings zero (or no product clearing the stage-1
     cutoff) the most-reviewed product is taken; with the shortlist priced
@@ -316,14 +310,13 @@ class RankingPool:
 
     def remove(self, row: int) -> None:
         """Drop catalog row ``row`` from the pool without running a round (if it is still in)."""
-        at = self.columns.position.item(row)
-        if self.alive.item(at):
-            self._drop(at)
+        if self.alive.item(row):
+            self._drop(row)
 
     def _select(self) -> _Round:
         """One round over the pool as it stands."""
         c = self.columns
-        live = self.alive.nonzero()[0]
+        live = c.order[self.alive.take(c.order)]
         if not live.size:
             raise ValueError("iteration pool is empty")
         # math.fsum's OverflowError part-way and its ValueError on inf - inf name the stage.
@@ -338,7 +331,7 @@ class RankingPool:
             shortlist = live[c.reviews[live] >= _review_bound(cutoff1)]
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
-            return _Round(cutoff1, shortlist, None, None, shortlist, live[c.reviews[live].argmax()])
+            return _Round(cutoff1, shortlist, None, None, shortlist, live.item(c.reviews[live].argmax()))
         try:
             mass = _exact_sum(c.price[shortlist])
             cutoff2 = _exact_sum(c.price_weighted[shortlist]) / mass if mass else None
@@ -350,7 +343,7 @@ class RankingPool:
             passers = shortlist[c.reviews[shortlist] >= _review_bound(cutoff2)]
         if c.policy == POLICY_PRICE_DESC:
             passers = passers[c.price_desc_rank[passers].argsort()]
-        pick = passers[0] if passers.size else shortlist[0]
+        pick = passers.item(0) if passers.size else shortlist.item(0)
         return _Round(cutoff1, shortlist, mass, cutoff2, passers, pick)
 
     def take_recorded(self) -> tuple[int, RoundRecord | None]:
@@ -360,51 +353,40 @@ class RankingPool:
         cutoff1, shortlist, mass, cutoff2, passers, pick = self._select()
         self._drop(pick)
         c = self.columns
-        row = c.order.item(pick)
         if not (passers.size and c.replayable and math.isfinite(cutoff1) and math.isfinite(cutoff2)):
-            return row, None
-        weights = dict(zip(c.order[shortlist].tolist(), c.price_weighted[shortlist].tolist()))
-        passer_rows = c.order[passers]
+            return pick, None
+        weights = dict(zip(shortlist.tolist(), c.price_weighted[shortlist].tolist()))
         record = RoundRecord(
-            math.ceil(cutoff1), weights, mass, math.ceil(cutoff2),
-            passer_rows, set(passer_rows.tolist()), row,
+            math.ceil(cutoff1), weights, mass, math.ceil(cutoff2), passers, set(passers.tolist()), pick
         )
-        return row, record
+        return pick, record
 
-    def states(self, rows: Iterable[int]) -> list[tuple[int, int, int, float]]:
-        """Each catalog row of ``rows`` with its column row, review count and price
-        weight, as ``replay`` reads them; valid until the columns are written."""
-        c = self.columns
-        out = []
-        for row in rows:
-            at = c.position.item(row)
-            out.append((row, at, c.reviews.item(at), c.price_weighted.item(at)))
-        return out
-
-    def replay(self, record: RoundRecord, written: list[tuple[int, int, int, float]]) -> int | None:
+    def replay(self, record: RoundRecord, written: Iterable[int]) -> int | None:
         """Take the recorded round again after review writes, or return None.
 
         ``record`` is the round as the pool stood before the writes, with the
-        same products alive; ``written`` gives the written rows' states
-        (``states``).  Rows not written kept their review counts and price
-        weights: with no alive row written the round is the recorded one, and
-        otherwise the round's pick is ``_select``'s when: both stage-1 sums
-        are defined and nonzero and their cutoff rounds to ``bound1``; no alive
-        written row entered or left the shortlist; the patched price weights'
-        fsum, nonzero and below 2^1000, divided by ``mass`` rounds to
-        ``bound2``; and no written shortlisted row changed its pass status.
-        The passers are then the recorded ones; under the stage-1-order policy
-        a written passer may now stand before the recorded pick, so the pick is
-        the passer with the least current column row.  The pick is dropped and
-        stored in ``record``.  On None the pool is unchanged and ``record`` is
-        stale: the caller runs the round afresh.
+        same products alive; ``written`` holds the written catalog rows.  Rows
+        not written kept their review counts and price weights: with no alive
+        row written the round is the recorded one, and otherwise the round's
+        pick is ``_select``'s when: both stage-1 sums are defined and nonzero
+        and their cutoff rounds to ``bound1``; no alive written row entered or
+        left the shortlist; the patched price weights' fsum, nonzero and below
+        2^1000, divided by ``mass`` rounds to ``bound2``; and no written
+        shortlisted row changed its pass status.  The passers are then the
+        recorded ones; under the stage-1-order policy a written passer may now
+        stand before the recorded pick, so the pick is the passer with the
+        least current ``position``.  The pick is dropped and stored in
+        ``record``.  On None the pool is unchanged and ``record`` is stale:
+        the caller runs the round afresh.
         """
+        c = self.columns
         weights, passer_set = record.weights, record.passer_set
         moved = patched = promoted = False
-        for row, at, count, weight in written:
-            if not self.alive.item(at):
+        for row in written:
+            if not self.alive.item(row):
                 continue
             moved = True
+            count = c.reviews.item(row)
             listed = row in weights
             if (count >= record.bound1) != listed:
                 return None
@@ -412,7 +394,7 @@ class RankingPool:
                 passed = row in passer_set
                 if (count >= record.bound2) != passed:
                     return None
-                weights[row] = weight
+                weights[row] = c.price_weighted.item(row)
                 patched, promoted = True, promoted or passed
         if moved:
             total0, total1 = self.sums
@@ -434,12 +416,11 @@ class RankingPool:
             cutoff2 = total / record.mass
             if not math.isfinite(cutoff2) or math.ceil(cutoff2) != record.bound2:
                 return None
-        c = self.columns
         pick = record.pick
         if promoted and c.policy == POLICY_STAGE1_ORDER:
             pick = record.passers.item(c.position[record.passers].argmin())
         record.pick = pick
-        self._drop(c.position.item(pick))
+        self._drop(pick)
         return pick
 
     def _record(self, selection: _Round) -> IterationRecord:
@@ -484,8 +465,7 @@ def two_stage_select(
     reproduce the identical ranking and trace, whatever the catalog's
     product order.
     """
-    if slot_count < 1:
-        raise ValueError(f"slot_count must be >= 1, got {slot_count}")
+    require_int("slot_count", slot_count, least=1)
     if not catalog.universe_size:
         raise ValueError("catalog is empty")
     pool = RankingPool(RankingColumns(catalog, policy))

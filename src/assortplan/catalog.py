@@ -28,6 +28,15 @@ class CatalogError(ValueError):
     """A catalog document could not be accepted."""
 
 
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a value that is not an int (a bool too: a flag is never read as 1),
+    or one below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Product:
     """A listed product with its review record and pricing terms.

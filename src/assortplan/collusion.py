@@ -23,7 +23,7 @@ from .assortment import (  # noqa: F401
     run_iteration,
     two_stage_select,
 )
-from .catalog import BeliefPrior, Catalog
+from .catalog import BeliefPrior, Catalog, require_int
 from .demand import CostModel
 from .revenue import (
     AttentionSpanDist,
@@ -147,8 +147,7 @@ def audit_ranking(
     if len(set(displayed)) != len(displayed):
         raise ValueError(f"displayed slate contains duplicate ids: {displayed}")
     rows = [catalog.row(pid) for pid in displayed]
-    if slot_count < 1:
-        raise ValueError(f"slot_count must be >= 1, got {slot_count}")
+    require_int("slot_count", slot_count, least=1)
 
     findings: list[AuditFinding] = []
 

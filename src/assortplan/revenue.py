@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import BeliefPrior, Catalog
+from .catalog import BeliefPrior, Catalog, require_int
 from .demand import CostModel, purchase_chance
 # perfbench/tracing.py wraps purchase_prob under this module attribute, so it stays importable.
 from .demand import purchase_prob  # noqa: F401
@@ -544,8 +544,7 @@ def brute_force_optimize(
     not match.  Refuses universes beyond the guard limits rather than
     truncating silently.
     """
-    if slot_count < 1:
-        raise ValueError(f"slot_count must be >= 1, got {slot_count}")
+    require_int("slot_count", slot_count, least=1)
     if compare is not None and len(compare) > slot_count:
         raise ValueError(f"compare slate of {len(compare)} products exceeds slot_count {slot_count}")
     if not catalog.universe_size:

@@ -12,9 +12,9 @@ Because the streams are counter-based, a numpy Philox4x64-10 kernel
 equal bit for bit to numpy's own.  Frozen runs are then array code; live
 runs walk customers in order over the precomputed uniforms, ask numpy for
 the rating draw only, and re-rank after writing the review states of the
-products bought since the last re-rank into the ranking columns in place;
-a re-rank replays each round of the last one that those writes provably
-leave as it was (``RankingPool.replay``) and runs the others afresh.
+products bought since the last re-rank into the ranking columns, by
+catalog row as the run's own; a re-rank replays each round of the last one
+that those writes provably leave as it was and runs the others afresh.
 
 Review states are two columns by catalog row, count and mean: a frozen
 run reads the catalog's own, a live run writes each purchase into Python
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +43,7 @@ from .assortment import (
     RoundRecord,
     two_stage_select,
 )
-from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns
+from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns, require_int
 from .demand import CostModel, add_rating, posterior, purchase_chance
 # perfbench/tracing.py wraps logistic under this module attribute, so it stays importable.
 from .demand import logistic  # noqa: F401
@@ -166,14 +167,10 @@ class SimTrace:
 
 
 def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
-    # bool is an int to Python; a flag is never read as 1, nor 1 as a flag.
     for name in ("horizon", "seed", "rerank_every", "slot_count"):
-        value = getattr(cfg, name)
-        if value is None and name in ("rerank_every", "slot_count"):
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not isinstance(cfg.freeze_beliefs, bool):
+        if (value := getattr(cfg, name)) is not None or name in ("horizon", "seed"):
+            require_int(name, value)
+    if not isinstance(cfg.freeze_beliefs, bool):  # 1 is never read as a flag
         raise ValueError(f"freeze_beliefs must be a bool, got {cfg.freeze_beliefs!r}")
     if cfg.horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {cfg.horizon}")
@@ -190,13 +187,19 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
         raise ValueError("slot_count applies only with rerank_every")
     if cfg.policy not in POLICIES:
         raise ValueError(f"unknown ordering policy {cfg.policy!r}")
-    if cfg.clamp_ratings is not None:
-        if any(bound != bound for bound in cfg.clamp_ratings):
-            raise ValueError(f"clamp_ratings bounds must be numbers, got NaN: {cfg.clamp_ratings}")
-        if cfg.clamp_ratings[0] > cfg.clamp_ratings[1]:
-            raise ValueError(f"clamp_ratings bounds out of order: {cfg.clamp_ratings}")
+    if (clamp := cfg.clamp_ratings) is not None:
+        if not (isinstance(clamp, tuple) and len(clamp) == 2
+                and all(isinstance(bound, Real) and not isinstance(bound, bool) for bound in clamp)):
+            raise ValueError(f"clamp_ratings must be a (low, high) tuple of numbers, got {clamp!r}")
+        if any(bound != bound for bound in clamp):
+            raise ValueError(f"clamp_ratings bounds must be numbers, got NaN: {clamp}")
+        if clamp[0] > clamp[1]:
+            raise ValueError(f"clamp_ratings bounds out of order: {clamp}")
     columns = catalog.columns
     if cfg.slate is not None:
+        # A string is never read as a slate of one-character ids.
+        if not (isinstance(cfg.slate, tuple) and all(isinstance(pid, str) for pid in cfg.slate)):
+            raise ValueError(f"slate must be a tuple of product ids, got {cfg.slate!r}")
         if not cfg.slate:
             raise ValueError("fixed slate is empty")
         if len(set(cfg.slate)) != len(cfg.slate):
@@ -272,11 +275,10 @@ class _Reranker:
                 f"product {ids[row]!r}: simulated review count {count} exceeds the "
                 f"re-ranking limit of {MAX_REVIEWS - 1}"
             )
-        for row in self.written:
+        written, self.written = self.written, set()
+        for row in written:
             self.columns.set_review_state(row, means[row], counts[row])
         pool = RankingPool(self.columns)
-        written = pool.states(self.written)
-        self.written.clear()
         # Cleared until this re-rank completes, so that a failed one replays nothing.
         previous, self.picks = self.picks, []
         picks: list[int] = []

@@ -96,7 +96,7 @@ MUTANTS = (
     Mutant(
         "pool-remove-drops-a-taken-row-again",
         "assortment.py",
-        "if self.alive.item(at):",
+        "if self.alive.item(row):",
         "if True:",
         ("tests/test_ranker_oracle.py::test_record_free_picks_and_removals_keep_the_pool_in_step",),
     ),
@@ -110,7 +110,7 @@ MUTANTS = (
     Mutant(
         "write-keeps-the-order-without-checking-neighbours",
         "assortment.py",
-        "self.in_order = self.in_order and all(map(self._in_order, pairs))",
+        "self.in_order = self.in_order and all(map(self._in_order, near, near[1:]))",
         "self.in_order = self.in_order",
         (
             "tests/test_ranker_oracle.py::test_review_writes_match_a_rebuilt_catalog",
@@ -120,15 +120,15 @@ MUTANTS = (
     Mutant(
         "neighbour-check-without-the-id-tie-break",
         "assortment.py",
-        "return above > below or above == below and self.id_rank.item(a) < self.id_rank.item(a + 1)",
+        "return above > below or above == below and self.ids[top] < self.ids[bottom]",
         "return above >= below",
         (REBUILT_CATALOG,),
     ),
     Mutant(
         "write-checks-only-the-pair-above",
         "assortment.py",
-        "pairs = range(max(at - 1, 0), min(at + 1, len(self.order) - 1))",
-        "pairs = range(max(at - 1, 0), min(at, len(self.order) - 1))",
+        "near = self.order[max(at - 1, 0) : at + 2].tolist()",
+        "near = self.order[max(at - 1, 0) : at + 1].tolist()",
         (REBUILT_CATALOG,),
     ),
     Mutant(
@@ -141,8 +141,8 @@ MUTANTS = (
     Mutant(
         "ties-broken-by-listing-order",
         "assortment.py",
-        "by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
-        "by_id = np.arange(catalog.universe_size)",
+        "self.by_id = by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
+        "self.by_id = by_id = np.arange(catalog.universe_size)",
         (
             "tests/test_metamorphic.py::test_listing_order_leaves_every_output_unchanged",
             "tests/test_ranker_oracle.py::test_shuffled_catalog_ranks_identically",
@@ -158,8 +158,8 @@ MUTANTS = (
     Mutant(
         "ranker-reads-revenue-shares",
         "assortment.py",
-        "self.price = columns.price[order]",
-        "self.price = (columns.price * columns.share)[order]",
+        "self.price = columns.price\n",
+        "self.price = columns.price * columns.share\n",
         ("tests/test_acceptance.py::test_criterion_07_as_a_property",),
     ),
     Mutant(
@@ -320,7 +320,7 @@ MUTANTS = (
     Mutant(
         "replay-leaves-a-written-stage-2-weight-unpatched",
         "assortment.py",
-        "weights[row] = weight",
+        "weights[row] = c.price_weighted.item(row)",
         "weights[row] = weights[row]",
         (RATED_RERANKS,),
     ),
@@ -365,11 +365,45 @@ MUTANTS = (
         ("tests/test_optimize_oracle.py::test_lambda_table_matches_a_per_pair_loop",),
     ),
     Mutant(
-        "sim-config-takes-a-bool-as-an-integer",
-        "simulator.py",
+        "integer-rule-takes-a-bool",
+        "catalog.py",
         "if isinstance(value, bool) or not isinstance(value, int):",
         "if not isinstance(value, int):",
+        (
+            "tests/test_simulator.py::TestValidation::test_values_are_taken_as_typed",
+            "tests/test_assortment.py::TestTwoStageSelect::test_library_refusals",
+            AUDIT + "test_slot_count_below_one_rejected",
+        ),
+    ),
+    Mutant(
+        "optimize-reads-any-slot-count",
+        "revenue.py",
+        'require_int("slot_count", slot_count, least=1)',
+        'if slot_count < 1:\n        raise ValueError(f"slot_count must be >= 1, got {slot_count}")',
+        ("tests/test_optimize_oracle.py::test_refused_before_any_work",),
+    ),
+    Mutant(
+        "sim-config-reads-a-string-as-a-slate",
+        "simulator.py",
+        "if not (isinstance(cfg.slate, tuple) and all(isinstance(pid, str) for pid in cfg.slate)):",
+        "if False:",
         ("tests/test_simulator.py::TestValidation::test_values_are_taken_as_typed",),
+    ),
+    Mutant(
+        "select-reads-the-pool-in-catalog-order",
+        "assortment.py",
+        "live = c.order[self.alive.take(c.order)]",
+        "live = self.alive.nonzero()[0]",
+        (REBUILT_CATALOG, "tests/test_ranker_oracle.py::test_shuffled_catalog_ranks_identically"),
+    ),
+    Mutant(
+        "re-sort-leaves-position-stale",
+        "assortment.py",
+        "self.position[order] = np.arange(len(order))",
+        'if not hasattr(self, "order_was_set"):\n'
+        "                self.order_was_set = True\n"
+        "                self.position[order] = np.arange(len(order))",
+        (REBUILT_CATALOG, "tests/test_ranker_oracle.py::test_two_adjacent_written_rows_that_swap_are_re_sorted"),
     ),
 )
 

@@ -40,6 +40,8 @@ def brute_force_optimize(
 
     Ties break toward the lexicographically smallest id sequence.
     """
+    if isinstance(slot_count, bool) or not isinstance(slot_count, int):
+        raise ValueError(f"slot_count must be an integer, got {slot_count!r}")
     if slot_count < 1:
         raise ValueError(f"slot_count must be >= 1, got {slot_count}")
     if compare is not None and len(compare) > slot_count:

@@ -226,8 +226,13 @@ class TestTwoStageSelect:
             (lambda demo: two_stage_select(demo, 3, "bogus"), "unknown ordering policy 'bogus'"),
             (lambda demo: run_iteration([]), "iteration pool is empty"),
             (round_after_exhausting, "iteration pool is empty"),
+            # A bool used to rank one slot; a float or a string raised TypeError.
+            (lambda demo: two_stage_select(demo, True), "slot_count must be an integer, got True"),
+            (lambda demo: two_stage_select(demo, 2.5), "slot_count must be an integer, got 2.5"),
+            (lambda demo: two_stage_select(demo, "3"), "slot_count must be an integer, got '3'"),
         ],
-        ids=["unknown-policy", "empty-pool", "exhausted-pool"],
+        ids=["unknown-policy", "empty-pool", "exhausted-pool", "bool-slot-count", "float-slot-count",
+             "str-slot-count"],
     )
     def test_library_refusals(self, demo, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -216,8 +217,13 @@ class TestAuditRanking:
             audit_ranking(demo, ["A", "Z"], 2, DIST3)
 
     def test_slot_count_below_one_rejected(self, demo):
-        with pytest.raises(ValueError, match="^slot_count must be >= 1, got 0$"):
-            audit_ranking(demo, ["A", "B"], 0, DIST3)
+        # So are a bool, once read as 1, and a float or a string, once a TypeError.
+        for slots, message in [(0, "slot_count must be >= 1, got 0"),
+                               (True, "slot_count must be an integer, got True"),
+                               (2.5, "slot_count must be an integer, got 2.5"),
+                               ("3", "slot_count must be an integer, got '3'")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                audit_ranking(demo, ["A", "B"], slots, DIST3)
 
     def test_duplicate_displayed_ids_rejected(self, demo):
         with pytest.raises(ValueError, match="duplicate"):

@@ -160,8 +160,12 @@ def test_engine_matches_oracle(problem, block):
         (0, None, "slot_count must be >= 1, got 0"),
         # The one-slot optimum, 597.55, was reported 89.48 below this slate's value.
         (1, ("B", "A", "F", "J", "G"), "compare slate of 5 products exceeds slot_count 1"),
+        # A bool used to optimize one slot; a float or a string raised TypeError.
+        (True, None, "slot_count must be an integer, got True"),
+        (2.5, None, "slot_count must be an integer, got 2.5"),
+        ("3", None, "slot_count must be an integer, got '3'"),
     ],
-    ids=["no-slots", "compare-longer-than-slots"],
+    ids=["no-slots", "compare-longer-than-slots", "bool-slots", "float-slots", "str-slots"],
 )
 def test_refused_before_any_work(solver, slots, compare, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

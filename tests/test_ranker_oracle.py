@@ -357,7 +357,7 @@ def _assert_pool_matches_a_fresh_one(written: RankingColumns, catalog: Catalog, 
     """A pool of written columns ranks and traces as one of columns built afresh."""
     fresh_columns = RankingColumns(catalog, written.policy)
     fresh, pool = RankingPool(fresh_columns), RankingPool(written)
-    assert written.ids.tolist() == fresh_columns.ids.tolist()
+    assert written.ids[written.order].tolist() == fresh_columns.ids[fresh_columns.order].tolist()
     expected = _outcome(lambda: [_hexed(fresh.take()) for _ in range(k)])
     assert _outcome(lambda: [_hexed(pool.take()) for _ in range(k)]) == expected
 
@@ -404,6 +404,7 @@ def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
         columns.set_review_state(row, mean, count)
         twin.set_review_state(row, mean, count)
         reranker.record(row, count)
+        assert (columns.rating.item(row), columns.reviews.item(row)) == (mean, count)
         states[ids[row]] = (count, mean)
         counts[row], means[row] = count, mean
         with np.errstate(over="ignore"):
@@ -418,7 +419,7 @@ def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
             fresh = _outcome(lambda: two_stage_select(rebuilt, reranker.slot_count, policy)[0].slots)
             assert _outcome(lambda: reranker.rank(ids, counts, means)) == fresh
             assert twin.sums == columns.sums
-            assert columns.ids.tolist() == _stage1_ranked(states)
+            assert columns.ids[columns.order].tolist() == _stage1_ranked(states)
             assert columns.order.tolist() == [catalog.row(pid) for pid in _stage1_ranked(states)]
 
 
@@ -426,26 +427,26 @@ def test_review_writes_match_a_rebuilt_catalog(catalog, data, policy):
 def test_a_write_that_keeps_the_order_does_not_re_sort(policy):
     catalog = _catalog(("A", 1.0, 30, 4.0), ("B", 2.0, 20, 3.0), ("C", 3.0, 10, 2.0))
     columns = RankingColumns(catalog, policy)
-    rating = columns.rating
+    order = columns.order
     columns.set_review_state(catalog.row("B"), 3.5, 21)
     rebuilt = _rewritten(catalog, {"A": (30, 4.0), "B": (21, 3.5), "C": (10, 2.0)})
     _assert_pool_matches_a_fresh_one(columns, rebuilt, 3)
-    assert columns.rating is rating  # written in place, never re-sorted
-    assert columns.ids.tolist() == ["A", "B", "C"]
+    assert columns.order is order  # never re-sorted
+    assert columns.ids[columns.order].tolist() == ["A", "B", "C"]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_two_adjacent_written_rows_that_swap_are_re_sorted(policy):
     catalog = _catalog(("C", 3.0, 10, 2.0), ("B", 2.0, 20, 3.0), ("A", 1.0, 30, 4.0))
     columns = RankingColumns(catalog, policy)
-    assert columns.ids.tolist() == ["A", "B", "C"]
+    assert columns.ids[columns.order].tolist() == ["A", "B", "C"]
     # A falls to B's old rating and B rises past A's: each stays in order with
     # its outer neighbour, and only the written pair is out of order.
     columns.set_review_state(catalog.row("A"), 3.0, 30)
     columns.set_review_state(catalog.row("B"), 3.5, 20)
     rebuilt = _rewritten(catalog, {"A": (30, 3.0), "B": (20, 3.5), "C": (10, 2.0)})
     _assert_pool_matches_a_fresh_one(columns, rebuilt, 3)
-    assert columns.ids.tolist() == ["B", "A", "C"]
+    assert columns.ids[columns.order].tolist() == ["B", "A", "C"]
     assert columns.position.tolist() == [2, 0, 1]  # catalog rows C, B, A
 
 
@@ -455,7 +456,7 @@ def test_review_writes_move_sums_off_and_back_onto_the_int_path():
     columns.set_review_state(1, 1e308, 5)  # rating past 2^974, rating * count inf
     assert columns.sums == (None, None)
     columns.set_review_state(1, -3.3, MAX_REVIEWS - 1)
-    assert columns.weighted[columns.position[1]] == -3.3 * float(MAX_REVIEWS - 1)
+    assert columns.weighted[1] == -3.3 * float(MAX_REVIEWS - 1)
     assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
     assert None not in columns.sums
     # Cancelling the other two ratings brings Σrating to exactly zero.
@@ -488,9 +489,8 @@ def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
         step = data.draw(st.sampled_from(["write", "write", "take", "take_id", "remove"]))
         if step == "write":
             row = data.draw(st.integers(0, len(ids) - 1))
-            at = columns.position[row]
             if data.draw(st.booleans()):  # the row's own current state
-                mean, count = columns.rating.item(at), columns.reviews.item(at)
+                mean, count = columns.rating.item(row), columns.reviews.item(row)
             else:
                 mean, count = data.draw(CACHE_RATINGS), data.draw(WRITE_COUNTS)
             columns.set_review_state(row, mean, count)
@@ -511,7 +511,7 @@ def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
         assert columns.sums == (_scaled_sum(columns.rating), _scaled_sum(columns.weighted))
         for cache, column in zip(columns._scaled_values, (columns.rating, columns.weighted)):
             for row, value in cache.items():
-                assert value == _scaled(column.item(columns.position[row]))
+                assert value == _scaled(column.item(row))
 
 
 @pytest.mark.parametrize("policy", POLICIES)

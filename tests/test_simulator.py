@@ -245,13 +245,21 @@ class TestValidation:
             (dict(slate=None, rerank_every=True, slot_count=3), "rerank_every must be an integer, got True"),
             (dict(slate=None, rerank_every=2, slot_count=True), "slot_count must be an integer, got True"),
             (dict(freeze_beliefs=1), "freeze_beliefs must be a bool, got 1"),
+            (dict(slate="ABF"), "slate must be a tuple of product ids, got 'ABF'"),
+            (dict(clamp_ratings=5), "clamp_ratings must be a (low, high) tuple of numbers, got 5"),
+            (dict(clamp_ratings=(1, "5")),
+             "clamp_ratings must be a (low, high) tuple of numbers, got (1, '5')"),
+            (dict(clamp_ratings=(1, 2, 3)),
+             "clamp_ratings must be a (low, high) tuple of numbers, got (1, 2, 3)"),
         ],
         ids=["bool-horizon", "float-horizon", "bool-seed", "bool-rerank-every", "bool-slot-count",
-             "int-freeze-beliefs"],
+             "int-freeze-beliefs", "str-slate", "number-clamp", "str-clamp-bound", "three-clamp-bounds"],
     )
     def test_values_are_taken_as_typed(self, demo, overrides, message):
         # A bool is an int to Python: each of these used to run as 1 or as a flag,
-        # and a float horizon failed inside range().
+        # and a float horizon failed inside range().  A string slate ran as its
+        # characters, a third clamp bound was dropped and the other clamps raised
+        # TypeError.
         with pytest.raises(ValueError) as excinfo:
             simulate(demo, frozen_config(**overrides))
         assert str(excinfo.value) == message
