@@ -123,18 +123,8 @@ class TwoStageTrace:
     iterations: tuple[IterationRecord, ...]
 
     def to_report(self) -> list[dict]:
-        return [
-            {
-                "iteration": i,
-                "stage1_threshold": rec.stage1_threshold,
-                "stage1_order": list(rec.stage1_order),
-                "stage2_threshold": rec.stage2_threshold,
-                "stage2_passers": list(rec.stage2_passers),
-                "selected": rec.selected,
-                "fallback_used": rec.fallback_used,
-            }
-            for i, rec in enumerate(self.iterations, start=1)
-        ]
+        """Each record's fields in order after its number; json writes a tuple as a list."""
+        return [{"iteration": i, **vars(rec)} for i, rec in enumerate(self.iterations, start=1)]
 
 
 class RankingColumns:

@@ -7,7 +7,9 @@ replayable; text reports carry it as a trailing ``# manifest`` line,
 structured reports as a ``manifest`` key.
 
 Exit codes: 0 success or clean audit, 1 audit findings, 2 invalid input,
-3 enumeration-guard or internal-consistency violation.
+3 enumeration-guard or internal-consistency violation.  A plain command
+line is read off a table of the parser's own actions; argparse reads any
+other, so every usage line and argument error is argparse's.
 
 Span specs follow ``y=3`` (deterministic) or ``pmf=1:0.5,3:0.5``.  The
 simulate config is a JSON document: ``horizon``, ``seed``, ``span``, and
@@ -483,8 +485,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a plain command line may give: a store of one value, or a flag.
+_PLAIN = ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0))
+
+
+@functools.cache
+def _option_table() -> dict:
+    """Per subcommand, read off ``build_parser()``'s own actions: each exact option
+    string's action, the defaults ``parse_args`` fills in and the required dests."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, parser in sub.choices.items():
+        used = [a for a in parser._actions if a.default is not argparse.SUPPRESS]
+        options = {s: a for a in used if (type(a), a.nargs) in _PLAIN for s in a.option_strings}
+        defaults = {sub.dest: name, **parser._defaults, **{a.dest: a.default for a in used}}
+        table[name] = options, defaults, {a.dest for a in parser._actions if a.required}
+    return table
+
+
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """``parse_args(argv)``'s ``Namespace`` for a plain command line, off the option
+    table: every option spelt exactly and given once, a flag alone or one value
+    not starting with ``-``, each value of its type and choices, every required
+    option present.  Otherwise None: argparse reads it, with its own messages."""
+    if not argv or (entry := _option_table().get(argv[0])) is None:
+        return None
+    options, defaults, required = entry
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:
+            given[action.dest] = action.const
+        elif (text := next(tokens, "-")).startswith("-"):
+            return None
+        else:
+            try:
+                value = given[action.dest] = (action.type or str)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+    return argparse.Namespace(**{**defaults, **given}) if required <= given.keys() else None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         # Each distinct warning prints once per request, as one line naming no source file.
         with warnings.catch_warnings():

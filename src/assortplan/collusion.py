@@ -196,18 +196,12 @@ def audit_ranking(
             order = [*displayed[: position - 1], second, first, *displayed[position + 1 :]]
             swapped = resolve_inputs(catalog, order, prior=prior, cost=cost, omega=omega)
             delta = expected_revenue(swapped, dist) - expected_revenue(inputs, dist)
-            findings.append(
-                AuditFinding(
-                    slot=position,
-                    product_id=first,
-                    kind=KIND_ORDER_VIOLATION,
-                    detail=(
-                        f"{first} is displayed ahead of {second} against the "
-                        f"compliant order; swapping them changes expected revenue "
-                        f"by {delta:.6g}"
-                    ),
-                )
+            detail = (
+                f"{first} is displayed ahead of {second} against the "
+                f"compliant order; swapping them changes expected revenue "
+                f"by {delta:.6g}"
             )
+            findings.append(AuditFinding(position, first, KIND_ORDER_VIOLATION, detail))
 
     # Substitution signature: a product foreign to the compliant slate that
     # raises the next slot's purchase odds while strictly losing revenue.
@@ -218,20 +212,14 @@ def audit_ranking(
         swap = substitution_effect(catalog, ref_slots, slot, pid, dist, prior, cost, omega)
         rose = swap.prob_before is not None and swap.prob_after > swap.prob_before
         if swap.exact_delta < 0 and rose:
-            findings.append(
-                AuditFinding(
-                    slot=slot,
-                    product_id=pid,
-                    kind=KIND_REVENUE_DOMINATED,
-                    detail=(
-                        f"substituting {pid} for {ref_slots[slot - 1]} raises the next slot's "
-                        f"purchase probability ({swap.prob_before:.6g} -> {swap.prob_after:.6g}) "
-                        f"but changes expected revenue by {swap.exact_delta:.6g} "
-                        f"(slot terms {swap.middle_term_after:.6g} "
-                        f"vs {swap.middle_term_before:.6g})"
-                    ),
-                )
+            detail = (
+                f"substituting {pid} for {ref_slots[slot - 1]} raises the next slot's "
+                f"purchase probability ({swap.prob_before:.6g} -> {swap.prob_after:.6g}) "
+                f"but changes expected revenue by {swap.exact_delta:.6g} "
+                f"(slot terms {swap.middle_term_after:.6g} "
+                f"vs {swap.middle_term_before:.6g})"
             )
+            findings.append(AuditFinding(slot, pid, KIND_REVENUE_DOMINATED, detail))
     return findings
 
 

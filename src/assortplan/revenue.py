@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Real
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -141,10 +142,7 @@ def _cascade_prefix(lambdas: Sequence[float]) -> list[float]:
     * price_k * share_k``, in the operation order the oracle walk
     (`_best_slate`) and the simulator's frozen walk repeat on arrays.
     """
-    prefix = [1.0]
-    for lam in lambdas:
-        prefix.append(prefix[-1] * (1.0 - lam))
-    return prefix
+    return list(accumulate((1.0 - lam for lam in lambdas), mul, initial=1.0))
 
 
 def _slot_revenues(
@@ -586,17 +584,8 @@ def brute_force_optimize(
         best_value, best_slate, scored, bounded = _best_slate(ids, lam, prices, shares, dist, depth)
         assert scored + bounded == count, (scored, bounded, count)
 
-    compare_value = None
-    gap = None
+    compare_value = gap = None
     if compare is not None:
-        compare_inputs = resolve_inputs(catalog, compare, prior=prior, cost=cost, omega=omega)
-        compare_value = expected_revenue(compare_inputs, dist)
+        compare_value = expected_revenue(resolve_inputs(catalog, compare, prior, cost, omega), dist)
         gap = best_value - compare_value
-    return OptimizeResult(
-        slate=best_slate,
-        value=best_value,
-        enumerated=count,
-        compare_value=compare_value,
-        gap=gap,
-        scored=scored,
-    )
+    return OptimizeResult(best_slate, best_value, count, compare_value, gap, scored)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from numbers import Real
 from typing import NamedTuple
 
@@ -232,11 +232,7 @@ class _SpanDraw:
     def __init__(self, dist: AttentionSpanDist):
         self.values = [span for span, _ in dist.pmf]
         self.uses_uniform = dist.kind != "deterministic"
-        cumulative = 0.0
-        self.cumulative = []
-        for _, prob in dist.pmf:
-            cumulative += prob
-            self.cumulative.append(cumulative)
+        self.cumulative = list(accumulate(prob for _, prob in dist.pmf))
 
     def index(self, uniforms: np.ndarray) -> np.ndarray:
         """Each customer's position in ``values``."""

@@ -46,6 +46,7 @@ SIM_ORACLE = "tests/test_simulator_oracle.py::"
 OVERTAKING = SIM_ORACLE + "test_long_live_rerank_with_overtaking_leaders_matches_oracle"
 RATED_RERANKS = "tests/test_ranker_oracle.py::test_reranks_after_rated_purchases_match_a_fresh_ranking"
 FOREIGN_PAIR = AUDIT + "test_adjacent_foreign_products_inverted_between_themselves"
+ARGV = "tests/test_cli.py::TestArgv::"
 
 MUTANTS = (
     Mutant(
@@ -404,6 +405,35 @@ MUTANTS = (
         "                self.order_was_set = True\n"
         "                self.position[order] = np.arange(len(order))",
         (REBUILT_CATALOG, "tests/test_ranker_oracle.py::test_two_adjacent_written_rows_that_swap_are_re_sorted"),
+    ),
+    Mutant(
+        # numpy's unicode compare ignores trailing NULs, so "B\x00" ties "B".
+        "ids-ordered-by-a-numpy-unicode-sort",
+        "assortment.py",
+        "self.by_id = by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
+        'self.by_id = by_id = np.array(columns.ids).argsort(kind="stable")',
+        ("tests/test_ranker_oracle.py::test_named_cases_match_oracle",),
+    ),
+    Mutant(
+        "argv-table-accepts-an-abbreviation",
+        "cli.py",
+        "action = options.get(token)",
+        "action = options.get(token) or next((a for s, a in options.items() if s.startswith(token)), None)",
+        (ARGV + "test_other_spellings_are_left_to_argparse",),
+    ),
+    Mutant(
+        "argv-table-skips-the-required-check",
+        "cli.py",
+        "if required <= given.keys() else None",
+        "if True else None",
+        (ARGV + "test_usage_errors_are_argparse_s",),
+    ),
+    Mutant(
+        "argv-table-skips-the-choices-check",
+        "cli.py",
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        (ARGV + "test_usage_errors_are_argparse_s",),
     ),
 )
 

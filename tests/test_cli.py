@@ -912,3 +912,70 @@ class TestManifest:
         doc = json.loads(manifest_line[0].removeprefix("# manifest "))
         assert doc["command"] == "rank"
         assert doc["version"]
+
+
+class TestArgv:
+    """A plain command line is read off the parser's own actions; argparse reads any other."""
+
+    def test_plain_command_lines_are_read_off_the_table(self, demo_path):
+        catalog = str(demo_path)
+        for argv in (
+            ["rank", "--catalog", catalog, "--slots", "3", "--trace", "--format", "structured"],
+            ["rank", "--policy", "price-desc", "--slots", "10", "--catalog", catalog],
+            ["expected-revenue", "--catalog", catalog, "--slate", "A,B,F", "--span", "y=3",
+             "--prior", "3,1,4", "--cost-slope", "0.2"],
+            ["optimize", "--catalog", catalog, "--slots", "5", "--span", "y=5", "--compare", "A,B",
+             "--omega", "uniform:1.0"],
+            ["audit", "--catalog", catalog, "--displayed", "A,D,F", "--span", "pmf=1:0.5,3:0.5"],
+            ["simulate", "--catalog", catalog, "--config", "sim.json", "--out", "out", "--seed", "7"],
+        ):
+            table = cli._read_argv(argv)
+            assert table is not None, argv
+            assert vars(table) == vars(cli.build_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize(
+        "respelt, read_as_plain",
+        [
+            pytest.param(["--slot", "3"], True, id="abbreviation"),
+            pytest.param(["--slots=3"], True, id="joined-value"),
+            pytest.param(["--slots", "1", "--slots", "3"], True, id="repeated"),
+            pytest.param(["--slots", "-3"], False, id="negative-value"),
+            pytest.param(["--", "--slots", "3"], False, id="double-dash"),
+            pytest.param(["--slots", "3", "-h"], False, id="help"),
+        ],
+    )
+    def test_other_spellings_are_left_to_argparse(self, capsys, demo_path, respelt, read_as_plain):
+        argv = ["rank", "--catalog", str(demo_path), *respelt]
+        assert cli._read_argv(argv) is None
+        if read_as_plain:
+            plain = run(capsys, "rank", "--catalog", str(demo_path), "--slots", "3")
+            assert run(capsys, *argv) == plain
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["rank", "--slots", "3"],
+                         "error: the following arguments are required: --catalog", id="missing-required"),
+            pytest.param(["rank", "--catalog", "{catalog}", "--slots", "3", "--policy", "bogus"],
+                         "error: argument --policy: invalid choice: 'bogus'", id="invalid-choice"),
+            pytest.param(["optimize", "--catalog", "{catalog}", "--slots", "x", "--span", "y=3"],
+                         "error: argument --slots: invalid int value: 'x'", id="invalid-int"),
+            pytest.param(["optimize", "--catalog", "{catalog}", "--s", "3", "--span", "y=3"],
+                         "error: ambiguous option: --s could match", id="ambiguous-abbreviation"),
+        ],
+    )
+    def test_usage_errors_are_argparse_s(self, capsys, demo_path, argv, message):
+        argv = [token.format(catalog=demo_path) for token in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert err == capsys.readouterr().err
+        assert message in err.splitlines()[-1]
+
+    def test_main_without_arguments_reads_sys_argv(self, capsys, monkeypatch, demo_path):
+        monkeypatch.setattr("sys.argv", ["assortplan", "rank", "--catalog", str(demo_path), "--slots", "3"])
+        assert main() == 0
+        assert capsys.readouterr().out.splitlines()[0] == "A B F"

@@ -3,7 +3,9 @@
 Arguments are drawn for all five subcommands, valid and invalid flag values
 alike, over the demo catalog, a logit catalog and malformed documents.
 argparse's own usage errors leave ``main`` as ``SystemExit(2)``; any other
-exception escaping ``main`` fails the test.
+exception escaping ``main`` fails the test.  The same command lines, some
+respelt in ways only argparse reads, also check that every one the option
+table reads gives argparse's ``Namespace``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from assortplan import cli
 from assortplan.catalog import Catalog, demo_catalog, serialize_catalog
 from assortplan.cli import main
 
@@ -160,6 +163,59 @@ def command_lines(draw, files: dict) -> list[str]:
         # Drop the last flag's value, or add an unknown flag.
         argv = argv[:-1] if draw(st.booleans()) else [*argv, "--bogus"]
     return argv
+
+
+RESPELLINGS = ("as drawn", "abbreviated", "joined", "repeated", "--", "-h", "negative")
+
+
+@st.composite
+def respelt_command_lines(draw, files: dict) -> list[str]:
+    """A drawn command line, or one respelt in a way only argparse reads: an option
+    abbreviated, joined to its value by ``=`` or repeated, a ``--`` or ``-h``
+    inserted, or a value made negative."""
+    argv = draw(command_lines(files))
+    flags = [i for i, token in enumerate(argv) if token.startswith("--") and len(token) > 3]
+    form = draw(st.sampled_from(RESPELLINGS))
+    i = draw(st.sampled_from(flags))
+    flag, valued = argv[i], i + 1 < len(argv) and not argv[i + 1].startswith("--")
+    if form == "abbreviated":
+        argv[i] = flag[: draw(st.integers(3, len(flag) - 1))]
+    elif form == "joined" and valued:
+        argv[i : i + 2] = [f"{flag}={argv[i + 1]}"]
+    elif form == "repeated":
+        argv += argv[i : i + 1 + valued]
+    elif form in ("--", "-h"):
+        argv.insert(draw(st.integers(1, len(argv))), form)
+    elif form == "negative" and valued:
+        argv[i + 1] = draw(st.sampled_from(["-1", "-0.5", "-1e308", "-x"]))
+    else:
+        form = "as drawn"
+    event(form)
+    return argv
+
+
+def _same(a, b) -> bool:
+    """Equal values of one type, a NaN equal to a NaN."""
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_the_table_reads_what_argparse_reads(files, data):
+    # Parses only: no command runs.
+    argv = data.draw(respelt_command_lines(files))
+    table = cli._read_argv(argv)
+    event("read off the table" if table is not None else "left to argparse")
+    if table is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the table read {argv}, which argparse refuses: {err.getvalue()}")
+    assert vars(table).keys() == vars(parsed).keys(), argv
+    assert all(_same(vars(table)[key], value) for key, value in vars(parsed).items()), argv
 
 
 def _run(argv: list[str]) -> tuple[int, str]:

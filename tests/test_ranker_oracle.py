@@ -100,6 +100,8 @@ CASES = {
     # plain sum() put the first cutoff on different sides of a count
     # depending on catalog order
     "order-sensitive-sum": _catalog(("P0", 2.3, 39, 3.3), ("P1", 1.1, 15, 3.3), ("P2", 2.3, 26, 1.1)),
+    # "B" sorts before "B\x00", but numpy's unicode compare ignores trailing NULs and ties them
+    "id-with-a-trailing-nul": _catalog(("B\x00", 2.0, 30, 4.0), ("B", 3.0, 30, 4.0), ("C", 1.0, 10, 3.0)),
 }
 
 
