@@ -9,21 +9,22 @@ never read, so the resulting order cannot favor the platform's own cut.
 Both cutoffs are exactly rounded sums (bit for bit ``math.fsum``), so
 neither depends on the order products are listed in.  Stage 1's sums are
 exact integers, patched as review states are rewritten and products leave;
-the columns stay by catalog row behind one stage-1 permutation, so a
-``RankingPool`` set-up sums nothing and re-sorts only that permutation.
+the columns stay by catalog row behind one stage-1 permutation, into which
+a rewrite moves its row, so a ``RankingPool`` set-up sums and sorts nothing.
 
-A round run by ``RankingPool.take_recorded`` leaves a ``RoundRecord``:
-its rounded cutoffs, its shortlist's price weights and price mass, its
+A round run by ``RankingPool.take_recorded`` leaves a ``RoundRecord``: its
+rounded cutoffs, its shortlist with its price weights and price mass, its
 passers and its pick, by catalog row.  After a few review writes,
 ``RankingPool.replay`` takes the round again from its record, in work
-proportional to the written rows plus one ``math.fsum`` over the
-shortlist, when it can prove that the writes leave the round's pick as
-``_select`` would make it; otherwise the caller runs the round afresh.
+proportional to the written rows plus one ``math.fsum`` over the shortlist
+(and a pass over it for new passers), when it can prove that the writes
+leave the shortlist as it was; otherwise the caller runs the round afresh.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -131,13 +132,13 @@ class RankingColumns:
     """The inputs of a two-stage ranking as numpy columns by catalog row.
 
     No ``Product`` is read; ``order`` lists the rows in stage-1 order (rating
-    desc, reviews desc, id asc) and ``position`` is its inverse.  The review
-    columns are copies, so ``set_review_state`` may rewrite a product's
-    review state between rankings (the simulator writes each product bought
-    since the last one) while the catalog stays as it was; ``weighted``,
-    ``price_weighted`` and the exact ``sums`` follow, and the next
-    ``RankingPool`` re-sorts ``order`` only if a rewrite broke it.  Price
-    and pinned demand are fixed, so each price-desc rank is computed once.
+    desc, NaN last, reviews desc, id asc) and ``position`` is its inverse.
+    The review columns are copies, so ``set_review_state`` may rewrite a
+    product's review state between rankings (the simulator writes each
+    product bought since the last one) while the catalog stays as it was;
+    ``weighted``, ``price_weighted``, the exact ``sums`` and the row's place
+    in ``order`` follow.  Price and pinned demand are fixed, so each
+    price-desc rank is computed once.
     """
 
     def __init__(self, catalog: Catalog, policy: str = POLICY_STAGE1_ORDER):
@@ -148,7 +149,7 @@ class RankingColumns:
         self.policy = policy
         columns = catalog.columns
         # Catalog rows in id order: a stable sort of them breaks ties by id.
-        self.by_id = by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
+        by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
         self.ids = np.array(columns.ids, dtype=object)
         self.rating = columns.rating.copy()
         self.reviews = columns.reviews.copy()
@@ -164,9 +165,9 @@ class RankingColumns:
         if policy == POLICY_PRICE_DESC:
             self.price_desc_rank = rank = np.empty_like(by_id)  # row -> place by price, demand, id
             rank[by_id[np.lexsort((-columns.demand[by_id], -self.price[by_id]))]] = np.arange(len(by_id))
+        self.order = order = by_id[np.lexsort((-self.reviews[by_id], -self.rating[by_id]))]
         self.position = np.empty_like(by_id)
-        self.in_order = False  # until sort() computes ``order``
-        self.sort()
+        self.position[order] = np.arange(len(order))
         # With no price negative or NaN, no price weight is negative, and whether
         # fsum over them overflows part-way does not depend on their order.
         self.replayable = bool((self.price >= 0).all())
@@ -181,9 +182,9 @@ class RankingColumns:
         return value
 
     def set_review_state(self, row: int, mean: float, count: int) -> None:
-        """Rewrite catalog row ``row``'s rating and review count (count < 2^63);
-        each defined sum trades the row's old addend for its new one."""
-        old = (self.rating.item(row), self.weighted.item(row))
+        """Rewrite catalog row ``row``'s rating and review count (count < 2^63) and move
+        it into place in ``order``; each defined sum trades its old addend for its new one."""
+        old, before = (self.rating.item(row), self.weighted.item(row)), self._key(row)
         self.rating[row] = mean
         self.reviews[row] = count
         self.weighted[row] = mean * count
@@ -197,26 +198,24 @@ class RankingColumns:
                 self._sums[i] = total - (_scaled(old[i]) if was is None else was) + value
             else:  # a NaN or huge addend leaves the sum to a recount
                 self._sums[i] = None
-        # The other rows keep their relative order: only pairs with this one can break it.
-        at = self.position.item(row)
-        near = self.order[max(at - 1, 0) : at + 2].tolist()
-        self.in_order = self.in_order and all(map(self._in_order, near, near[1:]))
+        # Only this row moved: a risen key can break only the pair above, a fallen one the pair below.
+        key, at, order = self._key(row), self.position.item(row), self.order
+        if key < before and at and key < self._key(order.item(at - 1)):
+            dest = bisect_left(order, key, 0, at - 1, key=self._key)
+            order[dest + 1 : at + 1] = order[dest:at]
+        elif key > before and at + 1 < len(order) and self._key(order.item(at + 1)) < key:
+            dest = bisect_left(order, key, at + 2, len(order), key=self._key) - 1
+            order[at:dest] = order[at + 1 : dest + 1]
+        else:
+            return
+        order[dest] = row
+        low, high = min(at, dest), max(at, dest) + 1
+        self.position[order[low:high]] = np.arange(low, high)
 
-    def _in_order(self, top: int, bottom: int) -> bool:
-        """Whether row ``top`` comes before row ``bottom`` in stage-1 order (a NaN rating never does)."""
-        above, below = self.rating.item(top), self.rating.item(bottom)
-        if above != below:
-            return above > below
-        above, below = self.reviews.item(top), self.reviews.item(bottom)
-        return above > below or above == below and self.ids[top] < self.ids[bottom]
-
-    def sort(self) -> None:
-        """Restore ``order`` and ``position`` if a rewrite broke the stage-1 order."""
-        if not self.in_order:
-            by_id = self.by_id
-            self.order = order = by_id[np.lexsort((-self.reviews[by_id], -self.rating[by_id]))]
-            self.position[order] = np.arange(len(order))
-            self.in_order = True
+    def _key(self, row: int) -> tuple:
+        """Row ``row``'s stage-1 sort key; keys order rows as the constructor's ``lexsort`` does."""
+        r = self.rating.item(row)
+        return r != r, 0.0 if r != r else -r, -self.reviews.item(row), self.ids[row]
 
     @property
     def sums(self) -> tuple[int | None, int | None]:
@@ -246,12 +245,14 @@ class RoundRecord:
     """A round that ``RankingPool.replay`` may take again, by catalog row.
 
     ``bound1`` and ``bound2`` are its cutoffs as ``_review_bound`` rounds
-    them; ``weights`` maps each shortlisted row to its ``price_weighted``
-    value and ``mass`` is the shortlist's exact price sum; ``passers`` holds
-    the stage-2 passers (``passer_set`` as a set) and ``pick`` the row taken.
+    them; ``shortlist`` holds the stage-1 shortlist, ``weights`` maps each
+    of its rows to its ``price_weighted`` value and ``mass`` is its exact
+    price sum; ``passers`` holds the stage-2 passers (``passer_set`` as a
+    set) and ``pick`` the row taken.
     """
 
     bound1: int
+    shortlist: np.ndarray
     weights: dict[int, float]
     mass: float
     bound2: int
@@ -277,7 +278,6 @@ class RankingPool:
     """
 
     def __init__(self, columns: RankingColumns):
-        columns.sort()
         self.columns = columns
         self.alive = np.ones(len(columns.ids), dtype=bool)
         # Σrating and Σweighted over the alive products, exact and scaled by
@@ -346,10 +346,9 @@ class RankingPool:
         if not (passers.size and c.replayable and math.isfinite(cutoff1) and math.isfinite(cutoff2)):
             return pick, None
         weights = dict(zip(shortlist.tolist(), c.price_weighted[shortlist].tolist()))
-        record = RoundRecord(
-            math.ceil(cutoff1), weights, mass, math.ceil(cutoff2), passers, set(passers.tolist()), pick
+        return pick, RoundRecord(
+            math.ceil(cutoff1), shortlist, weights, mass, math.ceil(cutoff2), passers, set(passers.tolist()), pick
         )
-        return pick, record
 
     def replay(self, record: RoundRecord, written: Iterable[int]) -> int | None:
         """Take the recorded round again after review writes, or return None.
@@ -357,21 +356,21 @@ class RankingPool:
         ``record`` is the round as the pool stood before the writes, with the
         same products alive; ``written`` holds the written catalog rows.  Rows
         not written kept their review counts and price weights: with no alive
-        row written the round is the recorded one, and otherwise the round's
-        pick is ``_select``'s when: both stage-1 sums are defined and nonzero
-        and their cutoff rounds to ``bound1``; no alive written row entered or
-        left the shortlist; the patched price weights' fsum, nonzero and below
-        2^1000, divided by ``mass`` rounds to ``bound2``; and no written
-        shortlisted row changed its pass status.  The passers are then the
-        recorded ones; under the stage-1-order policy a written passer may now
-        stand before the recorded pick, so the pick is the passer with the
-        least current ``position``.  The pick is dropped and stored in
-        ``record``.  On None the pool is unchanged and ``record`` is stale:
-        the caller runs the round afresh.
+        row written the round is the recorded one.  Otherwise its shortlist is
+        ``_select``'s when both stage-1 sums are defined and nonzero, their
+        cutoff rounds to ``bound1``, and no alive written row entered or left
+        the shortlist; its stage-2 cutoff is the patched price weights' fsum,
+        nonzero and below 2^1000, divided by ``mass``.  If that moves
+        ``bound2`` or a written row's pass status, the passers are taken again
+        from the shortlist (none: a fallback).  A written passer may now stand
+        first, so with one, or with new passers, the pick is the passer of
+        least ``position`` (``price_desc_rank`` under price-desc).  The pick
+        is dropped and stored in ``record``.  On None the pool is unchanged
+        and ``record`` is stale: the caller runs the round afresh.
         """
         c = self.columns
         weights, passer_set = record.weights, record.passer_set
-        moved = patched = promoted = False
+        moved = promoted = flipped = False
         for row in written:
             if not self.alive.item(row):
                 continue
@@ -382,10 +381,8 @@ class RankingPool:
                 return None
             if listed:
                 passed = row in passer_set
-                if (count >= record.bound2) != passed:
-                    return None
+                flipped, promoted = flipped or (count >= record.bound2) != passed, promoted or passed
                 weights[row] = c.price_weighted.item(row)
-                patched, promoted = True, promoted or passed
         if moved:
             total0, total1 = self.sums
             if not (total0 and total1):
@@ -394,24 +391,26 @@ class RankingPool:
             cutoff1 = total1 / _SCALE / (total0 / _SCALE)
             if not math.isfinite(cutoff1) or math.ceil(cutoff1) != record.bound1:
                 return None
-        if patched:
             try:
                 total = math.fsum(weights.values())
             except OverflowError:  # part-way; with no weight negative, no inf - inf
                 return None
             # Zero goes to _select for its sign; below 2^1000, with no term
             # negative, fsum overflows part-way in no order of the terms.
-            if not 0.0 < total < 2.0**1000:
-                return None
             cutoff2 = total / record.mass
-            if not math.isfinite(cutoff2) or math.ceil(cutoff2) != record.bound2:
+            if not (0.0 < total < 2.0**1000 and math.isfinite(cutoff2)):
                 return None
-        pick = record.pick
-        if promoted and c.policy == POLICY_STAGE1_ORDER:
-            pick = record.passers.item(c.position[record.passers].argmin())
-        record.pick = pick
-        self._drop(pick)
-        return pick
+            if flipped or math.ceil(cutoff2) != record.bound2:
+                record.bound2 = bound2 = math.ceil(cutoff2)
+                passers = record.shortlist[c.reviews[record.shortlist] >= bound2]
+                if not passers.size:  # a fallback, which take_recorded leaves unrecorded
+                    return None
+                record.passers, record.passer_set, promoted = passers, set(passers.tolist()), True
+        if promoted:
+            rank = c.position if c.policy == POLICY_STAGE1_ORDER else c.price_desc_rank
+            record.pick = record.passers.item(rank[record.passers].argmin())
+        self._drop(record.pick)
+        return record.pick
 
     def _record(self, selection: _Round) -> IterationRecord:
         ids = self.columns.ids

@@ -14,7 +14,7 @@ runs walk customers in order over the precomputed uniforms, ask numpy for
 the rating draw only, and re-rank after writing the review states of the
 products bought since the last re-rank into the ranking columns, by
 catalog row as the run's own; a re-rank replays each round of the last one
-that those writes provably leave as it was and runs the others afresh.
+whose shortlist those writes provably leave as it was, and runs the others.
 
 Review states are two columns by catalog row, count and mean: a frozen
 run reads the catalog's own, a live run writes each purchase into Python
@@ -373,6 +373,8 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     """
     columns = catalog.columns
     counts, means = columns.reviews.tolist(), columns.rating.tolist()
+    qualities, noises = columns.true_quality.tolist(), columns.rating_noise.tolist()
+    demands, prices = columns.demand.tolist(), columns.price.tolist()  # read per purchase
     reranker = _Reranker(catalog, cfg) if cfg.rerank_every is not None else None
     slate_len = len(cfg.slate) if reranker is None else reranker.slot_count
     offset = int(spans.uses_uniform)
@@ -399,8 +401,7 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
             for j in range(viewed):
                 if draws[offset + j] < chance[j]:
                     viewed, purchased = j + 1, rows[j]
-                    quality = columns.true_quality.item(purchased)
-                    noise = columns.rating_noise.item(purchased)
+                    quality, noise = qualities[purchased], noises[purchased]
                     if quality == quality and noise == noise:  # both given
                         rng = draws_after.after(t, offset + viewed, raw[i])
                         rating = float(rng.normal(quality, noise))
@@ -410,8 +411,8 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
                         count, mean = add_rating(counts[purchased], means[purchased], rating)
                         counts[purchased], means[purchased] = count, mean
                         chance[j] = purchase_chance(
-                            columns.ids[purchased], columns.demand.item(purchased), count, mean,
-                            columns.price.item(purchased), viewed, cfg.prior, cfg.cost,
+                            columns.ids[purchased], demands[purchased], count, mean,
+                            prices[purchased], viewed, cfg.prior, cfg.cost,
                         )
                         if reranker is not None:
                             reranker.record(purchased, count)

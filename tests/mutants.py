@@ -47,6 +47,8 @@ OVERTAKING = SIM_ORACLE + "test_long_live_rerank_with_overtaking_leaders_matches
 RATED_RERANKS = "tests/test_ranker_oracle.py::test_reranks_after_rated_purchases_match_a_fresh_ranking"
 FOREIGN_PAIR = AUDIT + "test_adjacent_foreign_products_inverted_between_themselves"
 ARGV = "tests/test_cli.py::TestArgv::"
+RECOMPUTED = "tests/test_ranker_oracle.py::test_recomputed_stage_2_matches_a_fresh_round"
+NONFINITE = "tests/test_ranker_oracle.py::test_non_finite_and_signed_zero_writes_keep_a_fresh_order"
 
 MUTANTS = (
     Mutant(
@@ -109,28 +111,39 @@ MUTANTS = (
         ("tests/test_optimize_oracle.py::test_engine_matches_oracle",),
     ),
     Mutant(
-        "write-keeps-the-order-without-checking-neighbours",
+        "stage-1-key-without-the-id-tie-break",
         "assortment.py",
-        "self.in_order = self.in_order and all(map(self._in_order, near, near[1:]))",
-        "self.in_order = self.in_order",
-        (
-            "tests/test_ranker_oracle.py::test_review_writes_match_a_rebuilt_catalog",
-            "tests/test_ranker_oracle.py::test_two_adjacent_written_rows_that_swap_are_re_sorted",
-        ),
-    ),
-    Mutant(
-        "neighbour-check-without-the-id-tie-break",
-        "assortment.py",
-        "return above > below or above == below and self.ids[top] < self.ids[bottom]",
-        "return above >= below",
+        "-self.reviews.item(row), self.ids[row]",
+        "-self.reviews.item(row), 0",
         (REBUILT_CATALOG,),
     ),
     Mutant(
-        "write-checks-only-the-pair-above",
+        "stage-1-key-compares-nan-ratings",
         "assortment.py",
-        "near = self.order[max(at - 1, 0) : at + 2].tolist()",
-        "near = self.order[max(at - 1, 0) : at + 1].tolist()",
-        (REBUILT_CATALOG,),
+        "0.0 if r != r else -r",
+        "-r",
+        (NONFINITE,),
+    ),
+    Mutant(
+        "one-sided-check-on-the-wrong-side",
+        "assortment.py",
+        "if key < before and at and key < self._key(order.item(at - 1)):",
+        "if key > before and at and key < self._key(order.item(at - 1)):",
+        (NONFINITE, REBUILT_CATALOG),
+    ),
+    Mutant(
+        "insertion-one-place-low",
+        "assortment.py",
+        "dest = bisect_left(order, key, 0, at - 1, key=self._key)",
+        "dest = bisect_left(order, key, 0, at - 1, key=self._key) + 1",
+        (NONFINITE, REBUILT_CATALOG),
+    ),
+    Mutant(
+        "insertion-one-place-high",
+        "assortment.py",
+        "dest = bisect_left(order, key, at + 2, len(order), key=self._key) - 1",
+        "dest = bisect_left(order, key, at + 2, len(order), key=self._key) - 2",
+        (NONFINITE, REBUILT_CATALOG),
     ),
     Mutant(
         "write-keeps-the-rows-cached-value",
@@ -142,8 +155,8 @@ MUTANTS = (
     Mutant(
         "ties-broken-by-listing-order",
         "assortment.py",
-        "self.by_id = by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
-        "self.by_id = by_id = np.arange(catalog.universe_size)",
+        "by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
+        "by_id = np.arange(catalog.universe_size)",
         (
             "tests/test_metamorphic.py::test_listing_order_leaves_every_output_unchanged",
             "tests/test_ranker_oracle.py::test_shuffled_catalog_ranks_identically",
@@ -328,27 +341,42 @@ MUTANTS = (
     Mutant(
         "replay-without-the-pass-status-check",
         "assortment.py",
-        "if (count >= record.bound2) != passed:",
-        "if False:",
-        (RATED_RERANKS,),
+        "flipped or (count >= record.bound2) != passed",
+        "flipped",
+        (RECOMPUTED,),
+    ),
+    Mutant(
+        "recompute-keeps-the-recorded-passers",
+        "assortment.py",
+        "passers = record.shortlist[c.reviews[record.shortlist] >= bound2]",
+        "passers = record.passers",
+        (RECOMPUTED,),
+    ),
+    Mutant(
+        "recompute-leaves-the-stage-2-bound-stale",
+        "assortment.py",
+        "record.bound2 = bound2 = math.ceil(cutoff2)",
+        "bound2 = math.ceil(cutoff2)",
+        (RECOMPUTED,),
     ),
     Mutant(
         # The first unwritten passer in recorded order is taken as the least of
         # the unwritten ones: stale once a row written at an earlier re-rank moved.
         "replay-picks-from-the-recorded-passer-order",
         "assortment.py",
-        "pick = record.passers.item(c.position[record.passers].argmin())",
-        "moved = {row for row, *_ in written}\n"
+        "record.pick = record.passers.item(rank[record.passers].argmin())",
+        "moved = set(written)\n"
         "            passers = record.passers.tolist()\n"
         "            rest = [row for row in passers if row not in moved][:1]\n"
-        "            pick = min([row for row in passers if row in moved] + rest, key=c.position.item)",
+        "            record.pick = min([row for row in passers if row in moved] + rest, key=rank.item)",
         (OVERTAKING,),
     ),
     Mutant(
         "replayed-pick-not-stored",
         "assortment.py",
-        "record.pick = pick",
-        "pass",
+        "record.pick = record.passers.item(rank[record.passers].argmin())",
+        "self._drop(record.passers.item(rank[record.passers].argmin()))\n"
+        "            return record.passers.item(rank[record.passers].argmin())",
         (OVERTAKING,),
     ),
     Mutant(
@@ -398,20 +426,18 @@ MUTANTS = (
         (REBUILT_CATALOG, "tests/test_ranker_oracle.py::test_shuffled_catalog_ranks_identically"),
     ),
     Mutant(
-        "re-sort-leaves-position-stale",
+        "move-leaves-position-stale",
         "assortment.py",
-        "self.position[order] = np.arange(len(order))",
-        'if not hasattr(self, "order_was_set"):\n'
-        "                self.order_was_set = True\n"
-        "                self.position[order] = np.arange(len(order))",
-        (REBUILT_CATALOG, "tests/test_ranker_oracle.py::test_two_adjacent_written_rows_that_swap_are_re_sorted"),
+        "self.position[order[low:high]] = np.arange(low, high)",
+        "pass",
+        (REBUILT_CATALOG, NONFINITE, "tests/test_ranker_oracle.py::test_two_adjacent_written_rows_that_swap_are_re_sorted"),
     ),
     Mutant(
         # numpy's unicode compare ignores trailing NULs, so "B\x00" ties "B".
         "ids-ordered-by-a-numpy-unicode-sort",
         "assortment.py",
-        "self.by_id = by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
-        'self.by_id = by_id = np.array(columns.ids).argsort(kind="stable")',
+        "by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
+        'by_id = np.array(columns.ids).argsort(kind="stable")',
         ("tests/test_ranker_oracle.py::test_named_cases_match_oracle",),
     ),
     Mutant(

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_ranker as ref
 from assortplan.assortment import (
@@ -452,6 +452,74 @@ def test_two_adjacent_written_rows_that_swap_are_re_sorted(policy):
     assert columns.position.tolist() == [2, 0, 1]  # catalog rows C, B, A
 
 
+# Writes of non-finite and signed-zero means, each list applied in turn: the
+# stage-1 order puts a NaN rating last (ties among NaN broken by reviews,
+# then id), +inf first and -inf below every number, and -0.0 level with 0.0.
+NONFINITE_WRITES = {
+    "nan-falls-last": [("A", math.nan, 5)],
+    "nan-ties-break-by-reviews-then-id": [("A", math.nan, 5), ("E", math.nan, 9), ("B", math.nan, 5)],
+    "nan-rises-back-into-place": [("A", math.nan, 5), ("C", math.nan, 7), ("A", 3.5, 5)],
+    "inf-rises-first": [("D", math.inf, 1)],
+    "minus-inf-falls-below-every-number": [("E", -math.inf, 9), ("A", math.nan, 1)],
+    "inf-falls-to-minus-inf": [("E", math.inf, 9), ("E", -math.inf, 9)],
+    "minus-zero-ties-zero": [("A", -0.0, 7)],
+    "zero-ties-minus-zero": [("C", -0.0, 7), ("B", 0.0, 7), ("D", -0.0, 7)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE_WRITES))
+def test_non_finite_and_signed_zero_writes_keep_a_fresh_order(name):
+    catalog = _catalog(
+        ("A", 1.0, 5, 4.0), ("B", 2.0, 5, 0.0), ("C", 3.0, 7, 0.0), ("D", 1.5, 5, -1.0), ("E", 2.5, 9, 3.0)
+    )
+    columns = RankingColumns(catalog)
+    states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
+    for pid, mean, count in NONFINITE_WRITES[name]:
+        columns.set_review_state(catalog.row(pid), mean, count)
+        states[pid] = (count, mean)
+        fresh = RankingColumns(_rewritten(catalog, states))
+        assert columns.order.tolist() == fresh.order.tolist()
+        assert columns.position.tolist() == fresh.position.tolist()
+
+
+@st.composite
+def shortlisted_catalogs(draw) -> Catalog:
+    """Positive ratings, prices and review counts: no round falls back or sums to zero."""
+    return Catalog(
+        tuple(
+            Product(id=f"P{i}", price=draw(st.sampled_from([0.5, 1.0, 2.5, 4.0]) | st.floats(0.01, 100.0)),
+                    review_count=draw(st.integers(1, 12)),
+                    avg_rating=draw(st.sampled_from([1.0, 3.5, 4.0, 4.5]) | st.floats(0.1, 5.0)),
+                    demand_override=draw(st.none() | DEMANDS))
+            for i in range(draw(st.integers(3, 8)))
+        )
+    )
+
+
+@settings(max_examples=100)
+@given(shortlisted_catalogs(), st.data(), st.sampled_from(POLICIES))
+def test_recomputed_stage_2_matches_a_fresh_round(catalog, data, policy):
+    # Review states permuted among the shortlisted rows keep both exact
+    # stage-1 sums and every count on its side of the stage-1 bound, so the
+    # shortlist stays; the stage-2 bound or a pass status moves.  The replay
+    # takes the passers again from the recorded shortlist, and must then
+    # agree with a round of a pool built afresh.
+    columns = RankingColumns(catalog, policy)
+    _, record = RankingPool(columns).take_recorded()
+    assert record is not None
+    listed = record.shortlist.tolist()
+    recorded = (record.bound2, set(record.passer_set))
+    states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
+    drawn = data.draw(st.permutations([states[catalog.columns.ids[row]] for row in listed]))
+    for row, (count, mean) in zip(listed, drawn):
+        columns.set_review_state(row, mean, count)
+        states[catalog.columns.ids[row]] = (count, mean)
+    fresh_pick, fresh = RankingPool(RankingColumns(_rewritten(catalog, states), policy)).take_recorded()
+    assume((fresh.bound2, fresh.passer_set) != recorded)
+    assert RankingPool(columns).replay(record, listed) == fresh_pick
+    assert (record.pick, record.bound2, record.passer_set) == (fresh.pick, fresh.bound2, fresh.passer_set)
+
+
 def test_review_writes_move_sums_off_and_back_onto_the_int_path():
     columns = RankingColumns(CASES["order-sensitive-sum"])
     assert None not in columns.sums
@@ -538,12 +606,15 @@ def test_reranks_after_rated_purchases_match_a_fresh_ranking(seed, policy):
     ids = catalog.columns.ids
     counts, means = catalog.columns.reviews.tolist(), catalog.columns.rating.tolist()
     states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
-    replays = []
+    replays, recomputed = [], []
     replay = RankingPool.replay
 
     def spy(self, record, written):
+        recorded = (record.bound2, set(record.passer_set))
         row = replay(self, record, written)
         replays.append(row is not None)
+        # A replay that took the passers again from the shortlist moved them or the bound.
+        recomputed.append(row is not None and (record.bound2, record.passer_set) != recorded)
         return row
 
     slate = reranker.rank(ids, counts, means)
@@ -557,3 +628,4 @@ def test_reranks_after_rated_purchases_match_a_fresh_ranking(seed, policy):
             slate = reranker.rank(ids, counts, means)
             assert slate == two_stage_select(_rewritten(catalog, states), 5, policy)[0].slots
     assert sum(replays) > len(replays) // 2
+    assert any(recomputed)
