@@ -12,13 +12,14 @@ exact integers, patched as review states are rewritten and products leave;
 the columns stay by catalog row behind one stage-1 permutation, into which
 a rewrite moves its row, so a ``RankingPool`` set-up sums and sorts nothing.
 
-A round run by ``RankingPool.take_recorded`` leaves a ``RoundRecord``: its
-rounded cutoffs, its shortlist with its price weights and price mass, its
-passers and its pick, by catalog row.  After a few review writes,
-``RankingPool.replay`` takes the round again from its record, in work
-proportional to the written rows plus one ``math.fsum`` over the shortlist
-(and a pass over it for new passers), when it can prove that the writes
-leave the shortlist as it was; otherwise the caller runs the round afresh.
+A round is a ``Round`` by catalog row: its cutoffs, its shortlist and
+price mass, its passers and its pick; ``Round.report`` reads it as an
+``IterationRecord`` of ids.  After a few review writes,
+``RankingPool.replay`` takes a round again, in work proportional to the
+written rows plus one ``math.fsum`` over the shortlist's current price
+weights (and a pass over it for new passers), when it can prove from each
+written row's count before the write that the shortlist is as it was;
+otherwise the caller runs the round afresh.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -227,10 +228,12 @@ class RankingColumns:
         return tuple(self._sums)
 
 
-class _Round(NamedTuple):
-    """One ``_select`` round as catalog rows: its stage-1 cutoff and shortlist,
+@dataclass(slots=True)
+class Round:
+    """One round over a pool, by catalog row: its stage-1 cutoff and shortlist,
     the shortlist's price mass (None unless stage 2 ran), its stage-2 cutoff,
-    its ordered passers and its pick."""
+    its ordered passers and its pick.  ``RankingPool.replay`` stores new cutoffs,
+    passers or a new pick in place, its rows kept in the order first listed."""
 
     cutoff1: float | None
     shortlist: np.ndarray
@@ -239,26 +242,10 @@ class _Round(NamedTuple):
     passers: np.ndarray
     pick: int
 
-
-@dataclass(slots=True)
-class RoundRecord:
-    """A round that ``RankingPool.replay`` may take again, by catalog row.
-
-    ``bound1`` and ``bound2`` are its cutoffs as ``_review_bound`` rounds
-    them; ``shortlist`` holds the stage-1 shortlist, ``weights`` maps each
-    of its rows to its ``price_weighted`` value and ``mass`` is its exact
-    price sum; ``passers`` holds the stage-2 passers (``passer_set`` as a
-    set) and ``pick`` the row taken.
-    """
-
-    bound1: int
-    shortlist: np.ndarray
-    weights: dict[int, float]
-    mass: float
-    bound2: int
-    passers: np.ndarray
-    passer_set: set[int]
-    pick: int
+    def report(self, ids: np.ndarray) -> IterationRecord:
+        """The round's audit record, its catalog rows read as ``ids``."""
+        order, passed = tuple(ids[self.shortlist].tolist()), tuple(ids[self.passers].tolist())
+        return IterationRecord(self.cutoff1, order, self.cutoff2, passed, ids[self.pick], not passed)
 
 
 class RankingPool:
@@ -287,12 +274,6 @@ class RankingPool:
     def __len__(self) -> int:
         return int(np.count_nonzero(self.alive))
 
-    def _drop(self, row: int) -> None:
-        self.alive[row] = False
-        for i in (0, 1):
-            if self.sums[i] is not None:
-                self.sums[i] -= self.columns.scaled(i, row)
-
     def _stage1_sum(self, i: int, column: np.ndarray, live: np.ndarray) -> float:
         total = self.sums[i]
         # An exact zero goes to fsum for its sign, as in _exact_sum.
@@ -301,9 +282,12 @@ class RankingPool:
     def remove(self, row: int) -> None:
         """Drop catalog row ``row`` from the pool without running a round (if it is still in)."""
         if self.alive.item(row):
-            self._drop(row)
+            self.alive[row] = False
+            for i in (0, 1):
+                if self.sums[i] is not None:
+                    self.sums[i] -= self.columns.scaled(i, row)
 
-    def _select(self) -> _Round:
+    def select(self) -> Round:
         """One round over the pool as it stands."""
         c = self.columns
         live = c.order[self.alive.take(c.order)]
@@ -321,7 +305,7 @@ class RankingPool:
             shortlist = live[c.reviews[live] >= _review_bound(cutoff1)]
         if not shortlist.size:
             # First of the most-reviewed in stage-1 order: highest rating, then id.
-            return _Round(cutoff1, shortlist, None, None, shortlist, live.item(c.reviews[live].argmax()))
+            return Round(cutoff1, shortlist, None, None, shortlist, live.item(c.reviews[live].argmax()))
         try:
             mass = _exact_sum(c.price[shortlist])
             cutoff2 = _exact_sum(c.price_weighted[shortlist]) / mass if mass else None
@@ -334,112 +318,86 @@ class RankingPool:
         if c.policy == POLICY_PRICE_DESC:
             passers = passers[c.price_desc_rank[passers].argsort()]
         pick = passers.item(0) if passers.size else shortlist.item(0)
-        return _Round(cutoff1, shortlist, mass, cutoff2, passers, pick)
+        return Round(cutoff1, shortlist, mass, cutoff2, passers, pick)
 
-    def take_recorded(self) -> tuple[int, RoundRecord | None]:
-        """Run one round and eliminate its pick; return the pick's catalog row and
-        the round's record, or None for a round ``replay`` cannot take again: a
-        fallback, a cutoff that is not finite, or a catalog with a negative or NaN price."""
-        cutoff1, shortlist, mass, cutoff2, passers, pick = self._select()
-        self._drop(pick)
-        c = self.columns
-        if not (passers.size and c.replayable and math.isfinite(cutoff1) and math.isfinite(cutoff2)):
-            return pick, None
-        weights = dict(zip(shortlist.tolist(), c.price_weighted[shortlist].tolist()))
-        return pick, RoundRecord(
-            math.ceil(cutoff1), shortlist, weights, mass, math.ceil(cutoff2), passers, set(passers.tolist()), pick
-        )
+    def take(self) -> Round:
+        """Run one round and eliminate its pick."""
+        selection = self.select()
+        self.remove(selection.pick)
+        return selection
 
-    def replay(self, record: RoundRecord, written: Iterable[int]) -> int | None:
-        """Take the recorded round again after review writes, or return None.
+    def replay(self, record: Round, written: dict[int, int]) -> int | None:
+        """Take ``record`` again after review writes and eliminate its pick, or return None.
 
         ``record`` is the round as the pool stood before the writes, with the
-        same products alive; ``written`` holds the written catalog rows.  Rows
-        not written kept their review counts and price weights: with no alive
-        row written the round is the recorded one.  Otherwise its shortlist is
-        ``_select``'s when both stage-1 sums are defined and nonzero, their
-        cutoff rounds to ``bound1``, and no alive written row entered or left
-        the shortlist; its stage-2 cutoff is the patched price weights' fsum,
-        nonzero and below 2^1000, divided by ``mass``.  If that moves
-        ``bound2`` or a written row's pass status, the passers are taken again
-        from the shortlist (none: a fallback).  A written passer may now stand
-        first, so with one, or with new passers, the pick is the passer of
-        least ``position`` (``price_desc_rank`` under price-desc).  The pick
-        is dropped and stored in ``record``.  On None the pool is unchanged
-        and ``record`` is stale: the caller runs the round afresh.
+        same products alive; ``written`` maps each written catalog row to its
+        review count before the write.  A fallback, a cutoff that is not
+        finite, or a catalog with a negative or NaN price is never replayed.
+        The shortlist is the alive rows clearing ``ceil(cutoff1)`` and the
+        passers its rows clearing ``ceil(cutoff2)``, so a row's count before
+        the write gives its listed and pass status.  With no alive row written
+        the round is the recorded one.  Otherwise its shortlist is ``select``'s
+        when both stage-1 sums are defined and nonzero, their cutoff rounds up
+        as before, and no alive written row entered or left the shortlist; its
+        stage-2 cutoff is the fsum of the shortlist's current price weights,
+        nonzero and below 2^1000, over ``mass``; both cutoffs are stored.  If
+        ``ceil(cutoff2)`` or a written row's pass status moved, the passers are
+        taken again from the shortlist (none: a fallback).  With a written
+        passer, or new passers, the pick is the passer of least ``position``
+        (``price_desc_rank`` under price-desc).  On None the pool and
+        ``record`` are unchanged: the caller runs the round afresh.
         """
         c = self.columns
-        weights, passer_set = record.weights, record.passer_set
+        cutoff1, cutoff2 = record.cutoff1, record.cutoff2
+        if not (record.passers.size and c.replayable and math.isfinite(cutoff1) and math.isfinite(cutoff2)):
+            return None
+        bound1, bound2 = math.ceil(cutoff1), math.ceil(cutoff2)
         moved = promoted = flipped = False
-        for row in written:
+        for row, old in written.items():
             if not self.alive.item(row):
                 continue
             moved = True
             count = c.reviews.item(row)
-            listed = row in weights
-            if (count >= record.bound1) != listed:
+            listed = old >= bound1
+            if (count >= bound1) != listed:
                 return None
             if listed:
-                passed = row in passer_set
-                flipped, promoted = flipped or (count >= record.bound2) != passed, promoted or passed
-                weights[row] = c.price_weighted.item(row)
+                passed = old >= bound2
+                flipped, promoted = flipped or (count >= bound2) != passed, promoted or passed
         if moved:
             total0, total1 = self.sums
             if not (total0 and total1):
                 return None
-            # As _select computes it; the exact sums' quotients are finite and nonzero.
+            # As select computes it; the exact sums' quotients are finite and nonzero.
             cutoff1 = total1 / _SCALE / (total0 / _SCALE)
-            if not math.isfinite(cutoff1) or math.ceil(cutoff1) != record.bound1:
+            if not math.isfinite(cutoff1) or math.ceil(cutoff1) != bound1:
                 return None
             try:
-                total = math.fsum(weights.values())
+                total = math.fsum(c.price_weighted[record.shortlist].tolist())
             except OverflowError:  # part-way; with no weight negative, no inf - inf
                 return None
-            # Zero goes to _select for its sign; below 2^1000, with no term
+            # Zero goes to select for its sign; below 2^1000, with no term
             # negative, fsum overflows part-way in no order of the terms.
             cutoff2 = total / record.mass
             if not (0.0 < total < 2.0**1000 and math.isfinite(cutoff2)):
                 return None
-            if flipped or math.ceil(cutoff2) != record.bound2:
-                record.bound2 = bound2 = math.ceil(cutoff2)
-                passers = record.shortlist[c.reviews[record.shortlist] >= bound2]
-                if not passers.size:  # a fallback, which take_recorded leaves unrecorded
+            if flipped or math.ceil(cutoff2) != bound2:
+                passers = record.shortlist[c.reviews[record.shortlist] >= math.ceil(cutoff2)]
+                if not passers.size:  # a fallback
                     return None
-                record.passers, record.passer_set, promoted = passers, set(passers.tolist()), True
+                record.passers, promoted = passers, True
+            record.cutoff1, record.cutoff2 = cutoff1, cutoff2
         if promoted:
             rank = c.position if c.policy == POLICY_STAGE1_ORDER else c.price_desc_rank
             record.pick = record.passers.item(rank[record.passers].argmin())
-        self._drop(record.pick)
+        self.remove(record.pick)
         return record.pick
-
-    def _record(self, selection: _Round) -> IterationRecord:
-        ids = self.columns.ids
-        order = tuple(ids[selection.shortlist].tolist())
-        passed = tuple(ids[selection.passers].tolist())
-        return IterationRecord(
-            selection.cutoff1, order, selection.cutoff2, passed, ids[selection.pick], not passed
-        )
-
-    def peek(self) -> IterationRecord:
-        """Run one selection round over the pool as it stands."""
-        return self._record(self._select())
-
-    def take(self) -> IterationRecord:
-        """Run one selection round and eliminate the product it selected."""
-        selection = self._select()
-        self._drop(selection.pick)
-        return self._record(selection)
-
-    def take_id(self) -> str:
-        """``take().selected``, without building the round's record."""
-        pick = self._select().pick
-        self._drop(pick)
-        return self.columns.ids[pick]
 
 
 def run_iteration(pool: Sequence[Product], policy: str = POLICY_STAGE1_ORDER) -> IterationRecord:
     """Run one selection round over a pool of remaining products."""
-    return RankingPool(RankingColumns(Catalog(pool), policy)).peek()
+    columns = RankingColumns(Catalog(pool), policy)
+    return RankingPool(columns).select().report(columns.ids)
 
 
 def two_stage_select(
@@ -457,7 +415,8 @@ def two_stage_select(
     require_int("slot_count", slot_count, least=1)
     if not catalog.universe_size:
         raise ValueError("catalog is empty")
-    pool = RankingPool(RankingColumns(catalog, policy))
-    iterations = tuple(pool.take() for _ in range(min(slot_count, catalog.universe_size)))
+    columns = RankingColumns(catalog, policy)
+    pool = RankingPool(columns)
+    iterations = tuple(pool.take().report(columns.ids) for _ in range(min(slot_count, catalog.universe_size)))
     slots = tuple(rec.selected for rec in iterations)
     return Ranking(slots, slot_count), TwoStageTrace(iterations)

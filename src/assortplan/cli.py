@@ -379,7 +379,7 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
         slot_count=_config_value(doc, "slot_count", (int,), "an integer"),
         policy=_config_value(doc, "policy", (str,), "a policy name", default=POLICY_STAGE1_ORDER),
         freeze_beliefs=_config_value(doc, "freeze_beliefs", (bool,), "true or false", default=False),
-        clamp_ratings=(float(clamp[0]), float(clamp[1])) if clamp is not None else None,
+        clamp_ratings=tuple(clamp) if clamp is not None else None,
     )
 
 

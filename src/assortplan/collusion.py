@@ -80,7 +80,8 @@ def substitution_effect(
     Revenues are ``expected_revenue`` under ``dist``; the audit's
     substitution findings are this function's verdicts.
     """
-    if not 1 <= slot <= len(slate):
+    require_int("slot", slot, least=1)
+    if slot > len(slate):
         raise ValueError(f"slot {slot} outside slate of length {len(slate)}")
     if replacement in slate:
         raise ValueError(f"replacement {replacement!r} already appears in the slate")
@@ -157,14 +158,14 @@ def audit_ranking(
     columns = RankingColumns(catalog, policy)
     replay = RankingPool(columns)
     for slot, (pid, row) in enumerate(zip(displayed, rows), start=1):
-        record = replay.peek()
+        selection = replay.select()
         review_count = reviews.item(row)
         # Stage 2 is checked only for a product that clears a defined stage 1.
         for kind, stage, cutoff, pool in (
-            (KIND_BELOW_STAGE1, 1, record.stage1_threshold, record.stage1_order),
-            (KIND_BELOW_STAGE2, 2, record.stage2_threshold, record.stage2_passers),
+            (KIND_BELOW_STAGE1, 1, selection.cutoff1, selection.shortlist),
+            (KIND_BELOW_STAGE2, 2, selection.cutoff2, selection.passers),
         ):
-            if not pool or cutoff is None:
+            if not pool.size or cutoff is None:
                 break
             if review_count < cutoff:
                 detail = (
@@ -183,7 +184,7 @@ def audit_ranking(
     open_pairs = set(zip(displayed, displayed[1:]))  # neither member placed yet
     ref_pos: dict[str, int] = {}
     while len(compliant) and (open_pairs or len(ref_pos) < slot_count):
-        pid = compliant.take_id()
+        pid = columns.ids[compliant.take().pick]
         ref_pos[pid] = len(ref_pos)
         open_pairs = {pair for pair in open_pairs if pid not in pair}
 

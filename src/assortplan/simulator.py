@@ -13,8 +13,9 @@ equal bit for bit to numpy's own.  Frozen runs are then array code; live
 runs walk customers in order over the precomputed uniforms, ask numpy for
 the rating draw only, and re-rank after writing the review states of the
 products bought since the last re-rank into the ranking columns, by
-catalog row as the run's own; a re-rank replays each round of the last one
-whose shortlist those writes provably leave as it was, and runs the others.
+catalog row as the run's own; a re-rank takes again each round of the last
+one whose shortlist those writes provably leave as it was, judged by each
+written row's review count before the write, and runs the others.
 
 Review states are two columns by catalog row, count and mean: a frozen
 run reads the catalog's own, a live run writes each purchase into Python
@@ -40,7 +41,7 @@ from .assortment import (
     POLICY_STAGE1_ORDER,
     RankingColumns,
     RankingPool,
-    RoundRecord,
+    Round,
     two_stage_select,
 )
 from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns, require_int
@@ -60,7 +61,8 @@ class SimConfig:
     ``slot_count``, which a fixed slate refuses) must be set.
     ``freeze_beliefs`` pins review states at their catalog values: no
     ratings are drawn and demand never moves.
-    ``clamp_ratings`` optionally clips drawn ratings to a display scale.
+    ``clamp_ratings`` optionally clips drawn ratings to a display scale; its
+    bounds are read as floats.
     """
 
     horizon: int
@@ -191,6 +193,7 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
         if not (isinstance(clamp, tuple) and len(clamp) == 2
                 and all(isinstance(bound, Real) and not isinstance(bound, bool) for bound in clamp)):
             raise ValueError(f"clamp_ratings must be a (low, high) tuple of numbers, got {clamp!r}")
+        clamp = tuple(map(float, clamp))  # as the run reads them
         if any(bound != bound for bound in clamp):
             raise ValueError(f"clamp_ratings bounds must be numbers, got NaN: {clamp}")
         if clamp[0] > clamp[1]:
@@ -244,10 +247,11 @@ class _Reranker:
     """Two-stage re-ranking over review columns kept in step with the run's.
 
     A purchase notes its catalog row in ``written``; a re-rank first writes
-    those rows' review states into the ranking columns, once each.  It keeps
-    each round's pick and ``RoundRecord``; while every earlier round of a
-    re-rank took the pick it took the time before, the next round is
-    replayed from its record (``RankingPool.replay``) where the writes allow.
+    those rows' review states into the ranking columns, once each, noting
+    each row's review count before the write.  It keeps each ``Round``;
+    while every earlier round of a re-rank took the pick it took the time
+    before, the next round is taken again (``RankingPool.replay``) where the
+    writes allow.
     """
 
     def __init__(self, catalog: Catalog, cfg: SimConfig):
@@ -255,7 +259,7 @@ class _Reranker:
         self.slot_count = min(cfg.slot_count, catalog.universe_size)
         self.written: set[int] = set()
         self.overflow: tuple[int, int] | None = None
-        self.records: list[RoundRecord | None] = [None] * self.slot_count
+        self.records: list[Round | None] = [None] * self.slot_count
         self.picks: list[int] = []  # the last re-rank's, by catalog row
 
     def record(self, row: int, count: int) -> None:
@@ -271,18 +275,21 @@ class _Reranker:
                 f"product {ids[row]!r}: simulated review count {count} exceeds the "
                 f"re-ranking limit of {MAX_REVIEWS - 1}"
             )
-        written, self.written = self.written, set()
-        for row in written:
+        written: dict[int, int] = {}  # catalog row -> its review count before the write
+        for row in self.written:
+            written[row] = self.columns.reviews.item(row)
             self.columns.set_review_state(row, means[row], counts[row])
+        self.written.clear()
         pool = RankingPool(self.columns)
         # Cleared until this re-rank completes, so that a failed one replays nothing.
         previous, self.picks = self.picks, []
         picks: list[int] = []
         replaying = bool(previous)
         for i, record in enumerate(self.records):
-            row = pool.replay(record, written) if replaying and record is not None else None
+            row = pool.replay(record, written) if replaying else None
             if row is None:
-                row, self.records[i] = pool.take_recorded()
+                self.records[i] = record = pool.take()
+                row = record.pick
             replaying = replaying and row == previous[i]
             picks.append(row)
         self.picks = picks
@@ -376,6 +383,7 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
     qualities, noises = columns.true_quality.tolist(), columns.rating_noise.tolist()
     demands, prices = columns.demand.tolist(), columns.price.tolist()  # read per purchase
     reranker = _Reranker(catalog, cfg) if cfg.rerank_every is not None else None
+    clamp = None if cfg.clamp_ratings is None else tuple(map(float, cfg.clamp_ratings))
     slate_len = len(cfg.slate) if reranker is None else reranker.slot_count
     offset = int(spans.uses_uniform)
     reach = min(cfg.dist.max_span, slate_len)
@@ -405,9 +413,8 @@ def _live_columns(catalog: Catalog, cfg: SimConfig, spans: _SpanDraw) -> dict:
                     if quality == quality and noise == noise:  # both given
                         rng = draws_after.after(t, offset + viewed, raw[i])
                         rating = float(rng.normal(quality, noise))
-                        if cfg.clamp_ratings is not None:
-                            lo, hi = cfg.clamp_ratings
-                            rating = min(max(rating, lo), hi)
+                        if clamp is not None:
+                            rating = min(max(rating, clamp[0]), clamp[1])
                         count, mean = add_rating(counts[purchased], means[purchased], rating)
                         counts[purchased], means[purchased] = count, mean
                         chance[j] = purchase_chance(

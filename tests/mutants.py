@@ -49,6 +49,7 @@ FOREIGN_PAIR = AUDIT + "test_adjacent_foreign_products_inverted_between_themselv
 ARGV = "tests/test_cli.py::TestArgv::"
 RECOMPUTED = "tests/test_ranker_oracle.py::test_recomputed_stage_2_matches_a_fresh_round"
 NONFINITE = "tests/test_ranker_oracle.py::test_non_finite_and_signed_zero_writes_keep_a_fresh_order"
+REFUSED = "tests/test_ranker_oracle.py::test_replay_refuses_fallbacks_non_finite_cutoffs_and_negative_prices"
 
 MUTANTS = (
     Mutant(
@@ -297,6 +298,13 @@ MUTANTS = (
         (MALFORMED_PMF,),
     ),
     Mutant(
+        "substitution-reads-any-slot",
+        "collusion.py",
+        'require_int("slot", slot, least=1)\n    if slot > len(slate):',
+        "if not 1 <= slot <= len(slate):",
+        ("tests/test_collusion.py::TestSubstitutionEffect::test_slot_out_of_range_rejected",),
+    ),
+    Mutant(
         "audit-ranks-until-every-displayed-product-is-placed",
         "collusion.py",
         "while len(compliant) and (open_pairs or len(ref_pos) < slot_count):",
@@ -320,7 +328,7 @@ MUTANTS = (
     Mutant(
         "replay-without-the-stage-1-bound",
         "assortment.py",
-        "if not math.isfinite(cutoff1) or math.ceil(cutoff1) != record.bound1:",
+        "if not math.isfinite(cutoff1) or math.ceil(cutoff1) != bound1:",
         "if not math.isfinite(cutoff1):",
         (RATED_RERANKS,),
     ),
@@ -332,32 +340,33 @@ MUTANTS = (
         (RATED_RERANKS,),
     ),
     Mutant(
-        "replay-leaves-a-written-stage-2-weight-unpatched",
-        "assortment.py",
-        "weights[row] = c.price_weighted.item(row)",
-        "weights[row] = weights[row]",
-        (RATED_RERANKS,),
-    ),
-    Mutant(
         "replay-without-the-pass-status-check",
         "assortment.py",
-        "flipped or (count >= record.bound2) != passed",
+        "flipped or (count >= bound2) != passed",
         "flipped",
         (RECOMPUTED,),
     ),
     Mutant(
         "recompute-keeps-the-recorded-passers",
         "assortment.py",
-        "passers = record.shortlist[c.reviews[record.shortlist] >= bound2]",
+        "passers = record.shortlist[c.reviews[record.shortlist] >= math.ceil(cutoff2)]",
         "passers = record.passers",
         (RECOMPUTED,),
     ),
     Mutant(
+        # The next replay would read each row's listed and pass status off the old cutoffs.
         "recompute-leaves-the-stage-2-bound-stale",
         "assortment.py",
-        "record.bound2 = bound2 = math.ceil(cutoff2)",
-        "bound2 = math.ceil(cutoff2)",
+        "record.cutoff1, record.cutoff2 = cutoff1, cutoff2",
+        "pass",
         (RECOMPUTED,),
+    ),
+    Mutant(
+        "replay-without-its-refusal-guard",
+        "assortment.py",
+        "if not (record.passers.size and c.replayable and math.isfinite(cutoff1) and math.isfinite(cutoff2)):",
+        "if False:",
+        (REFUSED,),
     ),
     Mutant(
         # The first unwritten passer in recorded order is taken as the least of
@@ -375,9 +384,18 @@ MUTANTS = (
         "replayed-pick-not-stored",
         "assortment.py",
         "record.pick = record.passers.item(rank[record.passers].argmin())",
-        "self._drop(record.passers.item(rank[record.passers].argmin()))\n"
+        "self.remove(record.passers.item(rank[record.passers].argmin()))\n"
         "            return record.passers.item(rank[record.passers].argmin())",
         (OVERTAKING,),
+    ),
+    Mutant(
+        "rerank-reads-the-old-counts-after-the-writes",
+        "simulator.py",
+        "written[row] = self.columns.reviews.item(row)\n"
+        "            self.columns.set_review_state(row, means[row], counts[row])",
+        "self.columns.set_review_state(row, means[row], counts[row])\n"
+        "            written[row] = self.columns.reviews.item(row)",
+        (RATED_RERANKS,),
     ),
     Mutant(
         "replay-continues-after-a-changed-pick",

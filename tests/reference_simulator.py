@@ -120,7 +120,7 @@ def simulate(catalog: Catalog, cfg: SimConfig) -> RecordTrace:
                 ):
                     drawn = float(rng.normal(product.true_quality, product.rating_noise))
                     if cfg.clamp_ratings is not None:
-                        lo, hi = cfg.clamp_ratings
+                        lo, hi = map(float, cfg.clamp_ratings)
                         drawn = min(max(drawn, lo), hi)
                     rating = drawn
                     new_state = _add_rating(states[product.id], rating)

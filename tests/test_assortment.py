@@ -128,7 +128,7 @@ class TestStage2Filter:
 def round_after_exhausting(catalog):
     pool = RankingPool(RankingColumns(catalog))
     for _ in range(catalog.universe_size):
-        pool.take_id()
+        pool.take()
     return pool.take()
 
 

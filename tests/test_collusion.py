@@ -50,8 +50,12 @@ class TestSubstitutionEffect:
         assert analysis.prob_after is None
 
     def test_slot_out_of_range_rejected(self, demo):
-        with pytest.raises(ValueError, match="slot"):
+        with pytest.raises(ValueError, match="slot 3 outside slate of length 2"):
             substitution_effect(demo, ["A", "B"], 3, "D", DIST3)
+        # A bool is never read as slot 1, nor a float as any slot.
+        for slot in (True, 1.5, 0):
+            with pytest.raises(ValueError, match="slot must be"):
+                substitution_effect(demo, ["A", "B"], slot, "D", DIST3)
 
     def test_replacement_already_in_slate_rejected(self, demo):
         with pytest.raises(ValueError, match="already"):
@@ -178,8 +182,8 @@ class TestAuditRanking:
         # fill the slots and place A and F, so each displayed pair has a
         # placed member and D, last in the order, is never ranked.
         rounds = []
-        take_id = RankingPool.take_id
-        monkeypatch.setattr(RankingPool, "take_id", lambda pool: rounds.append(1) or take_id(pool))
+        take = RankingPool.take
+        monkeypatch.setattr(RankingPool, "take", lambda pool: rounds.append(1) or take(pool))
         findings = audit_ranking(demo, ["A", "D", "F"], 3, DIST3, omega=1.0)
         assert len(rounds) == 3
         assert [(f.slot, f.product_id, f.kind) for f in findings] == [

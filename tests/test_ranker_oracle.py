@@ -119,15 +119,15 @@ def test_named_cases_match_oracle(name, policy):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_record_free_picks_and_removals_keep_the_pool_in_step(name, policy):
     columns = RankingColumns(CASES[name], policy)
-    pool, twin = RankingPool(columns), RankingPool(columns)
+    pool, twin, ids = RankingPool(columns), RankingPool(columns), columns.ids
     while len(pool):
-        selected = pool.take().selected
-        assert twin.take_id() == selected
+        selected = pool.take().report(ids).selected
+        assert ids[twin.take().pick] == selected
         # Removing a product already taken changes nothing.
         pool.remove(CASES[name].row(selected))
         assert len(pool) == len(twin)
         if len(pool):
-            assert pool.peek() == twin.peek()
+            assert pool.select().report(ids) == twin.select().report(ids)
 
 
 def test_cutoff_on_review_count_keeps_that_product():
@@ -360,8 +360,8 @@ def _assert_pool_matches_a_fresh_one(written: RankingColumns, catalog: Catalog, 
     fresh_columns = RankingColumns(catalog, written.policy)
     fresh, pool = RankingPool(fresh_columns), RankingPool(written)
     assert written.ids[written.order].tolist() == fresh_columns.ids[fresh_columns.order].tolist()
-    expected = _outcome(lambda: [_hexed(fresh.take()) for _ in range(k)])
-    assert _outcome(lambda: [_hexed(pool.take()) for _ in range(k)]) == expected
+    expected = _outcome(lambda: [_hexed(fresh.take().report(fresh_columns.ids)) for _ in range(k)])
+    assert _outcome(lambda: [_hexed(pool.take().report(written.ids)) for _ in range(k)]) == expected
 
 
 @given(catalogs(), st.data(), st.sampled_from(POLICIES))
@@ -484,7 +484,8 @@ def test_non_finite_and_signed_zero_writes_keep_a_fresh_order(name):
 
 @st.composite
 def shortlisted_catalogs(draw) -> Catalog:
-    """Positive ratings, prices and review counts: no round falls back or sums to zero."""
+    """Positive ratings, prices and review counts: no round sums to zero, and only a
+    stage-2 cutoff rounded above every count falls back."""
     return Catalog(
         tuple(
             Product(id=f"P{i}", price=draw(st.sampled_from([0.5, 1.0, 2.5, 4.0]) | st.floats(0.01, 100.0)),
@@ -505,19 +506,50 @@ def test_recomputed_stage_2_matches_a_fresh_round(catalog, data, policy):
     # takes the passers again from the recorded shortlist, and must then
     # agree with a round of a pool built afresh.
     columns = RankingColumns(catalog, policy)
-    _, record = RankingPool(columns).take_recorded()
-    assert record is not None
+    record = RankingPool(columns).take()
+    assume(record.passers.size)  # price * count / price may round above the count
     listed = record.shortlist.tolist()
-    recorded = (record.bound2, set(record.passer_set))
+    recorded = (math.ceil(record.cutoff2), set(record.passers.tolist()))
     states = {p.id: (p.review_count, p.avg_rating) for p in catalog.products}
     drawn = data.draw(st.permutations([states[catalog.columns.ids[row]] for row in listed]))
+    written = {}
     for row, (count, mean) in zip(listed, drawn):
+        written[row] = columns.reviews.item(row)
         columns.set_review_state(row, mean, count)
         states[catalog.columns.ids[row]] = (count, mean)
-    fresh_pick, fresh = RankingPool(RankingColumns(_rewritten(catalog, states), policy)).take_recorded()
-    assume((fresh.bound2, fresh.passer_set) != recorded)
-    assert RankingPool(columns).replay(record, listed) == fresh_pick
-    assert (record.pick, record.bound2, record.passer_set) == (fresh.pick, fresh.bound2, fresh.passer_set)
+    fresh = RankingPool(RankingColumns(_rewritten(catalog, states), policy)).take()
+    assume((math.ceil(fresh.cutoff2), set(fresh.passers.tolist())) != recorded)
+    assert RankingPool(columns).replay(record, written) == fresh.pick
+    # The new cutoffs are stored bit for bit; the passers keep their listed order.
+    replayed = (record.cutoff1.hex(), record.cutoff2.hex(), set(record.passers.tolist()))
+    assert replayed == (fresh.cutoff1.hex(), fresh.cutoff2.hex(), set(fresh.passers.tolist()))
+
+
+# Rounds that replay refuses: the two fallbacks, a stage-1 cutoff of -inf
+# (a rating times its count overflows) and a catalog with a negative price.
+REFUSED_ROUNDS = {
+    "stage-1-fallback": CASES["all-zero-ratings"],
+    "stage-2-fallback": CASES["all-zero-prices"],
+    "non-finite-cutoff": _catalog(("A", 1.0, 5, -1e308), ("B", 2.0, 0, 1e308), ("C", 3.0, 3, 4.0)),
+    "negative-price": _catalog(("A", -1.0, 8, 4.0), ("B", 2.0, 6, 3.0), ("C", 3.0, 3, 2.0)),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", sorted(REFUSED_ROUNDS))
+def test_replay_refuses_fallbacks_non_finite_cutoffs_and_negative_prices(name, policy):
+    columns = RankingColumns(REFUSED_ROUNDS[name], policy)
+    record = RankingPool(columns).select()
+    # Only the fallbacks lack passers; the other two are refused for their cutoff or price.
+    assert (not record.passers.size) == name.endswith("fallback")
+    reported = record.report(columns.ids)
+    # Unwritten, or written with their own counts, the rows leave the round as it was.
+    for written in ({}, {row: columns.reviews.item(row) for row in range(len(columns.ids))}):
+        pool = RankingPool(columns)
+        sums = list(pool.sums)
+        assert pool.replay(record, written) is None
+        assert pool.alive.all() and pool.sums == sums
+        assert record.report(columns.ids) == reported
 
 
 def test_review_writes_move_sums_off_and_back_onto_the_int_path():
@@ -556,7 +588,7 @@ def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
     ids = catalog.columns.ids
     pool = undefined = None
     for _ in range(data.draw(st.integers(1, 12))):
-        step = data.draw(st.sampled_from(["write", "write", "take", "take_id", "remove"]))
+        step = data.draw(st.sampled_from(["write", "write", "take", "select", "remove"]))
         if step == "write":
             row = data.draw(st.integers(0, len(ids) - 1))
             if data.draw(st.booleans()):  # the row's own current state
@@ -573,7 +605,7 @@ def test_scaled_value_cache_keeps_both_sums_exact(catalog, data, policy):
                 pool.remove(catalog.row(data.draw(st.sampled_from(columns.ids[pool.alive].tolist()))))
             else:
                 try:
-                    pool.take() if step == "take" else pool.take_id()
+                    pool.take() if step == "take" else pool.select()
                 except ValueError:  # a threshold sum that fsum cannot round
                     pass
             expected = [_alive_sum(pool, columns.rating), _alive_sum(pool, columns.weighted)]
@@ -610,11 +642,11 @@ def test_reranks_after_rated_purchases_match_a_fresh_ranking(seed, policy):
     replay = RankingPool.replay
 
     def spy(self, record, written):
-        recorded = (record.bound2, set(record.passer_set))
+        recorded = record.passers
         row = replay(self, record, written)
         replays.append(row is not None)
-        # A replay that took the passers again from the shortlist moved them or the bound.
-        recomputed.append(row is not None and (record.bound2, record.passer_set) != recorded)
+        # A replay that took the passers again from the shortlist stored new ones.
+        recomputed.append(row is not None and record.passers is not recorded)
         return row
 
     slate = reranker.rank(ids, counts, means)

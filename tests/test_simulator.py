@@ -107,6 +107,13 @@ class TestMechanics:
         ratings = [r.rating for r in trace.records if r.rating is not None]
         assert ratings
         assert all(0.0 <= r <= 5.0 for r in ratings)
+        # Int and numpy-scalar bounds are read as floats: a rating clamped to
+        # one is 5.0 (never 5 or np.int64(5)), and the trace is the same.
+        assert {0.0, 5.0} <= set(ratings)
+        for bounds in [(0, 5), (np.int64(0), np.float32(5.0))]:
+            same = simulate(catalog, dataclasses.replace(cfg, clamp_ratings=bounds))
+            assert [type(r.rating) for r in same.records if r.rating is not None] == [float] * len(ratings)
+            assert trace_table(same) == trace_table(trace)
 
     def test_override_product_without_quality_keeps_state(self):
         # pinned demand, no quality parameters: purchases happen but the
@@ -200,13 +207,16 @@ class TestValidation:
     def test_clamp_bounds_order_checked(self):
         catalog = quality_catalog()
         # A NaN bound would compare false both ways and clamp nothing on its side.
-        for bounds in [(5.0, 1.0), (math.nan, 5.0), (1.0, math.nan), (math.nan, math.nan)]:
+        for bounds in [(5.0, 1.0), (math.nan, 5.0), (1.0, math.nan), (math.nan, math.nan),
+                       (5, 1), (np.int64(5), np.float32(1.0)), (np.float64(math.nan), 5)]:
             cfg = SimConfig(
                 horizon=5, seed=3, dist=AttentionSpanDist.deterministic(1),
                 prior=PRIOR, slate=("X",), clamp_ratings=bounds,
             )
             with pytest.raises(ValueError, match="clamp"):
                 simulate(catalog, cfg)
+        with pytest.raises(ValueError, match=r"out of order: \(5\.0, 1\.0\)"):
+            simulate(catalog, dataclasses.replace(cfg, clamp_ratings=(5, 1)))
         # Infinite bounds leave that side unbounded.
         cfg = SimConfig(
             horizon=5, seed=3, dist=AttentionSpanDist.deterministic(1),

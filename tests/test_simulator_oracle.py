@@ -273,7 +273,7 @@ def test_live_rerank_keeping_its_slate_matches_oracle(every, policy):
     assert {trace.records[i].purchased for i, *_ in trace.rated} == {"A", "B", "C"}
     # The first re-rank runs its three rounds; after it, at least half the
     # rounds, whose cutoffs a few ratings of the leaders do not move, replay.
-    with mock.patch.object(RankingPool, "_select", autospec=True, side_effect=RankingPool._select) as select:
+    with mock.patch.object(RankingPool, "select", autospec=True, side_effect=RankingPool.select) as select:
         simulate(Catalog(products), cfg)
     assert 3 <= select.call_count <= 3 * len(slates) // 2
 
