@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from numbers import Real
 from operator import is_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,6 +36,12 @@ def require_int(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def require_number(name: str, value) -> None:
+    """Refuse a value that is not a real number (a bool too: a flag is never read as 1)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,9 @@ class BeliefPrior:
     noise_var: float
 
     def __post_init__(self) -> None:
+        for name in ("prior_mean", "prior_var", "noise_var"):
+            require_number(name, value := getattr(self, name))
+            object.__setattr__(self, name, float(value))  # an int reads as the float it names
         if not math.isfinite(self.prior_mean):
             raise ValueError(f"prior_mean must be finite, got {self.prior_mean}")
         for name in ("prior_var", "noise_var"):

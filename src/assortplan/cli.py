@@ -16,8 +16,10 @@ simulate config is a JSON document: ``horizon``, ``seed``, ``span``, and
 ``prior`` {mean, prior_var, noise_var} are required; choose a display
 policy via ``slate`` (id array) or ``rerank_every`` plus ``slot_count``;
 optional ``cost_slope``, ``policy``, ``freeze_beliefs``, ``clamp_ratings``;
-any other key, here or in ``prior``, is refused.  Each distinct warning
-prints once per request, as one ``warning: <message>`` line.
+any other key, here or in ``prior``, is refused, and a null counts as absent.
+Only this shape is checked here: each value goes to the library as typed (an
+array ``slate`` or ``clamp_ratings`` as a tuple), whose checks name its field.
+Each distinct warning prints once per request, as one ``warning: <message>`` line.
 Simulate writes ``trace.tsv`` (tab-separated, one line per customer) and
 ``summary.json`` into the output directory.
 """
@@ -37,7 +39,7 @@ from typing import Sequence
 
 from . import __version__
 from .assortment import POLICIES, POLICY_STAGE1_ORDER, two_stage_select
-from .catalog import BeliefPrior, Catalog, CatalogError, load_catalog
+from .catalog import BeliefPrior, Catalog, CatalogError, load_catalog, require_int
 from .collusion import audit_ranking, findings_report
 from .demand import CostModel
 from .revenue import (
@@ -66,19 +68,18 @@ def _manifest(command: str, config: dict, digest: str) -> dict:
 
 def parse_span_spec(spec: str) -> AttentionSpanDist:
     """Parse ``y=N`` or ``pmf=SPAN:PROB,SPAN:PROB,...``."""
+    if not isinstance(spec, str):
+        raise ValueError(f"span spec must be a string, got {spec!r}")
     if spec.startswith("y="):
         return AttentionSpanDist.deterministic(int(spec[2:]))
     if spec.startswith("pmf="):
-        entries = {}
+        pairs = []
         for piece in spec[4:].split(","):
             span_text, _, prob_text = piece.partition(":")
             if not prob_text:
                 raise ValueError(f"bad pmf entry {piece!r} in span spec {spec!r}")
-            span = int(span_text)
-            if span in entries:
-                raise ValueError(f"repeated span {span} in span spec {spec!r}")
-            entries[span] = float(prob_text)
-        return AttentionSpanDist.from_pmf(entries)
+            pairs.append((int(span_text), float(prob_text)))
+        return AttentionSpanDist.from_pmf(pairs)  # which refuses a repeated span
     raise ValueError(f"span spec must start with 'y=' or 'pmf=', got {spec!r}")
 
 
@@ -307,41 +308,13 @@ def _cmd_audit(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-_NUMBER = (int, float)
 _CONFIG_KEYS = ("horizon", "seed", "span", "prior", "cost_slope", "slate", "rerank_every",
                 "slot_count", "policy", "freeze_beliefs", "clamp_ratings")
 _PRIOR_KEYS = ("mean", "prior_var", "noise_var")
 
 
-def _config_value(doc: dict, key: str, kinds: tuple[type, ...], what: str, default=None):
-    """``doc[key]``, or ``default`` when absent or null, if it is of one of ``kinds``.
-
-    Nothing is coerced: a float where an integer belongs, a string where a
-    number or boolean belongs, or a number where a boolean belongs is an
-    error (JSON booleans are ints to Python, so they count only as bool).
-    """
-    value = doc.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
-        raise ValueError(f"simulation config: {key!r} must be {what}, got {value!r}")
-    return value
-
-
-def _config_list(
-    doc: dict, key: str, kinds: tuple[type, ...], what: str, length: int | None = None
-):
-    """``doc[key]`` as a list whose items are all of ``kinds`` (None when absent or null)."""
-    items = _config_value(doc, key, (list,), what)
-    if items is not None and (
-        (length is not None and len(items) != length)
-        or not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items)
-    ):
-        raise ValueError(f"simulation config: {key!r} must be {what}, got {items!r}")
-    return items
-
-
 def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
+    """The document's ``SimConfig``: its shape is checked here, each value by the library."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -353,33 +326,32 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     # A misspelt key is refused, never ignored.
     if unknown := [key for key in doc if key not in _CONFIG_KEYS]:
         raise ValueError(f"simulation config: unknown key {unknown[0]!r}")
+    # A null value counts as absent: the library's default stands in for it.
+    values = {key: value for key, value in doc.items() if value is not None}
     for key in ("horizon", "seed", "span", "prior"):
-        if doc.get(key) is None:
+        if key not in values:
             raise ValueError(f"simulation config missing required key {key!r}")
-    prior_doc = _config_value(doc, "prior", (dict,), "an object with mean, prior_var, noise_var")
-    if unknown := [key for key in prior_doc if key not in _PRIOR_KEYS]:
+    prior = values["prior"]
+    if not isinstance(prior, dict):
+        raise ValueError("simulation config: 'prior' must be an object with mean, prior_var, "
+                         f"noise_var, got {prior!r}")
+    if unknown := [key for key in prior if key not in _PRIOR_KEYS]:
         raise ValueError(f"simulation config: 'prior' unknown key {unknown[0]!r}")
     for key in _PRIOR_KEYS:
-        if prior_doc.get(key) is None:
+        if prior.get(key) is None:
             raise ValueError(f"simulation config: 'prior' missing required key {key!r}")
-    prior = BeliefPrior(
-        *(float(_config_value(prior_doc, key, _NUMBER, "a number")) for key in _PRIOR_KEYS)
-    )
-    clamp = _config_list(doc, "clamp_ratings", _NUMBER, "a [low, high] number pair", length=2)
-    slate = _config_list(doc, "slate", (str,), "an array of product ids")
-    seed = _config_value(doc, "seed", (int,), "an integer")
+    values["prior"] = BeliefPrior(*(prior[key] for key in _PRIOR_KEYS))
+    for key in ("slate", "clamp_ratings"):
+        if isinstance(values.get(key), list):
+            values[key] = tuple(values[key])
+    require_int("seed", values["seed"])  # refused even where --seed replaces it
+    if seed_override is not None:
+        values["seed"] = seed_override
+    span, slope = values.pop("span"), values.pop("cost_slope", None)
     return SimConfig(
-        horizon=_config_value(doc, "horizon", (int,), "an integer"),
-        seed=seed if seed_override is None else seed_override,
-        dist=parse_span_spec(_config_value(doc, "span", (str,), "a span spec string")),
-        prior=prior,
-        cost=CostModel(float(_config_value(doc, "cost_slope", _NUMBER, "a number", default=0.1))),
-        slate=tuple(slate) if slate is not None else None,
-        rerank_every=_config_value(doc, "rerank_every", (int,), "an integer"),
-        slot_count=_config_value(doc, "slot_count", (int,), "an integer"),
-        policy=_config_value(doc, "policy", (str,), "a policy name", default=POLICY_STAGE1_ORDER),
-        freeze_beliefs=_config_value(doc, "freeze_beliefs", (bool,), "true or false", default=False),
-        clamp_ratings=tuple(clamp) if clamp is not None else None,
+        **values,
+        dist=parse_span_spec(span),
+        cost=CostModel() if slope is None else CostModel(slope),
     )
 
 

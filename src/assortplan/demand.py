@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .catalog import BeliefPrior, Product
+from .catalog import BeliefPrior, Product, require_number
 
 # Utility magnitudes beyond this suggest price and rating units were never
 # reconciled by the caller; the logistic saturates and demand goes degenerate.
@@ -29,6 +29,8 @@ class CostModel:
     slope: float = 0.1
 
     def __post_init__(self) -> None:
+        require_number("cost slope", self.slope)
+        object.__setattr__(self, "slope", float(self.slope))
         if not 0 <= self.slope < math.inf:
             raise ValueError(f"cost slope must be nonnegative and finite, got {self.slope}")
 

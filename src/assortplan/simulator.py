@@ -169,6 +169,9 @@ class SimTrace:
 
 
 def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
+    for name, kind in (("dist", AttentionSpanDist), ("prior", BeliefPrior), ("cost", CostModel)):
+        if not isinstance(value := getattr(cfg, name), kind):
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
     for name in ("horizon", "seed", "rerank_every", "slot_count"):
         if (value := getattr(cfg, name)) is not None or name in ("horizon", "seed"):
             require_int(name, value)

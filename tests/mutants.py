@@ -479,6 +479,41 @@ MUTANTS = (
         "if False:",
         (ARGV + "test_usage_errors_are_argparse_s",),
     ),
+    Mutant(
+        "require-number-lets-a-bool-through",
+        "catalog.py",
+        "if isinstance(value, bool) or not isinstance(value, Real):",
+        "if not isinstance(value, Real):",
+        (
+            "tests/test_catalog.py::TestBeliefPrior::test_values_are_taken_as_typed",
+            "tests/test_demand.py::TestSearchCost::test_slope_is_taken_as_typed",
+        ),
+    ),
+    Mutant(
+        "sim-config-keeps-null-values",
+        "cli.py",
+        "values = {key: value for key, value in doc.items() if value is not None}",
+        "values = dict(doc)",
+        ("tests/test_cli.py::TestSimulate::test_null_optional_values_take_the_defaults",),
+    ),
+    Mutant(
+        "sim-config-seed-replaced-before-its-check",
+        "cli.py",
+        '    require_int("seed", values["seed"])  # refused even where --seed replaces it\n'
+        "    if seed_override is not None:\n"
+        '        values["seed"] = seed_override\n',
+        "    if seed_override is not None:\n"
+        '        values["seed"] = seed_override\n'
+        '    require_int("seed", values["seed"])\n',
+        ("tests/test_cli.py::TestSimulate::test_config_seed_refused_under_seed_override",),
+    ),
+    Mutant(
+        "belief-prior-keeps-an-int",
+        "catalog.py",
+        "object.__setattr__(self, name, float(value))",
+        "object.__setattr__(self, name, value)",
+        ("tests/test_catalog.py::TestBeliefPrior::test_int_values_are_stored_as_floats",),
+    ),
 )
 
 

@@ -471,6 +471,27 @@ class TestBeliefPrior:
         with pytest.raises(ValueError):
             BeliefPrior(**{**base, **kwargs})
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("1", 1.0, 1.0), "prior_mean must be a number, got '1'"),
+            ((True, 1.0, 1.0), "prior_mean must be a number, got True"),
+            ((0.0, False, 1.0), "prior_var must be a number, got False"),
+            ((0.0, 1.0, [1.0]), "noise_var must be a number, got [1.0]"),
+        ],
+    )
+    def test_values_are_taken_as_typed(self, args, message):
+        # A string raised an uncaught TypeError in the range checks; a bool ran as 1 or 0.
+        with pytest.raises(ValueError) as excinfo:
+            BeliefPrior(*args)
+        assert str(excinfo.value) == message
+
+    def test_int_values_are_stored_as_floats(self):
+        prior = BeliefPrior(3, 1, 4)
+        assert prior == BeliefPrior(3.0, 1.0, 4.0)
+        for name in ("prior_mean", "prior_var", "noise_var"):
+            assert type(getattr(prior, name)) is float
+
 
 def test_catalog_lookup_unknown_id():
     with pytest.raises(KeyError, match="unknown product id"):

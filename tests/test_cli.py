@@ -25,9 +25,9 @@ from assortplan.cli import (
     parse_prior_spec,
     parse_span_spec,
 )
-from assortplan.demand import posterior
+from assortplan.demand import CostModel, posterior
 from assortplan.revenue import AttentionSpanDist, resolve_inputs
-from assortplan.simulator import SimSummary, SimTrace, count_column
+from assortplan.simulator import SimConfig, SimSummary, SimTrace, count_column, simulate
 from helpers import random_catalog
 
 
@@ -49,6 +49,18 @@ def sim_config(tmp_path, **overrides):
     doc.update(overrides)
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def rated_catalog(tmp_path):
+    """The demo catalog at price 1 with computed demand and rating parameters, as a file."""
+    rated = Catalog(
+        Product(id=p.id, price=1.0, review_count=p.review_count, avg_rating=p.avg_rating,
+                true_quality=p.avg_rating, rating_noise=0.5)
+        for p in demo_catalog().products
+    )
+    path = tmp_path / "rated.json"
+    path.write_text(serialize_catalog(rated), encoding="utf-8")
     return path
 
 
@@ -560,33 +572,80 @@ class TestSimulate:
         assert "horizon" in err
 
     @pytest.mark.parametrize(
-        "overrides, key",
+        "overrides, typed",
         [
-            ({"slate": None, "rerank_every": "5", "slot_count": 3}, "rerank_every"),
-            ({"clamp_ratings": 5}, "clamp_ratings"),
-            ({"horizon": 10.9}, "horizon"),
-            ({"slate": "ABF"}, "slate"),
-            ({"freeze_beliefs": "no"}, "freeze_beliefs"),
-            ({"slate": None, "rerank_every": 5, "slot_count": 3.5}, "slot_count"),
+            ({"slate": None, "rerank_every": "5", "slot_count": 3},
+             lambda: dict(slate=None, rerank_every="5", slot_count=3)),
+            ({"clamp_ratings": 5}, lambda: dict(clamp_ratings=5)),
+            ({"horizon": 10.9}, lambda: dict(horizon=10.9)),
+            ({"slate": "ABF"}, lambda: dict(slate="ABF")),
+            ({"freeze_beliefs": "no"}, lambda: dict(freeze_beliefs="no")),
+            ({"slate": None, "rerank_every": 5, "slot_count": 3.5},
+             lambda: dict(slate=None, rerank_every=5, slot_count=3.5)),
+            ({"prior": {"mean": "3", "prior_var": 1.0, "noise_var": 1.0}},
+             lambda: dict(prior=BeliefPrior("3", 1.0, 1.0))),
+            ({"cost_slope": "0.1"}, lambda: dict(cost=CostModel("0.1"))),
+            ({"span": 3}, lambda: dict(dist=parse_span_spec(3))),
+            ({"policy": 7}, lambda: dict(policy=7)),
         ],
+        ids=["str-rerank-every", "number-clamp", "float-horizon", "str-slate", "str-freeze-beliefs",
+             "float-slot-count", "str-prior-mean", "str-cost-slope", "number-span", "number-policy"],
     )
-    def test_mistyped_config_value_rejected(self, capsys, demo_path, tmp_path, overrides, key):
+    def test_mistyped_config_value_rejected(self, capsys, demo_path, tmp_path, overrides, typed):
+        # The library alone checks a value: the CLI prints what simulate says of the same values.
+        library = dict(horizon=200, seed=42, dist=AttentionSpanDist.deterministic(3),
+                       prior=BeliefPrior(0.0, 1.0, 1.0), slate=("A", "B", "F"), freeze_beliefs=True)
+        with pytest.raises(ValueError) as refused:
+            simulate(demo_catalog(), SimConfig(**{**library, **typed()}))
         config = sim_config(tmp_path, **overrides)
-        code, out, err = run(
+        result = run(
             capsys, "simulate", "--catalog", str(demo_path),
             "--config", str(config), "--out", str(tmp_path / "out"),
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert repr(key) in err
+        assert result == (2, "", f"error: {refused.value}\n")
         assert not (tmp_path / "out").exists()
+
+    def test_config_seed_refused_under_seed_override(self, capsys, demo_path, tmp_path):
+        config = sim_config(tmp_path, seed=1.5)
+        result = run(
+            capsys, "simulate", "--catalog", str(demo_path), "--config", str(config),
+            "--out", str(tmp_path / "out"), "--seed", "5",
+        )
+        assert result == (2, "", "error: seed must be an integer, got 1.5\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_null_optional_values_take_the_defaults(self, capsys, tmp_path):
+        catalog = rated_catalog(tmp_path)
+        display = dict(slate=None, rerank_every=7, slot_count=3, freeze_beliefs=False,
+                       prior={"mean": 4.0, "prior_var": 1.0, "noise_var": 1.0})
+        outputs = []
+        for nulls in ({"cost_slope": None, "policy": None}, {}):
+            config = sim_config(tmp_path, **display, **nulls)
+            out = tmp_path / f"out{len(outputs)}"
+            result = run(capsys, "simulate", "--catalog", str(catalog), "--config", str(config),
+                         "--out", str(out), "--format", "structured")
+            assert result[0] == 0
+            files = [(out / name).read_bytes() for name in ("trace.tsv", "summary.json")]
+            outputs.append((result, files))
+        assert outputs[0] == outputs[1]
+
+    def test_int_prior_reads_as_its_float(self, capsys, tmp_path):
+        catalog = rated_catalog(tmp_path)
+        traces = []
+        for prior in ({"mean": 3, "prior_var": 1, "noise_var": 4},
+                      {"mean": 3.0, "prior_var": 1.0, "noise_var": 4.0}):
+            config = sim_config(tmp_path, prior=prior, freeze_beliefs=False)
+            out = tmp_path / f"out{len(traces)}"
+            code, _, err = run(capsys, "simulate", "--catalog", str(catalog), "--config", str(config),
+                               "--out", str(out))
+            assert (code, err) == (0, "")
+            traces.append((out / "trace.tsv").read_bytes())
+        assert traces[0] == traces[1]
 
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"clamp_ratings": [1]},
-             "simulation config: 'clamp_ratings' must be a [low, high] number pair, got [1]"),
+            ({"clamp_ratings": [1]}, "clamp_ratings must be a (low, high) tuple of numbers, got (1,)"),
             ({"prior": {"mean": 0.0, "prior_var": 1.0}},
              "simulation config: 'prior' missing required key 'noise_var'"),
             ({"slate": None, "rerank_every": 0, "slot_count": 3}, "rerank_every must be >= 1, got 0"),
@@ -707,13 +766,7 @@ class TestSimulate:
         for owner, name in ((SimSummary, "final_states"), (SimSummary, "posterior_means"),
                             (SimTrace, "records")):
             monkeypatch.setattr(owner, name, unread(f"{owner.__name__}.{name}"))
-        rated = Catalog(
-            Product(id=p.id, price=1.0, review_count=p.review_count, avg_rating=p.avg_rating,
-                    true_quality=p.avg_rating, rating_noise=0.5)
-            for p in demo_catalog().products
-        )
-        path = tmp_path / "rated.json"
-        path.write_text(serialize_catalog(rated), encoding="utf-8")
+        path = rated_catalog(tmp_path)
         displays = [
             dict(freeze_beliefs=True),
             dict(freeze_beliefs=True, slate=None, rerank_every=4, slot_count=3),
@@ -819,7 +872,7 @@ class TestNonFiniteInput:
             "--span", spec,
         )
         assert (code, out) == (2, "")
-        assert err == f"error: repeated span 1 in span spec {spec!r}\n"
+        assert err == "error: repeated span 1 in span pmf\n"
 
     def test_repeated_span_config_rejected(self, capsys, demo_path, tmp_path):
         config = sim_config(tmp_path, span="pmf=3:0.5,2:0.25,03:0.25")
@@ -828,7 +881,7 @@ class TestNonFiniteInput:
             "--config", str(config), "--out", str(tmp_path / "out"),
         )
         assert (code, out) == (2, "")
-        assert err == "error: repeated span 3 in span spec 'pmf=3:0.5,2:0.25,03:0.25'\n"
+        assert err == "error: repeated span 3 in span pmf\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_catalog_price_rejected(self, capsys, tmp_path):

@@ -41,6 +41,17 @@ class TestSearchCost:
         with pytest.raises(ValueError):
             CostModel(-0.1)
 
+    @pytest.mark.parametrize("slope", ["0.1", True, None])
+    def test_slope_is_taken_as_typed(self, slope):
+        # A string raised an uncaught TypeError in the range check; a bool ran as 1.
+        with pytest.raises(ValueError) as excinfo:
+            CostModel(slope)
+        assert str(excinfo.value) == f"cost slope must be a number, got {slope!r}"
+
+    def test_int_slope_is_stored_as_a_float(self):
+        model = CostModel(1)
+        assert type(model.slope) is float and model == CostModel(1.0)
+
     def test_strictly_increasing_for_positive_slope(self):
         model = CostModel(0.2)
         costs = [position_cost(j, model) for j in range(1, 20)]

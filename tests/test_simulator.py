@@ -261,15 +261,20 @@ class TestValidation:
              "clamp_ratings must be a (low, high) tuple of numbers, got (1, '5')"),
             (dict(clamp_ratings=(1, 2, 3)),
              "clamp_ratings must be a (low, high) tuple of numbers, got (1, 2, 3)"),
+            (dict(prior=None), "prior must be of type BeliefPrior, got None"),
+            (dict(cost=None), "cost must be of type CostModel, got None"),
+            (dict(dist=3), "dist must be of type AttentionSpanDist, got 3"),
         ],
         ids=["bool-horizon", "float-horizon", "bool-seed", "bool-rerank-every", "bool-slot-count",
-             "int-freeze-beliefs", "str-slate", "number-clamp", "str-clamp-bound", "three-clamp-bounds"],
+             "int-freeze-beliefs", "str-slate", "number-clamp", "str-clamp-bound", "three-clamp-bounds",
+             "none-prior", "none-cost", "int-dist"],
     )
     def test_values_are_taken_as_typed(self, demo, overrides, message):
         # A bool is an int to Python: each of these used to run as 1 or as a flag,
         # and a float horizon failed inside range().  A string slate ran as its
         # characters, a third clamp bound was dropped and the other clamps raised
-        # TypeError.
+        # TypeError.  A None prior ran and failed in its summary, a None cost or
+        # an int span distribution failed with AttributeError inside the run.
         with pytest.raises(ValueError) as excinfo:
             simulate(demo, frozen_config(**overrides))
         assert str(excinfo.value) == message
