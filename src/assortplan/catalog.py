@@ -39,9 +39,11 @@ def require_int(name: str, value, least: int | None = None) -> None:
 
 
 def require_number(name: str, value) -> None:
-    """Refuse a value that is not a real number (a bool too: a flag is never read as 1)."""
+    """Refuse a value that is not a real number a float can hold (a bool too: a flag is never 1)."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and _finite(value) is None:  # such as 10**400
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,10 @@ _REQUIRED_KEYS = ("id", "price", "reviews", "avg_rating")
 # The number keys in check order: what an absent one stands for (a required
 # key is missing, omega defaults to 1.0 and the others are absent), and the
 # closed range [low, high] a given value must lie in, where an open end at 0
-# is the least positive float and one at 1 the float below 1.  A null omega
-# is rejected; any other null optional value counts as absent.
+# is the least positive float and one at 1 the float below 1.  ``_LOW`` and
+# ``_HIGH`` hold an infinite end as the largest float, so no NaN or infinity
+# lies in a range.  A null omega is rejected; any other null optional value
+# counts as absent.
 _NUMBER_KEYS = {
     "price": (_MISSING, 0.0, math.inf),
     "avg_rating": (_MISSING, -math.inf, math.inf),
@@ -241,7 +245,7 @@ _NUMBER_KEYS = {
     "rating_noise": (None, 5e-324, math.inf),
     "lambda": (None, 5e-324, math.nextafter(1.0, 0.0)),
 }
-_LOW, _HIGH = (np.array([[bounds[end]] for bounds in _NUMBER_KEYS.values()]) for end in (1, 2))
+_LOW, _HIGH = (np.nan_to_num([[bounds[end]] for bounds in _NUMBER_KEYS.values()]) for end in (1, 2))
 _KEYS = frozenset((*_REQUIRED_KEYS, *_NUMBER_KEYS))
 _FLOAT_KINDS = frozenset((int, float, type(None)))
 
@@ -301,6 +305,7 @@ def _review_counts(values: list, kinds: set) -> tuple[np.ndarray, np.ndarray | N
 def _product_columns(raw: list) -> tuple[CatalogColumns, Iterator[str]]:
     """Check the product entries column by column: the columns, and the faults.
 
+    Unless the kind sets and a few whole-matrix tests prove every entry clean,
     ``rules`` lists each check as a row mask (None when no row breaks it) and
     a message, in the order the checks apply to one entry.  A faulty entry
     yields its first broken rule's message, in listing order; the columns are
@@ -343,19 +348,23 @@ def _product_columns(raw: list) -> tuple[CatalogColumns, Iterator[str]]:
         duplicate = rows != np.arange(n)
     numbers = [column(key, fill) for key, (fill, _, _) in _NUMBER_KEYS.items()]
     counted = column("reviews")
-    absent = [holds(*c, _MISSING) for c in (numbers[0], counted, numbers[1])]
-    absent = [mask for mask in absent if mask is not None]
+    absent = [holds(*c, _MISSING) for c in (numbers[0], counted, numbers[1]) if object in c[1]]
     missing = np.logical_or.reduce(absent) if absent else None
     reviews, not_int, out_of_range = _review_counts(*counted)
     matrix = _read_only(_number_matrix(numbers, n))
-    not_finite = ~np.isfinite(matrix)
+    price, rating, omega, quality, noise, demand = matrix
+    inside = (matrix >= _LOW) & (matrix <= _HIGH)
     for row, (values, kinds) in enumerate(numbers[3:], start=3):
         if kinds == {type(None)}:
-            not_finite[row] = False
+            inside[row] = True
         elif type(None) in kinds:
-            not_finite[row] &= ~holds(values, kinds, None)
-    outside = (matrix < _LOW) | (matrix > _HIGH)
-    price, rating, omega, quality, noise, demand = matrix
+            inside[row] |= holds(values, kinds, None)
+    pinned = _read_only(np.fmax(demand, 0.0))  # an absent demand, NaN, is 0.0
+    columns = CatalogColumns(tuple(ids), price, reviews, rating, omega, quality, noise, pinned)
+    if all(mask is None for mask in (not_object, bad_id, missing, unknown, duplicate, not_int)):
+        if inside.all() and not (out_of_range.any() or rating[reviews == 0].any()):
+            return columns, iter(())
+    not_finite, outside = ~(inside | np.isfinite(matrix)), ~inside
 
     def first_missing(i: int) -> str:
         return next(key for key in _REQUIRED_KEYS if key not in entries[i])
@@ -393,8 +402,7 @@ def _product_columns(raw: list) -> tuple[CatalogColumns, Iterator[str]]:
         next(message(row, text) for mask, text in rules if mask is not None and mask[row])
         for row in faulty.nonzero()[0].tolist()
     )
-    demand = _read_only(np.fmax(demand, 0.0))  # an absent demand, NaN, is 0.0
-    return CatalogColumns(tuple(ids), price, reviews, rating, omega, quality, noise, demand), faults
+    return columns, faults
 
 
 def _display_scale(scale) -> tuple[float, float] | None:

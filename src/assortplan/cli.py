@@ -33,7 +33,7 @@ import json
 import os
 import sys
 import warnings
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -119,36 +119,30 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 @functools.cache
 def _flat_encoder(pad: str):
-    """json's C encoder, with each item of a container on its own line at ``pad``."""
-    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+    """json's C encoder, made once per pad, with each container item on its own line at ``pad``."""
+    default, separator = json.JSONEncoder().default, ",\n" + pad
+    encode = c_make_encoder(None, default, encode_basestring_ascii, None, ": ", separator, False, False, True)
+    return lambda value: "".join(encode(value, 0))
 
 
 def _json_indented(value, pad: str = "") -> str:
-    """Exactly ``json.dumps(value, indent=2)``, at C-encoder speed for long lists.
+    """Exactly ``json.dumps(value, indent=2)``, at C-encoder speed.
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
-    set.  Here a list or dict of scalars goes through the C encoder in one
-    call, with a newline and the indent as its item separator; only nested
-    containers are walked in Python.  Dict keys must be strings, as every
-    report key is.
+    set.  Here a scalar, and a list or dict of scalars, goes through the C
+    encoder in one call, with a newline and the indent as its item
+    separator; only other containers are walked in Python.  Dict keys must
+    be strings, as every report key is.
     """
-    if isinstance(value, dict):
-        items, brackets = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = value, "[]"
-    else:
-        return json.dumps(value)
-    if not value:
-        return brackets
+    if type(value) in _SCALARS or not isinstance(value, (dict, list, tuple)) or not value:
+        return _flat_encoder("")(value)  # an empty container too
+    items, brackets = (value.values(), "{}") if isinstance(value, dict) else (value, "[]")
     inner = pad + "  "
     if _SCALARS.issuperset(map(type, items)):
         body = _flat_encoder(inner)(value)[1:-1]
-    elif brackets == "{}":
-        body = (",\n" + inner).join(
-            f"{encode_basestring_ascii(k)}: {_json_indented(v, inner)}" for k, v in value.items()
-        )
-    else:
-        body = (",\n" + inner).join(_json_indented(v, inner) for v in value)
+    else:  # each of a dict's values follows its key
+        keys = [f"{encode_basestring_ascii(k)}: " for k in value] if brackets == "{}" else [""] * len(value)
+        body = (",\n" + inner).join([key + _json_indented(v, inner) for key, v in zip(keys, items)])
     return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
@@ -502,14 +496,20 @@ def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**{**defaults, **given}) if required <= given.keys() else None
 
 
+def _print_new(printed: set[str], line: str) -> None:
+    """Print ``line`` on stderr unless it is in ``printed``, the request's printed lines."""
+    if line not in printed:
+        printed.add(line)
+        print(line, file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
-        # Each distinct warning prints once per request, as one line naming no source file.
         with warnings.catch_warnings():
-            once = functools.cache(lambda line: print(line, file=sys.stderr))
-            warnings.showwarning = lambda message, *_: once(f"warning: {message}")
+            printed = set()  # each distinct warning prints once per request, naming no file
+            warnings.showwarning = lambda message, *_: _print_new(printed, f"warning: {message}")
             return args.func(args)
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -108,19 +108,6 @@ def substitution_effect(
     )
 
 
-def substitution_raises_downstream(mid_lambda_before: float, mid_lambda_after: float) -> bool:
-    """True iff lowering the middle slot's demand raises downstream purchase odds.
-
-    Every downstream slot's cascade probability scales by (1 - lambda_mid),
-    so the rise happens exactly when the replacement demand is strictly
-    lower.
-    """
-    for value in (mid_lambda_before, mid_lambda_after):
-        if not 0 < value < 1:
-            raise ValueError(f"purchase probability must lie in (0, 1), got {value}")
-    return mid_lambda_after < mid_lambda_before
-
-
 def audit_ranking(
     catalog: Catalog,
     displayed: Sequence[str],

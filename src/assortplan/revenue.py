@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .catalog import BeliefPrior, Catalog, require_int
-from .demand import CostModel, purchase_chance
+from .demand import UTILITY_SCALE_WARN, CostModel, logistic, posterior, purchase_chance
 # perfbench/tracing.py wraps purchase_prob under this module attribute, so it stays importable.
 from .demand import purchase_prob  # noqa: F401
 
@@ -232,27 +232,30 @@ class OptimizeResult:
     scored: int | None = None
 
 
-def _lambda_table(
-    catalog: Catalog, depth: int, prior: BeliefPrior | None, cost: CostModel
-) -> list[list[float]]:
+def _lambda_table(catalog: Catalog, depth: int, prior: BeliefPrior | None, cost: CostModel) -> list:
     """Demand of every catalog row at slots 1..depth, as ``table[slot - 1][row]``.
 
-    Demand depends only on (product, slot).  A pinned demand is the same at
-    every slot and never warns, so each slot's row starts as a copy of the
-    pinned column.  The logit entries are filled in the order a
-    lexicographic walk over the slates first reaches each pair, so
-    utility-scale warnings come out in that order: for slot s, the rows
-    s-1..n-1 ascending, then s-2..0 descending.
+    A pinned demand is the same at every slot.  A logit row's ``posterior -
+    price`` is taken once and each slot subtracts its position cost, in
+    `demand.utility`'s order, so each entry has ``purchase_chance``'s bits.
+    Utility-scale warnings come in the order a walk over the slates first
+    reaches each pair: for slot s, rows s-1..n-1 ascending, then s-2..0 descending.
     """
     c = catalog.columns
     rows = list(zip(c.ids, *(col.tolist() for col in (c.demand, c.reviews, c.rating, c.price))))
-    # purchase_chance returns a truthy pinned demand itself.
-    pinned = [row[1] or 0.0 for row in rows]
-    table = [pinned.copy() for _ in range(depth)]
-    for slot in range(1, depth + 1):
-        for i in [*range(slot - 1, len(rows)), *range(slot - 2, -1, -1)]:
-            if not rows[i][1]:
-                table[slot - 1][i] = purchase_chance(*rows[i], slot, prior, cost, warn_stacklevel=2)
+    table = [[row[1] for row in rows] for _ in range(depth)]
+    # purchase_chance returns a truthy pin itself, and refuses a logit row without a prior.
+    quality = {
+        i: posterior(prior, count, mean) - price if prior else purchase_chance(*rows[i], 1, prior, cost)
+        for i, (_, pin, count, mean, price) in enumerate(rows) if not pin
+    }
+    for slot in range(depth if quality else 0):
+        step, row = cost.slope * slot, table[slot]
+        for i in [*range(slot, len(rows)), *range(slot - 1, -1, -1)]:
+            if i in quality:
+                row[i] = logistic(chi := quality[i] - step)
+                if abs(chi) > UTILITY_SCALE_WARN:
+                    purchase_chance(*rows[i], slot + 1, prior, cost, warn_stacklevel=2)
     return table
 
 

@@ -44,7 +44,7 @@ from .assortment import (
     Round,
     two_stage_select,
 )
-from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns, require_int
+from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns, require_int, require_number
 from .demand import CostModel, add_rating, posterior, purchase_chance
 # perfbench/tracing.py wraps logistic under this module attribute, so it stays importable.
 from .demand import logistic  # noqa: F401
@@ -196,6 +196,8 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
         if not (isinstance(clamp, tuple) and len(clamp) == 2
                 and all(isinstance(bound, Real) and not isinstance(bound, bool) for bound in clamp)):
             raise ValueError(f"clamp_ratings must be a (low, high) tuple of numbers, got {clamp!r}")
+        for bound in clamp:
+            require_number("clamp_ratings bound", bound)  # which refuses an int beyond float range
         clamp = tuple(map(float, clamp))  # as the run reads them
         if any(bound != bound for bound in clamp):
             raise ValueError(f"clamp_ratings bounds must be numbers, got NaN: {clamp}")

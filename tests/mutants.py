@@ -407,9 +407,65 @@ MUTANTS = (
     Mutant(
         "lambda-table-drops-pinned-rows",
         "revenue.py",
-        "pinned = [row[1] or 0.0 for row in rows]",
-        "pinned = [0.0 for row in rows]",
+        "table = [[row[1] for row in rows] for _ in range(depth)]",
+        "table = [[0.0 for row in rows] for _ in range(depth)]",
         ("tests/test_optimize_oracle.py::test_lambda_table_matches_a_per_pair_loop",),
+    ),
+    Mutant(
+        # np.exp may differ from math.exp by an ulp, and the logistic keeps it.
+        "lambda-table-uses-np-exp",
+        "revenue.py",
+        "row[i] = logistic(chi := quality[i] - step)",
+        "e = float(np.exp(-abs(chi := quality[i] - step)))  # demand.logistic's operations\n"
+        "                row[i] = min(max((1.0 if chi >= 0 else e) / (1.0 + e), 5e-324), 1 - 2**-53)",
+        ("tests/test_optimize_oracle.py::test_lambda_table_bits_on_a_logit_catalog",),
+    ),
+    Mutant(
+        "lambda-table-warns-in-row-order",
+        "revenue.py",
+        "for i in [*range(slot, len(rows)), *range(slot - 1, -1, -1)]:",
+        "for i in range(len(rows)):",
+        (
+            "tests/test_optimize_oracle.py::test_utility_scale_warnings_come_in_walk_order",
+            "tests/test_optimize_oracle.py::test_utility_scale_warnings_match_oracle_order",
+        ),
+    ),
+    Mutant(
+        "loader-accept-test-drops-the-rating-rule",
+        "catalog.py",
+        "if inside.all() and not (out_of_range.any() or rating[reviews == 0].any()):",
+        "if inside.all() and not out_of_range.any():",
+        (
+            "tests/test_catalog_oracle.py::test_one_broken_rule_matches_oracle",
+            "tests/test_catalog_oracle.py::test_each_rule_names_the_middle_row",
+        ),
+    ),
+    Mutant(
+        "loader-accept-test-drops-the-review-range-rule",
+        "catalog.py",
+        "if inside.all() and not (out_of_range.any() or rating[reviews == 0].any()):",
+        "if inside.all() and not rating[reviews == 0].any():",
+        ("tests/test_catalog_oracle.py::test_each_rule_names_the_middle_row",),
+    ),
+    Mutant(
+        # Same bytes, one C-encoder call per id: the rank --trace report loses the C path.
+        "report-writer-encodes-long-lists-item-by-item",
+        "cli.py",
+        "if _SCALARS.issuperset(map(type, items)):",
+        "if False:",
+        ("tests/test_cli.py::test_long_lists_cost_no_encoder_call_per_item",),
+    ),
+    Mutant(
+        "require-number-lets-an-int-beyond-float-range-through",
+        "catalog.py",
+        "if isinstance(value, int) and _finite(value) is None:",
+        "if False:",
+        (
+            "tests/test_catalog.py::TestBeliefPrior::test_ints_beyond_float_range_rejected",
+            "tests/test_demand.py::TestSearchCost::test_int_slope_beyond_float_range_rejected",
+            "tests/test_cli.py::TestNonFiniteInput::test_int_beyond_float_range_rejected",
+            "tests/test_cli_fuzz.py::test_drawn_simulate_configs_exit_cleanly",
+        ),
     ),
     Mutant(
         "integer-rule-takes-a-bool",

@@ -486,6 +486,20 @@ class TestBeliefPrior:
             BeliefPrior(*args)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((10**400, 1.0, 1.0), "prior_mean"), ((0.0, -(10**400), 1.0), "prior_var"),
+         ((0.0, 1.0, 2**1024), "noise_var")],
+    )
+    def test_ints_beyond_float_range_rejected(self, args, name):
+        # float() of such an int raised OverflowError, which the CLI reports as exit 3.
+        with pytest.raises(ValueError) as excinfo:
+            BeliefPrior(*args)
+        value = next(v for v in args if isinstance(v, int))
+        assert str(excinfo.value) == f"{name} must be a finite number, got {value!r}"
+        # The largest int that rounds to a finite float is taken.
+        assert BeliefPrior(2**1024 - 2**970 - 1, 1.0, 1.0).prior_mean == 1.7976931348623157e308
+
     def test_int_values_are_stored_as_floats(self):
         prior = BeliefPrior(3, 1, 4)
         assert prior == BeliefPrior(3.0, 1.0, 4.0)

@@ -188,6 +188,7 @@ RULE_FAULTS = [
     ("price negative", {**BASE, "price": -2}),
     ("reviews not integer", {**BASE, "reviews": 3.0}),
     ("reviews out of range", {**BASE, "reviews": 2**63}),
+    ("reviews negative", {**BASE, "reviews": -3}),
     ("rating not finite", {**BASE, "avg_rating": Raw("NaN")}),
     ("rating without reviews", {**BASE, "reviews": 0}),
     ("omega null", {**BASE, "omega": None}),
@@ -213,6 +214,60 @@ def test_each_rule_names_the_middle_row(name, entry, later_faults):
     with pytest.raises(CatalogError) as raised:
         load_catalog(text)
     assert "R7" not in str(raised.value)
+    assert_matches_oracle(text)
+
+
+# Per loader rule, in check order: the key the faulty row spoils and what it then
+# holds (for "missing key", the key dropped); the duplicate and the rating without
+# reviews are placed by hand below.
+NOT_A_NUMBER = st.sampled_from([*NON_FINITE, *NOT_NUMBERS, 10**400, -(10**400)])
+RULES = {
+    "not an object": ("object", FAULTS["object"]),
+    "bad id": ("id", FAULTS["id"]),
+    "missing key": (None, st.sampled_from(["price", "reviews", "avg_rating"])),
+    "unknown key": ("extra", FAULTS["extra"]),
+    "duplicate": ("duplicate", st.just(None)),
+    "price not finite": ("price", NOT_A_NUMBER),
+    "price negative": ("price", st.sampled_from([-1, -0.5, -5e-324, -(2**80), -1e300])),
+    "reviews not integer": ("reviews", st.sampled_from([True, False, 2.5, 3.0, "3", None, [1]])),
+    "reviews out of range": ("reviews", st.sampled_from([-1, -(2**62), 2**63, -(2**64), 10**400])),
+    "rating not finite": ("avg_rating", NOT_A_NUMBER),
+    "rating without reviews": ("reviews", st.just(0)),
+    "omega not finite": ("omega", NOT_A_NUMBER),
+    "omega out of range": ("omega", st.sampled_from([0, 0.0, -0.0, -0.5, 1.5, 1 + 2**-52, 2**64])),
+    "quality not finite": ("true_quality", NOT_A_NUMBER.filter(lambda v: v is not None)),
+    "noise not finite": ("rating_noise", NOT_A_NUMBER.filter(lambda v: v is not None)),
+    "noise not positive": ("rating_noise", st.sampled_from([0, -0.0, -1.5, -(2**70)])),
+    "lambda not finite": ("lambda", NOT_A_NUMBER.filter(lambda v: v is not None)),
+    "lambda out of range": ("lambda", st.sampled_from([0, 1, 1.0, -0.1, 1.5, -0.0])),
+}
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_one_broken_rule_matches_oracle(data):
+    # Clean rows mix None, ints (huge ones too) and floats in their columns, and
+    # the faulty row adds a bool, a string, a list or an int beyond float range:
+    # no kind set proves these columns clean, so the whole-matrix tests decide.
+    n = data.draw(st.integers(1, 12))
+    rows = [data.draw(entries(i)) for i in range(n)]
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        for key in ("true_quality", "rating_noise", "lambda"):
+            rows[i].setdefault(key, None)  # an explicit null counts as absent
+    rule = data.draw(st.sampled_from(sorted(RULES)))
+    key, values = RULES[rule]
+    row, value = data.draw(st.integers(0, n - 1)), data.draw(values)
+    if rule == "missing key":
+        rows[row] = spoil(rows[row], value, DROP)
+    elif rule == "duplicate":
+        rows.insert(row + 1, dict(rows[row], price=1.5))
+    elif rule == "rating without reviews":
+        rows[row] = dict(rows[row], reviews=0, avg_rating=data.draw(st.sampled_from([4.0, 1, -0.5, 2**70])))
+    else:
+        rows[row] = spoil(rows[row], key, value)
+    text = render({"products": rows})
+    with pytest.raises(CatalogError):
+        load_catalog(text)
     assert_matches_oracle(text)
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_simulator as ref
 from assortplan import cli, revenue
@@ -159,6 +159,52 @@ def test_summary_writer_matches_json_dumps(trace, config_path):
     assert list(map(repr, trace.summary.posterior_means.values())) == list(
         map(repr, [dict(zip(trace.columns.ids, scalar))[pid] for pid in trace.summary.ids])
     )
+
+
+IDS = st.text(alphabet=st.characters(codec="utf-8"), min_size=1, max_size=6)
+REPORT_NUMBERS = st.floats() | st.integers(-(2**70), 2**70) | st.none()
+CONFIGS = st.fixed_dictionaries(
+    {"slots": st.integers(1, 8), "span": st.text(max_size=12), "omega": st.none() | st.text(max_size=8)},
+    optional={"compare": st.none() | st.lists(IDS, max_size=5), "trace": st.booleans()},
+)
+REPORTS = st.fixed_dictionaries(
+    {
+        "manifest": st.fixed_dictionaries(
+            {"command": st.text(max_size=16), "config": CONFIGS,
+             "input_digest": st.text("0123456789abcdef", min_size=64, max_size=64), "version": st.just("0.1.0")}
+        ),
+    },
+    optional={
+        "slate": st.lists(IDS, max_size=8), "value": REPORT_NUMBERS, "enumerated": st.integers(0, 10**30),
+        "compare_value": REPORT_NUMBERS, "gap": REPORT_NUMBERS, "per_slot_purchase_prob": st.lists(st.floats()),
+        "findings": st.lists(
+            st.fixed_dictionaries({"slot": st.integers(1, 9), "product": IDS, "kind": st.text(max_size=9),
+                                   "detail": st.text(max_size=30)}), max_size=3,
+        ),
+    },
+)
+
+
+@settings(max_examples=200)
+@given(REPORTS)
+def test_report_shaped_values_match_json_dumps(report):
+    # The optimize, expected-revenue and audit reports, with any ids, numbers and text.
+    assert _json_indented(report) == json.dumps(report, indent=2)
+
+
+def test_long_lists_cost_no_encoder_call_per_item(monkeypatch):
+    # A rank --trace report lists thousands of ids: the C encoder writes each list in one call,
+    # so the number of calls follows the report's containers and mixed-in scalars, not its length.
+    catalog = random_catalog(np.random.default_rng(3), size=2000)
+    ranking, trace = cli.two_stage_select(catalog, 10)
+    report = {"manifest": _manifest("rank", {"slots": 10}, "0f"), "ranking": list(ranking.slots),
+              "trace": trace.to_report()}
+    calls = []
+    encoder = cli._flat_encoder
+    monkeypatch.setattr(cli, "_flat_encoder", lambda pad: calls.append(pad) or encoder(pad))
+    assert _json_indented(report) == json.dumps(report, indent=2)
+    assert sum(len(r["stage1_order"]) for r in report["trace"]) > 10_000
+    assert len(calls) < 150
 
 
 def test_indented_json_of_empty_and_long_containers():
@@ -863,6 +909,29 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"cost_slope": 10**400}, "cost slope"),
+            ({"cost_slope": -(10**400)}, "cost slope"),
+            ({"prior": {"mean": 10**400, "prior_var": 1.0, "noise_var": 1.0}}, "prior_mean"),
+            ({"prior": {"mean": 0.0, "prior_var": 10**400, "noise_var": 1.0}}, "prior_var"),
+            ({"prior": {"mean": 0.0, "prior_var": 1.0, "noise_var": -(10**400)}}, "noise_var"),
+            ({"clamp_ratings": [0, 10**400], "freeze_beliefs": False}, "clamp_ratings bound"),
+        ],
+        ids=["cost-slope", "negative-cost-slope", "prior-mean", "prior-var", "noise-var", "clamp"],
+    )
+    def test_int_beyond_float_range_rejected(self, capsys, demo_path, tmp_path, overrides, field):
+        # An int that no float holds is invalid input (exit 2), not an internal error (exit 3).
+        config = sim_config(tmp_path, **overrides)
+        code, out, err = run(
+            capsys, "simulate", "--catalog", str(demo_path),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} must be a finite number, got ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_repeated_span_flag_rejected(self, capsys, demo_path):

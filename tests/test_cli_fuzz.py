@@ -1,5 +1,9 @@
 """Drawn command lines: every invocation exits 0, 1, 2 or 3 and prints no traceback.
 
+Exit 3 is reserved for the enumeration guard and the revenue self-check,
+and an exit 2 prints one ``error:`` line.  Drawn simulate-config documents
+give every key a value of any JSON kind, ints beyond float range included.
+
 Arguments are drawn for all five subcommands, valid and invalid flag values
 alike, over the demo catalog, a logit catalog and malformed documents.
 argparse's own usage errors leave ``main`` as ``SystemExit(2)``; any other
@@ -16,7 +20,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from assortplan import cli
 from assortplan.catalog import Catalog, demo_catalog, serialize_catalog
@@ -218,6 +222,18 @@ def test_the_table_reads_what_argparse_reads(files, data):
     assert all(_same(vars(table)[key], value) for key, value in vars(parsed).items()), argv
 
 
+# The only two faults that exit 3: anything else is input (exit 2) or a crash.
+GUARD_ERRORS = (
+    "error: enumeration guard exceeded",
+    "internal consistency error: span-expectation forms disagree",
+)
+
+
+def _assert_clean_exit(argv, code, stderr) -> None:
+    assert code in (0, 1, 2) or (code == 3 and stderr.startswith(GUARD_ERRORS)), (argv, code, stderr)
+    assert "Traceback" not in stderr, (argv, stderr)
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -234,8 +250,7 @@ def test_every_command_line_exits_cleanly(files, data):
     argv = data.draw(command_lines(files))
     code, stderr = _run(argv)
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 1, 2, 3), (argv, code, stderr)
-    assert "Traceback" not in stderr, (argv, stderr)
+    _assert_clean_exit(argv, code, stderr)
 
 
 def test_each_document_under_a_working_command_line(files):
@@ -249,6 +264,7 @@ def test_each_document_under_a_working_command_line(files):
         audit = ["audit", "--catalog", catalog, "--displayed", "A,D,F", "--span", "y=3"]
         for argv, codes in ((rank, {0}), ([*audit, "--prior", "3,1,1"], {0, 1})):
             code, stderr = _run(argv)
+            _assert_clean_exit(argv, code, stderr)
             assert code in (codes if valid else {2}), (argv, code, stderr)
             assert stderr == "" if valid else stderr.startswith("error: "), (argv, stderr)
     # The demo catalog's substituted slate is an audit finding.
@@ -257,7 +273,57 @@ def test_each_document_under_a_working_command_line(files):
     for config in working + broken:
         argv = ["simulate", "--catalog", logit, "--config", config, "--out", files["out"]]
         code, stderr = _run(argv)
+        _assert_clean_exit(argv, code, stderr)
         if config in working:
             assert (code, stderr) == (0, ""), argv
         else:
             assert code == 2 and stderr.startswith("error: "), (argv, code, stderr)
+
+
+HUGE = 10**400
+# Values of every JSON kind.  The horizon is kept small: a positive horizon
+# is valid however large, and the run would simulate that many customers.
+ANY_VALUE = st.recursive(
+    st.sampled_from([HUGE, -HUGE, 0, -1, 2**64, True, False, None, "", "y=2", "A", 1.5, -0.5])
+    | st.integers(-3, 40) | st.floats(-10, 10) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["mean", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+PRIOR_VALUE = st.sampled_from([0.0, 1.0, 3, HUGE, -HUGE, True, None, "1", [1.0], 1e-320, 1e308])
+
+
+@st.composite
+def sim_config_documents(draw) -> dict:
+    """A working fixed-slate or re-ranking config with a few values redrawn, of any kind."""
+    doc = dict(draw(st.sampled_from([SIM_CONFIGS["frozen.json"], SIM_CONFIGS["rerank.json"]])))
+    doc["prior"] = dict(PRIOR)
+    for key in draw(st.lists(st.sampled_from(cli._CONFIG_KEYS + cli._PRIOR_KEYS), max_size=3, unique=True)):
+        if key in cli._PRIOR_KEYS:
+            if isinstance(doc["prior"], dict):  # unless the prior itself was redrawn
+                doc["prior"][key] = draw(PRIOR_VALUE)
+        elif key == "horizon":
+            doc[key] = draw(ANY_VALUE.filter(lambda v: not isinstance(v, int) or v <= 40))
+        else:
+            doc[key] = draw(ANY_VALUE)
+    return doc
+
+
+@settings(max_examples=150)
+@given(sim_config_documents())
+@example({**SIM_CONFIGS["frozen.json"], "cost_slope": HUGE})
+@example({**SIM_CONFIGS["frozen.json"], "prior": {**PRIOR, "mean": HUGE}})
+@example({**SIM_CONFIGS["rerank.json"], "prior": {**PRIOR, "noise_var": -HUGE}})
+@example({**SIM_CONFIGS["live-slate.json"], "clamp_ratings": [1, HUGE]})
+def test_drawn_simulate_configs_exit_cleanly(files, tmp_path_factory, doc):
+    # Whatever the library refuses exits 2 with one error line; nothing exits 3.
+    path = tmp_path_factory.mktemp("drawn") / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    demo = files["catalog"][0][0]
+    code, stderr = _run(["simulate", "--catalog", demo, "--config", str(path), "--out", files["out"]])
+    event(f"exit {code}")
+    _assert_clean_exit(doc, code, stderr)
+    assert code in (0, 2), (doc, code, stderr)
+    if code == 2:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (doc, stderr)
+    else:
+        assert stderr == "", (doc, stderr)

@@ -16,7 +16,6 @@ from assortplan.collusion import (
     KIND_REVENUE_DOMINATED,
     audit_ranking,
     findings_report,
-    substitution_raises_downstream,
     substitution_effect,
 )
 from assortplan.demand import CostModel
@@ -66,20 +65,27 @@ class TestSubstitutionEffect:
             substitution_effect(demo, ["A", "B"], 1, "Z", DIST3)
 
 
+def _downstream(mid_lambda: float) -> float:
+    """The third slot's purchase probability behind a middle slot of demand ``mid_lambda``."""
+    return cascade_probs([0.6, mid_lambda, 0.5])[0][2]
+
+
 class TestSubstitutionRaisesDownstream:
+    # Every downstream slot's cascade probability scales by (1 - lambda_mid), so
+    # a substitution raises it exactly when the replacement's demand is lower.
     def test_lower_replacement_demand_raises_downstream(self):
-        assert substitution_raises_downstream(0.85, 0.10) is True
+        assert _downstream(0.10) > _downstream(0.85)
 
     def test_equal_demand_changes_nothing(self):
-        assert substitution_raises_downstream(0.5, 0.5) is False
+        assert _downstream(0.5) == _downstream(0.5)
 
     def test_higher_replacement_demand_lowers_downstream(self):
-        assert substitution_raises_downstream(0.10, 0.85) is False
+        assert _downstream(0.85) < _downstream(0.10)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 2.0])
     def test_inputs_outside_open_interval_rejected(self, bad):
-        with pytest.raises(ValueError):
-            substitution_raises_downstream(bad, 0.5)
+        with pytest.raises(ValueError, match="purchase probability must lie in"):
+            _downstream(bad)
 
     def test_quantified_downstream_gain(self):
         # lower middle demand strictly raises the third slot's purchase odds
@@ -91,7 +97,6 @@ class TestSubstitutionRaisesDownstream:
             original = cascade_probs([lam1, lam2, lam3])[0][2]
             swapped = cascade_probs([lam1, lam4, lam3])[0][2]
             assert swapped > original
-            assert substitution_raises_downstream(lam2, lam4)
 
 
 class TestSubstitutionDeltaDecomposition:
@@ -345,4 +350,4 @@ def test_revenue_dominated_swaps_keep_the_papers_claim(case):
             best = brute_force_optimize(catalog, len(displayed), dist, **demand).value
         assert expected_revenue(after, dist) <= best
         assert expected_revenue(after, dist) < expected_revenue(before, dist)
-        assert substitution_raises_downstream(before.lambdas[idx], after.lambdas[idx])
+        assert 0 < after.lambdas[idx] < before.lambdas[idx] < 1  # which raises downstream odds

@@ -48,6 +48,12 @@ class TestSearchCost:
             CostModel(slope)
         assert str(excinfo.value) == f"cost slope must be a number, got {slope!r}"
 
+    @pytest.mark.parametrize("slope", [10**400, -(10**400)], ids=["huge", "negative-huge"])
+    def test_int_slope_beyond_float_range_rejected(self, slope):
+        with pytest.raises(ValueError) as excinfo:
+            CostModel(slope)
+        assert str(excinfo.value) == f"cost slope must be a finite number, got {slope!r}"
+
     def test_int_slope_is_stored_as_a_float(self):
         model = CostModel(1)
         assert type(model.slope) is float and model == CostModel(1.0)

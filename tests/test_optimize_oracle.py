@@ -282,20 +282,23 @@ def _per_pair_lambda_table(catalog: Catalog, depth: int, prior, cost: CostModel)
 
 @given(st.data())
 def test_lambda_table_matches_a_per_pair_loop(data):
-    # Pinned, unpinned and pinned-0.0 rows mixed; prices far off the rating
-    # scale warn, and without a prior the first unpinned row in walk order raises.
+    # Pinned, unpinned and pinned-0.0 rows mixed, up to the guard's 12 rows and 8
+    # slots; prices far off the rating scale, and a steep cost slope at later
+    # slots, warn on both sides of each slot's first row in the walk, and without
+    # a prior the first unpinned row in walk order raises.  Every entry's bits and
+    # every warning, in order, must match.
     products = tuple(
         Product(
             id=f"P{i}",
-            price=data.draw(PRICES | st.sampled_from([90.0, -80.0])),
+            price=data.draw(PRICES | st.sampled_from([90.0, -80.0, 49.0])),
             review_count=data.draw(st.integers(0, 50)),
             avg_rating=data.draw(st.floats(0.0, 5.0)),
             demand_override=data.draw(st.none() | st.just(0.0) | DEMANDS),
         )
-        for i in range(data.draw(st.integers(1, 7)))
+        for i in range(data.draw(st.integers(1, 12)))
     )
     catalog = Catalog(products)
-    depth = data.draw(st.integers(1, len(products)))  # brute_force_optimize's min(slots, n)
+    depth = data.draw(st.integers(1, min(8, len(products))))  # brute_force_optimize's min(slots, n)
     prior = data.draw(st.none() | st.just(BeliefPrior(3.0, 1.0, 4.0)))
     cost = CostModel(data.draw(st.sampled_from([0.0, 0.2, 30.0])))
 
@@ -307,6 +310,34 @@ def test_lambda_table_matches_a_per_pair_loop(data):
         return [[value.hex() for value in row] for row in table], messages
 
     assert outcome(revenue._lambda_table) == outcome(_per_pair_lambda_table)
+
+
+def test_lambda_table_bits_on_a_logit_catalog():
+    # 96 logistic entries over utilities from about -1.3 to 3: np.exp differs from
+    # math.exp by an ulp on a few percent of such arguments, and so would the table.
+    products = tuple(
+        Product(id=f"P{i:02d}", price=0.37 * i + 0.01, review_count=7 * i, avg_rating=0.41 * i)
+        for i in range(12)
+    )
+    prior, cost = BeliefPrior(3.0, 1.0, 4.0), CostModel(0.23)
+    table = revenue._lambda_table(Catalog(products), 8, prior, cost)
+    expected = _per_pair_lambda_table(Catalog(products), 8, prior, cost)
+    assert [[v.hex() for v in row] for row in table] == [[v.hex() for v in row] for row in expected]
+
+
+def test_utility_scale_warnings_come_in_walk_order():
+    # At slot s the walk reaches rows s-1.. first, then the earlier rows backwards (C is pinned).
+    products = tuple(
+        Product(id=pid, price=price, review_count=10, avg_rating=4.0, demand_override=pinned)
+        for pid, price, pinned in
+        (("A", 60.0, None), ("B", 70.0, None), ("C", 2.0, 0.3), ("D", 80.0, None), ("E", 1.0, None))
+    )
+    prior, cost = BeliefPrior(3.0, 1.0, 4.0), CostModel(30.0)
+    table, engine = _run(revenue._lambda_table, Catalog(products), 3, prior, cost)
+    expected, oracle = _run(_per_pair_lambda_table, Catalog(products), 3, prior, cost)
+    assert table == expected
+    assert engine == oracle
+    assert [re.search(r"product '(\w)'", m).group(1) for m in engine] == list("ABD" "BDA" "DEBA")
 
 
 @pytest.mark.parametrize("size, slots", [(13, 3), (4, 9)])
