@@ -150,7 +150,7 @@ class RankingColumns:
         self.policy = policy
         columns = catalog.columns
         # Catalog rows in id order: a stable sort of them breaks ties by id.
-        by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
+        rows = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))
         self.ids = np.array(columns.ids, dtype=object)
         self.rating = columns.rating.copy()
         self.reviews = columns.reviews.copy()
@@ -164,10 +164,10 @@ class RankingColumns:
         self._scaled_values: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.price_desc_rank: np.ndarray | None = None
         if policy == POLICY_PRICE_DESC:
-            self.price_desc_rank = rank = np.empty_like(by_id)  # row -> place by price, demand, id
-            rank[by_id[np.lexsort((-columns.demand[by_id], -self.price[by_id]))]] = np.arange(len(by_id))
-        self.order = order = by_id[np.lexsort((-self.reviews[by_id], -self.rating[by_id]))]
-        self.position = np.empty_like(by_id)
+            self.price_desc_rank = rank = np.empty_like(rows)  # row -> place by price, demand, id
+            rank[rows[np.lexsort((-columns.demand[rows], -self.price[rows]))]] = np.arange(len(rows))
+        self.order = order = rows[np.lexsort((-self.reviews[rows], -self.rating[rows]))]
+        self.position = np.empty_like(rows)
         self.position[order] = np.arange(len(order))
         # With no price negative or NaN, no price weight is negative, and whether
         # fsum over them overflows part-way does not depend on their order.

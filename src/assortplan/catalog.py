@@ -132,23 +132,23 @@ class CatalogColumns(NamedTuple):
             floats([p.demand_override or 0.0 for p in products]),
         )
 
-    def products(self, rows: slice = slice(None)) -> tuple[Product, ...]:
-        """One ``Product`` per row in ``rows``; valid only for columns of a checked document."""
+    def products(self) -> tuple[Product, ...]:
+        """One ``Product`` per row; valid only for columns of a checked document."""
 
         def optional(column: np.ndarray) -> list[float | None]:
-            return [None if v != v else v for v in column[rows].tolist()]
+            return [None if v != v else v for v in column.tolist()]
 
         return tuple(
             map(
                 Product,
-                self.ids[rows],
-                self.price[rows].tolist(),
-                self.reviews[rows].tolist(),
-                self.rating[rows].tolist(),
-                self.share[rows].tolist(),
+                self.ids,
+                self.price.tolist(),
+                self.reviews.tolist(),
+                self.rating.tolist(),
+                self.share.tolist(),
                 optional(self.true_quality),
                 optional(self.rating_noise),
-                [v or None for v in self.demand[rows].tolist()],
+                [v or None for v in self.demand.tolist()],
             )
         )
 
@@ -186,7 +186,7 @@ class Catalog:
     ) -> Catalog:
         catalog = cls.__new__(cls)
         catalog.__dict__.update(
-            columns=columns, display_scale=display_scale, universe_size=len(columns.ids), _built={}
+            columns=columns, display_scale=display_scale, universe_size=len(columns.ids)
         )
         return catalog
 
@@ -201,10 +201,6 @@ class Catalog:
         return columns
 
     @cached_property
-    def by_id(self) -> dict[str, Product]:
-        return {p.id: p for p in self.products}
-
-    @cached_property
     def _rows(self) -> dict[str, int]:
         return {product_id: row for row, product_id in enumerate(self.columns.ids)}
 
@@ -214,18 +210,6 @@ class Catalog:
             return self._rows[product_id]
         except KeyError:
             raise KeyError(f"unknown product id {product_id!r}") from None
-
-    def get(self, product_id: str) -> Product:
-        if "products" in self.__dict__:
-            try:
-                return self.by_id[product_id]
-            except KeyError:
-                raise KeyError(f"unknown product id {product_id!r}") from None
-        row = self.row(product_id)
-        # A loaded catalog builds only the products asked for, each once.
-        if product_id not in self._built:
-            self._built[product_id] = self.columns.products(slice(row, row + 1))[0]
-        return self._built[product_id]
 
 
 _MISSING = object()  # stands in for a key an entry lacks

@@ -49,7 +49,7 @@ from .revenue import (
     evaluate_slate,
     resolve_inputs,
 )
-from .simulator import SimConfig, SimSummary, simulate, trace_table
+from .simulator import SimConfig, SimSummary, simulate, summarize, trace_table
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -373,7 +373,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = trace_table(trace).encode("utf-8")
-    summary = trace.summary
+    summary = summarize(trace)
     report = _summary_json(manifest, summary)
     document = (report + "\n").encode("utf-8")
     # Both files are encoded before either is written: a failed encode leaves both as they were.

@@ -10,6 +10,7 @@ random span the point-mass evaluations are mixed by the span distribution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Real
@@ -81,7 +82,7 @@ class AttentionSpanDist:
             raise ValueError("span pmf is empty")
         total = 0.0
         for span, prob in items:
-            if isinstance(prob, bool) or not isinstance(prob, Real) or not 0 <= prob < math.inf:
+            if isinstance(prob, bool) or not isinstance(prob, Real) or not 0 <= prob <= sys.float_info.max:
                 raise ValueError(f"span probability must be nonnegative and finite, got {prob!r}")
             total += prob
         if abs(total - 1.0) > _PMF_TOL:

@@ -96,8 +96,7 @@ class CustomerRecord(NamedTuple):
 @dataclass(frozen=True)
 class SimSummary:
     """Totals of a run, and per product, in id order, its final review state
-    and posterior mean; ``final_states`` and ``posterior_means`` hold the
-    same as dicts, built on first read."""
+    and posterior mean."""
 
     gross_revenue: float
     platform_revenue: float
@@ -108,14 +107,6 @@ class SimSummary:
     review_counts: list[int]
     review_means: list[float]
     posterior: list[float]
-
-    @cached_property
-    def final_states(self) -> dict[str, tuple[int, float]]:
-        return dict(zip(self.ids, zip(self.review_counts, self.review_means)))
-
-    @cached_property
-    def posterior_means(self) -> dict[str, float]:
-        return dict(zip(self.ids, self.posterior))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +120,8 @@ class SimTrace:
     after it.  Per catalog row, the final review
     state: ``review_counts`` (int64, or Python ints in an object array once
     one passes int64) and ``review_means``.  ``columns`` are the catalog's,
-    for ids, prices and shares.  ``records`` is built on first read; the
-    summary holds the final review states in id order.
+    for ids, prices and shares.  ``records`` is built on first read;
+    ``summarize`` lists the final review states in id order.
     """
 
     spans: tuple[int, ...]
@@ -163,10 +154,6 @@ class SimTrace:
             )
         )
 
-    @cached_property
-    def summary(self) -> SimSummary:
-        return summarize(self)
-
 
 def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
     for name, kind in (("dist", AttentionSpanDist), ("prior", BeliefPrior), ("cost", CostModel)):
@@ -179,6 +166,8 @@ def _validate_config(catalog: Catalog, cfg: SimConfig) -> None:
         raise ValueError(f"freeze_beliefs must be a bool, got {cfg.freeze_beliefs!r}")
     if cfg.horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {cfg.horizon}")
+    if cfg.horizon >= 2**64:  # customer t's number is a uint64 Philox counter word
+        raise ValueError(f"horizon must be < 2**64, got {cfg.horizon}")
     if not 0 <= cfg.seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
     if (cfg.slate is None) == (cfg.rerank_every is None):
@@ -461,7 +450,7 @@ def summarize(trace: SimTrace) -> SimSummary:
     order = sorted(range(len(columns.ids)), key=columns.ids.__getitem__)
     review_counts, review_means = trace.review_counts[order], trace.review_means[order]
     with np.errstate(all="ignore"):  # as Python floats: inf and NaN, no warning
-        posterior_means = posterior(trace.prior, review_counts, review_means).tolist()
+        means = posterior(trace.prior, review_counts, review_means).tolist()
     return SimSummary(
         gross_revenue=gross,
         platform_revenue=platform,
@@ -471,7 +460,7 @@ def summarize(trace: SimTrace) -> SimSummary:
         ids=[columns.ids[row] for row in order],
         review_counts=review_counts.tolist(),
         review_means=review_means.tolist(),
-        posterior=posterior_means,
+        posterior=means,
     )
 
 

@@ -6,6 +6,22 @@ import numpy as np
 
 from assortplan.catalog import Catalog, Product
 from assortplan.revenue import AttentionSpanDist
+from assortplan.simulator import SimSummary
+
+
+def product_of(catalog: Catalog, product_id: str) -> Product:
+    """The catalog's product with this id (KeyError naming an unknown id)."""
+    return catalog.products[catalog.row(product_id)]
+
+
+def final_states(summary: SimSummary) -> dict[str, tuple[int, float]]:
+    """The summary's final review states, id -> (count, mean), in id order."""
+    return dict(zip(summary.ids, zip(summary.review_counts, summary.review_means)))
+
+
+def posterior_means(summary: SimSummary) -> dict[str, float]:
+    """The summary's posterior means, id -> mean, in id order."""
+    return dict(zip(summary.ids, summary.posterior))
 
 
 def random_catalog(

@@ -156,8 +156,8 @@ MUTANTS = (
     Mutant(
         "ties-broken-by-listing-order",
         "assortment.py",
-        "by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
-        "by_id = np.arange(catalog.universe_size)",
+        "rows = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
+        "rows = np.arange(catalog.universe_size)",
         (
             "tests/test_metamorphic.py::test_listing_order_leaves_every_output_unchanged",
             "tests/test_ranker_oracle.py::test_shuffled_catalog_ranks_identically",
@@ -286,9 +286,23 @@ MUTANTS = (
     Mutant(
         "pmf-probability-type-unchecked",
         "revenue.py",
-        "if isinstance(prob, bool) or not isinstance(prob, Real) or not 0 <= prob < math.inf:",
-        "if not 0 <= prob < math.inf:",
+        "if isinstance(prob, bool) or not isinstance(prob, Real) or not 0 <= prob <= sys.float_info.max:",
+        "if not 0 <= prob <= sys.float_info.max:",
         (MALFORMED_PMF,),
+    ),
+    Mutant(
+        "pmf-probability-int-past-float-range",
+        "revenue.py",
+        "0 <= prob <= sys.float_info.max:",
+        "0 <= prob < math.inf:",
+        (MALFORMED_PMF,),
+    ),
+    Mutant(
+        "horizon-past-the-counter-word",
+        "simulator.py",
+        "if cfg.horizon >= 2**64:",
+        "if cfg.horizon > 2**64:",
+        ("tests/test_simulator.py::TestValidation::test_horizon_out_of_range_rejected",),
     ),
     Mutant(
         "pmf-spans-sorted-before-their-check",
@@ -510,8 +524,8 @@ MUTANTS = (
         # numpy's unicode compare ignores trailing NULs, so "B\x00" ties "B".
         "ids-ordered-by-a-numpy-unicode-sort",
         "assortment.py",
-        "by_id = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
-        'by_id = np.array(columns.ids).argsort(kind="stable")',
+        "rows = np.array(sorted(range(catalog.universe_size), key=columns.ids.__getitem__))",
+        'rows = np.array(columns.ids).argsort(kind="stable")',
         ("tests/test_ranker_oracle.py::test_named_cases_match_oracle",),
     ),
     Mutant(

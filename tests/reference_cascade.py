@@ -20,6 +20,7 @@ from typing import Sequence
 from assortplan.catalog import BeliefPrior, Catalog, Product
 from assortplan.demand import UTILITY_SCALE_WARN, CostModel
 from assortplan.revenue import AttentionSpanDist, SlateInputs
+from helpers import product_of
 
 
 def logistic(x: float) -> float:
@@ -70,7 +71,7 @@ def resolve_inputs(
     prices = []
     omegas = []
     for slot, pid in enumerate(slate, start=1):
-        product = catalog.get(pid)
+        product = product_of(catalog, pid)
         lambdas.append(purchase_prob(product, prior, slot, cost))
         prices.append(product.price)
         omegas.append(omega if omega is not None else product.revenue_share)

@@ -24,6 +24,7 @@ from assortplan.revenue import (
     OptimizeResult,
     enumeration_count,
 )
+from helpers import product_of
 from reference_cascade import expected_revenue, mixture_value, purchase_prob, resolve_inputs
 
 
@@ -70,7 +71,7 @@ def brute_force_optimize(
     def lam_at(pid: str, slot: int) -> float:
         key = (pid, slot)
         if key not in lam_cache:
-            lam_cache[key] = purchase_prob(catalog.get(pid), prior, slot, cost)
+            lam_cache[key] = purchase_prob(product_of(catalog, pid), prior, slot, cost)
         return lam_cache[key]
 
     price = {p.id: p.price for p in catalog.products}

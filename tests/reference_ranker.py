@@ -33,6 +33,7 @@ from assortplan.collusion import (
 )
 from assortplan.demand import CostModel
 from assortplan.revenue import AttentionSpanDist
+from helpers import product_of
 from reference_cascade import cascade_probs, expected_revenue, resolve_inputs
 
 
@@ -153,14 +154,14 @@ def audit_ranking(
     if len(set(displayed)) != len(displayed):
         raise ValueError(f"displayed slate contains duplicate ids: {displayed}")
     for pid in displayed:
-        catalog.get(pid)
+        product_of(catalog, pid)
 
     findings: list[AuditFinding] = []
 
     pool = list(catalog.products)
     for slot, pid in enumerate(displayed, start=1):
         record = run_iteration(pool, policy)
-        product = catalog.get(pid)
+        product = product_of(catalog, pid)
         if record.stage1_order and record.stage1_threshold is not None:
             if product.review_count < record.stage1_threshold:
                 findings.append(

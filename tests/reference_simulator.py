@@ -22,6 +22,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+import helpers
+from assortplan import simulator
 from assortplan.assortment import two_stage_select
 from assortplan.catalog import BeliefPrior, Catalog
 from assortplan.demand import logistic
@@ -105,7 +107,7 @@ def simulate(catalog: Catalog, cfg: SimConfig) -> RecordTrace:
         post_state: tuple[int, float] | None = None
         viewed = limit
         for j in range(1, limit + 1):
-            product = catalog.get(slate[j - 1])
+            product = helpers.product_of(catalog, slate[j - 1])
             if product.demand_override is not None:
                 lam = product.demand_override
             else:
@@ -208,7 +210,12 @@ def trace_table(trace: RecordTrace) -> str:
 
 def summary_document(trace) -> dict:
     """The summary of a trace (the engine's or this module's) as a report dict."""
-    s = trace.summary
+    if isinstance(trace, RecordTrace):
+        s = trace.summary
+        states, means = s.final_states, s.posterior_means
+    else:
+        s = simulator.summarize(trace)
+        states, means = helpers.final_states(s), helpers.posterior_means(s)
     return {
         "gross_revenue": s.gross_revenue,
         "platform_revenue": s.platform_revenue,
@@ -217,7 +224,7 @@ def summary_document(trace) -> dict:
         "per_product_purchases": dict(sorted(s.per_product_purchases.items())),
         "final_states": {
             pid: {"reviews": n, "avg_rating": mean}
-            for pid, (n, mean) in sorted(s.final_states.items())
+            for pid, (n, mean) in sorted(states.items())
         },
-        "posterior_means": dict(sorted(s.posterior_means.items())),
+        "posterior_means": dict(sorted(means.items())),
     }

@@ -24,8 +24,8 @@ from assortplan.revenue import (
     expected_revenue,
     resolve_inputs,
 )
-from assortplan.simulator import SimConfig, simulate
-from helpers import random_catalog, random_slate_params, random_span_dist
+from assortplan.simulator import SimConfig, simulate, summarize
+from helpers import posterior_means, random_catalog, random_slate_params, random_span_dist
 from reference_cascade import expected_revenue_fixed
 
 
@@ -315,7 +315,8 @@ def _simulated_slate(demo, slate: tuple[str, ...], horizon: int) -> dict:
     elapsed = time.perf_counter() - start
     inputs = resolve_inputs(demo, list(slate), omega=1.0)
     slot_probs = cascade_probs(inputs.lambdas)[0]
-    purchases = trace.summary.per_product_purchases
+    summary = summarize(trace)
+    purchases = summary.per_product_purchases
     # demo shares are all 1, so platform revenue is gross revenue
     exact = expected_revenue(inputs, dist)
     second_moment = math.fsum(p * q * q for p, q in zip(slot_probs, inputs.prices))
@@ -325,7 +326,7 @@ def _simulated_slate(demo, slate: tuple[str, ...], horizon: int) -> dict:
         "rates": [purchases.get(pid, 0) / horizon for pid in slate],
         "slot_se": [math.sqrt(p * (1 - p) / horizon) for p in slot_probs],
         "exact": exact,
-        "mean_revenue": trace.summary.platform_revenue / horizon,
+        "mean_revenue": summary.platform_revenue / horizon,
         "se_revenue": math.sqrt((second_moment - exact**2) / horizon),
     }
 
@@ -381,9 +382,10 @@ def test_criterion_10_belief_convergence():
             slate=("X",),
         )
         trace = simulate(catalog, cfg)
-        assert trace.summary.purchase_count == 1000
+        summary = summarize(trace)
+        assert summary.purchase_count == 1000
 
-        engine_posterior = trace.summary.posterior_means["X"]
+        engine_posterior = posterior_means(summary)["X"]
         assert abs(engine_posterior - 4.0) < 0.05
 
         ratings = [r.rating for r in trace.records if r.rating is not None]

@@ -13,8 +13,13 @@ from assortplan.assortment import (
     two_stage_select,
 )
 from assortplan.catalog import Catalog, Product
-from helpers import random_catalog
+from helpers import product_of, random_catalog
 from reference_ranker import stage1_rank, stage2_filter
+
+
+def by_id(catalog):
+    """The mapping from id to product that ``stage2_filter`` reads."""
+    return {p.id: p for p in catalog.products}
 
 
 def demo_rounds(demo):
@@ -101,28 +106,28 @@ class TestStage1Rank:
 class TestStage2Filter:
     def test_first_iteration_passers(self, demo):
         cutoff = demo_rounds(demo)[0].stage2_threshold
-        assert stage2_filter(["F", "A", "B"], cutoff, demo.by_id) == ["A"]
+        assert stage2_filter(["F", "A", "B"], cutoff, by_id(demo)) == ["A"]
 
     def test_default_policy_preserves_order(self, demo):
-        assert stage2_filter(["F", "J"], 0.0, demo.by_id) == ["F", "J"]
+        assert stage2_filter(["F", "J"], 0.0, by_id(demo)) == ["F", "J"]
 
     def test_zero_cutoff_is_vacuous(self, demo):
         shortlist = ["F", "A", "B"]
-        assert stage2_filter(shortlist, 0.0, demo.by_id) == shortlist
+        assert stage2_filter(shortlist, 0.0, by_id(demo)) == shortlist
 
     def test_price_desc_policy_resorts(self, demo):
-        assert stage2_filter(["F", "J"], 0.0, demo.by_id, POLICY_PRICE_DESC) == ["J", "F"]
+        assert stage2_filter(["F", "J"], 0.0, by_id(demo), POLICY_PRICE_DESC) == ["J", "F"]
 
     def test_price_tie_broken_by_pinned_demand(self):
-        by_id = {
+        products = {
             "X": Product(id="X", price=10.0, review_count=5, avg_rating=1.0, demand_override=0.2),
             "Y": Product(id="Y", price=10.0, review_count=5, avg_rating=1.0, demand_override=0.8),
         }
-        assert stage2_filter(["X", "Y"], 0.0, by_id, POLICY_PRICE_DESC) == ["Y", "X"]
+        assert stage2_filter(["X", "Y"], 0.0, products, POLICY_PRICE_DESC) == ["Y", "X"]
 
     def test_unknown_policy_rejected(self, demo):
         with pytest.raises(ValueError, match="policy"):
-            stage2_filter(["F"], 0.0, demo.by_id, "by-vibes")
+            stage2_filter(["F"], 0.0, by_id(demo), "by-vibes")
 
 
 def round_after_exhausting(catalog):
@@ -185,9 +190,9 @@ class TestTwoStageSelect:
                 assert rec.selected == slot
                 if rec.stage1_threshold is not None:
                     for pid in rec.stage1_order:
-                        assert catalog.get(pid).review_count >= rec.stage1_threshold
+                        assert product_of(catalog, pid).review_count >= rec.stage1_threshold
                 if not rec.fallback_used:
-                    chosen = catalog.get(rec.selected)
+                    chosen = product_of(catalog, rec.selected)
                     assert chosen.review_count >= rec.stage1_threshold
                     assert chosen.review_count >= rec.stage2_threshold
 
@@ -199,9 +204,9 @@ class TestTwoStageSelect:
             for rec in trace.iterations:
                 if rec.fallback_used or not rec.stage2_passers:
                     continue
-                chosen = catalog.get(rec.selected)
+                chosen = product_of(catalog, rec.selected)
                 for pid in rec.stage2_passers:
-                    other = catalog.get(pid)
+                    other = product_of(catalog, pid)
                     assert (chosen.avg_rating, chosen.review_count) >= (
                         other.avg_rating,
                         other.review_count,

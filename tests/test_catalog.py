@@ -20,6 +20,7 @@ from assortplan.cli import main
 from assortplan.collusion import audit_ranking
 from assortplan.revenue import AttentionSpanDist, brute_force_optimize, resolve_inputs
 from assortplan.simulator import SimConfig, simulate, trace_table
+from helpers import product_of
 from reference_simulator import summary_document
 
 
@@ -31,7 +32,7 @@ class TestLoadCatalog:
     def test_demo_document_loads_ten_products(self):
         catalog = load_catalog(serialize_catalog(demo_catalog()))
         assert catalog.universe_size == 10
-        a = catalog.get("A")
+        a = product_of(catalog, "A")
         assert a.price == 629.0
         assert a.review_count == 61806
         assert a.avg_rating == 4.0
@@ -46,7 +47,7 @@ class TestLoadCatalog:
         catalog = load_catalog(
             doc([{"id": "X", "price": 5.0, "reviews": 3, "avg_rating": 2.0}])
         )
-        assert catalog.get("X").revenue_share == 1.0
+        assert product_of(catalog, "X").revenue_share == 1.0
 
     def test_accepts_bytes(self):
         raw = doc([{"id": "X", "price": 5.0, "reviews": 3, "avg_rating": 2.0}])
@@ -163,23 +164,20 @@ class TestLazyProducts:
         assert two_stage_select(catalog, 3)[0].slots == ("A", "B", "F")
         two_stage_select(catalog, 10, POLICY_PRICE_DESC)
         assert built == []
-        # get builds only the product it returns, and only once.
-        assert catalog.get("A").price == 629.0
-        assert catalog.get("A") is catalog.get("A")
-        assert len(built) == 1
-        with pytest.raises(KeyError, match="unknown product id 'Z'"):
-            catalog.get("Z")
+        # The products are built on first read, each once.
         assert catalog.products is catalog.products
-        assert len(built) == 11
-        assert catalog.get("A") == catalog.products[0] == demo_catalog().get("A")
-        # Once products exist, get answers with them.
-        assert catalog.get("B") is catalog.products[1]
-
-    def test_get_on_a_catalog_of_products_derives_no_columns(self):
-        catalog = demo_catalog()
-        assert catalog.get("B") is catalog.products[1]
+        assert len(built) == 10
+        assert product_of(catalog, "A").price == 629.0
         with pytest.raises(KeyError, match="unknown product id 'Z'"):
-            catalog.get("Z")
+            product_of(catalog, "Z")
+        assert len(built) == 10
+        assert product_of(catalog, "A") == demo_catalog().products[0]
+
+    def test_reading_a_catalog_of_products_derives_no_columns(self):
+        catalog = demo_catalog()
+        assert catalog.products[1].id == "B"
+        assert catalog == demo_catalog() and hash(catalog) == hash(demo_catalog())
+        assert repr(catalog).startswith("Catalog(products=(Product(id='A'")
         assert "columns" not in catalog.__dict__
 
     def test_auditing_a_loaded_catalog_builds_at_most_the_displayed_products(self, built):
@@ -327,7 +325,7 @@ class TestRoundTrip:
         original = Catalog((product,), display_scale=(np.int64(1), np.float64(5.0)))
         assert validate_catalog(original) == []
         reloaded = load_catalog(serialize_catalog(original))
-        assert reloaded.get("X") == Product("X", 1.0, 3, 2.0, revenue_share=0.5)
+        assert product_of(reloaded, "X") == Product("X", 1.0, 3, 2.0, revenue_share=0.5)
         assert reloaded.display_scale == (1.0, 5.0)
         # A numpy count past int64's range is refused by both, in the same words.
         big = Catalog((replace(product, review_count=np.uint64(2**63)),))
@@ -450,7 +448,7 @@ class TestRepeatedIds:
         assert [e["id"] for e in entries] == ["A", "B", "A", "C"]
         with pytest.raises(CatalogError, match="duplicate product id 'A'"):
             load_catalog(serialize_catalog(catalog))
-        assert catalog.get("B").price == 9.0
+        assert catalog.products[1].price == 9.0
         assert catalog == Catalog(catalog.products) and hash(catalog) == hash(Catalog(catalog.products))
 
 
@@ -509,4 +507,4 @@ class TestBeliefPrior:
 
 def test_catalog_lookup_unknown_id():
     with pytest.raises(KeyError, match="unknown product id"):
-        demo_catalog().get("Z")
+        product_of(demo_catalog(), "Z")

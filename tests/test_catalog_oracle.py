@@ -26,6 +26,7 @@ from assortplan.catalog import (
     serialize_catalog,
     validate_catalog,
 )
+from helpers import product_of
 
 
 class Raw:
@@ -288,13 +289,13 @@ def test_integer_prices_round_like_float(price):
     text = render({"products": [dict(BASE, price=price), dict(BASE, id="N", price=1.5)]})
     assert_matches_oracle(text)
     if price < 2**1024 - 2**970:
-        assert load_catalog(text).get("M").price == float(price)
+        assert product_of(load_catalog(text), "M").price == float(price)
 
 
 def test_largest_review_count_is_kept_exactly():
     text = render({"products": [dict(BASE, reviews=2**63 - 1)]})
     assert_matches_oracle(text)
-    assert load_catalog(text).get("M").review_count == 2**63 - 1
+    assert product_of(load_catalog(text), "M").review_count == 2**63 - 1
 
 
 def test_null_optionals_count_as_absent():
@@ -302,7 +303,7 @@ def test_null_optionals_count_as_absent():
     entry["lambda"] = None
     text = render({"products": [entry, dict(BASE, id="N", true_quality=3.5)]})
     assert_matches_oracle(text)
-    assert load_catalog(text).get("M").true_quality is None
+    assert product_of(load_catalog(text), "M").true_quality is None
 
 
 def test_clean_benchmark_shaped_catalog():

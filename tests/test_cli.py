@@ -27,7 +27,7 @@ from assortplan.cli import (
 )
 from assortplan.demand import CostModel, posterior
 from assortplan.revenue import AttentionSpanDist, resolve_inputs
-from assortplan.simulator import SimConfig, SimSummary, SimTrace, count_column, simulate
+from assortplan.simulator import SimConfig, SimTrace, count_column, simulate, summarize
 from helpers import random_catalog
 
 
@@ -152,12 +152,13 @@ def summary_traces(draw) -> SimTrace:
 def test_summary_writer_matches_json_dumps(trace, config_path):
     manifest = _manifest("simulate", {"config_path": config_path, "seed": 2**64 - 1}, "0f")
     expected = json.dumps({"manifest": manifest, **ref.summary_document(trace)}, indent=2)
-    assert _summary_json(manifest, trace.summary) + "\n" == expected + "\n"
+    summary = summarize(trace)
+    assert _summary_json(manifest, summary) + "\n" == expected + "\n"
     # Each posterior mean has the bits of the scalar form, past int64 too.
     states = zip(trace.review_counts.tolist(), trace.review_means.tolist())
     scalar = [posterior(trace.prior, count, mean) for count, mean in states]
-    assert list(map(repr, trace.summary.posterior_means.values())) == list(
-        map(repr, [dict(zip(trace.columns.ids, scalar))[pid] for pid in trace.summary.ids])
+    assert list(map(repr, summary.posterior)) == list(
+        map(repr, [dict(zip(trace.columns.ids, scalar))[pid] for pid in summary.ids])
     )
 
 
@@ -422,8 +423,7 @@ class TestOptimize:
         assert result == (2, "", "error: compare slate of 5 products exceeds slot_count 1\n")
 
     def test_single_product_catalog(self, capsys, write_catalog):
-        demo = demo_catalog()
-        path = write_catalog(Catalog((demo.get("A"),)))
+        path = write_catalog(Catalog(demo_catalog().products[:1]))
         code, out, _ = run(
             capsys, "optimize", "--catalog", str(path), "--slots", "2", "--span", "y=1"
         )
@@ -699,6 +699,8 @@ class TestSimulate:
             ({"slate": []}, "fixed slate is empty"),
             # It ran and showed all three products of the slate.
             ({"slot_count": 1}, "slot_count applies only with rerank_every"),
+            # It ran without end, its memory growing.
+            ({"horizon": 2**64}, f"horizon must be < 2**64, got {2**64}"),
         ],
     )
     def test_config_refusals(self, capsys, demo_path, tmp_path, overrides, message):
@@ -803,15 +805,11 @@ class TestSimulate:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_simulate_builds_no_review_state(self, capsys, tmp_path, monkeypatch, fmt):
         # Review states stay columns from the run to summary.json: the
-        # summary's dict views and the trace's records are never built.
-        def unread(name):
-            def read(_):
-                raise AssertionError(f"{name} read")
-            return property(read)
+        # trace's records are never built.
+        def unread(_):
+            raise AssertionError("SimTrace.records read")
 
-        for owner, name in ((SimSummary, "final_states"), (SimSummary, "posterior_means"),
-                            (SimTrace, "records")):
-            monkeypatch.setattr(owner, name, unread(f"{owner.__name__}.{name}"))
+        monkeypatch.setattr(SimTrace, "records", property(unread))
         path = rated_catalog(tmp_path)
         displays = [
             dict(freeze_beliefs=True),

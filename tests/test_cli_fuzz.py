@@ -302,7 +302,8 @@ def sim_config_documents(draw) -> dict:
             if isinstance(doc["prior"], dict):  # unless the prior itself was redrawn
                 doc["prior"][key] = draw(PRIOR_VALUE)
         elif key == "horizon":
-            doc[key] = draw(ANY_VALUE.filter(lambda v: not isinstance(v, int) or v <= 40))
+            # A valid horizon stays short; one of 2**64 or more is refused.
+            doc[key] = draw(ANY_VALUE.filter(lambda v: not isinstance(v, int) or v <= 40 or v >= 2**64))
         else:
             doc[key] = draw(ANY_VALUE)
     return doc
@@ -314,6 +315,7 @@ def sim_config_documents(draw) -> dict:
 @example({**SIM_CONFIGS["frozen.json"], "prior": {**PRIOR, "mean": HUGE}})
 @example({**SIM_CONFIGS["rerank.json"], "prior": {**PRIOR, "noise_var": -HUGE}})
 @example({**SIM_CONFIGS["live-slate.json"], "clamp_ratings": [1, HUGE]})
+@example({**SIM_CONFIGS["frozen.json"], "horizon": 2**64})
 def test_drawn_simulate_configs_exit_cleanly(files, tmp_path_factory, doc):
     # Whatever the library refuses exits 2 with one error line; nothing exits 3.
     path = tmp_path_factory.mktemp("drawn") / "config.json"

@@ -14,7 +14,8 @@ from assortplan.demand import (
     utility,
 )
 from assortplan.revenue import AttentionSpanDist, resolve_inputs
-from assortplan.simulator import SimConfig, simulate, trace_table
+from assortplan.simulator import SimConfig, simulate, summarize, trace_table
+from helpers import final_states
 
 
 def position_cost(position: int, model: CostModel) -> float:
@@ -115,8 +116,9 @@ class TestUpdateReviewState:
         cfg = SimConfig(horizon=50, seed=7, dist=AttentionSpanDist.deterministic(1),
                         prior=BeliefPrior(0.0, 1.0, 1.0), slate=("X",))
         trace = simulate(Catalog((product,)), cfg)
-        assert trace.summary.purchase_count == 0
-        assert trace.summary.final_states["X"] == (7, 4.2)
+        summary = summarize(trace)
+        assert summary.purchase_count == 0
+        assert final_states(summary)["X"] == (7, 4.2)
 
     def test_running_mean_identity_property(self):
         rng = np.random.default_rng(11)
@@ -205,8 +207,9 @@ class TestPurchaseProb:
         trace = simulate(catalog, cfg)
         unpinned_trace = simulate(Catalog((top, unpinned)), cfg)
         assert trace_table(trace) == trace_table(unpinned_trace)
-        assert trace.summary == unpinned_trace.summary
-        assert trace.summary.per_product_purchases.get("Z", 0) > 0
+        summary = summarize(trace)
+        assert summary == summarize(unpinned_trace)
+        assert summary.per_product_purchases.get("Z", 0) > 0
 
     def test_decreasing_in_price_and_position(self):
         rng = np.random.default_rng(3)

@@ -93,11 +93,13 @@ class TestAttentionSpanDist:
             ({"a": 0.5, 1: 0.5}, "span values must be integers >= 1, got 'a'"),
             ({1: 0.5, 2: "0.5"}, "span probability must be nonnegative and finite, got '0.5'"),
             ({2: True}, "span probability must be nonnegative and finite, got True"),
+            ([(1, 10**400)], f"span probability must be nonnegative and finite, got {10**400!r}"),
         ],
-        ids=["str-span", "str-probability", "bool-probability"],
+        ids=["str-span", "str-probability", "bool-probability", "huge-int-probability"],
     )
     def test_malformed_pmf_entries_rejected(self, entries, message):
-        # Sorting mixed span types and comparing a str with 0 raised TypeError; True passed as 1.0.
+        # Sorting mixed span types and comparing a str with 0 raised TypeError; True passed as 1.0;
+        # an int that no float holds raised OverflowError when the probabilities were summed.
         with pytest.raises(ValueError) as excinfo:
             AttentionSpanDist.from_pmf(entries)
         assert str(excinfo.value) == message

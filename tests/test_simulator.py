@@ -10,10 +10,12 @@ from assortplan.demand import CostModel, add_rating
 from assortplan.revenue import AttentionSpanDist, cascade_probs
 from assortplan.simulator import (
     SimConfig,
+    _validate_config,
     simulate,
     summarize,
     trace_table,
 )
+from helpers import final_states, posterior_means, product_of
 from reference_simulator import summary_document
 
 PRIOR = BeliefPrior(0.0, 1.0, 1.0)
@@ -62,7 +64,7 @@ class TestMechanics:
         trace = simulate(catalog, cfg)
         assert len(trace.records) == 1
         assert trace.records[0].purchased == "X"
-        assert trace.summary.purchase_count == 1
+        assert summarize(trace).purchase_count == 1
 
     def test_at_most_one_purchase_within_span(self, demo):
         cfg = frozen_config(horizon=300, dist=AttentionSpanDist.from_pmf({1: 0.3, 2: 0.4, 3: 0.3}))
@@ -77,8 +79,8 @@ class TestMechanics:
 
     def test_frozen_beliefs_never_move(self, demo):
         trace = simulate(demo, frozen_config(horizon=200))
-        for pid, state in trace.summary.final_states.items():
-            product = demo.get(pid)
+        for pid, state in final_states(summarize(trace)).items():
+            product = product_of(demo, pid)
             assert state == (product.review_count, product.avg_rating)
         assert all(r.rating is None and r.post_state is None for r in trace.records)
 
@@ -94,8 +96,9 @@ class TestMechanics:
             if record.purchased == "X":
                 state = add_rating(*state, record.rating)
                 assert record.post_state == state
-        assert trace.summary.final_states["X"] == state
-        assert state[0] == trace.summary.purchase_count
+        summary = summarize(trace)
+        assert final_states(summary)["X"] == state
+        assert state[0] == summary.purchase_count
 
     def test_clamped_ratings_respect_bounds(self):
         catalog = quality_catalog(rating_noise=5.0)
@@ -126,8 +129,9 @@ class TestMechanics:
             prior=PRIOR, slate=("X",),
         )
         trace = simulate(catalog, cfg)
-        assert trace.summary.purchase_count > 0
-        assert trace.summary.final_states["X"] == (3, 2.0)
+        summary = summarize(trace)
+        assert summary.purchase_count > 0
+        assert final_states(summary)["X"] == (3, 2.0)
 
     def test_rerank_policy_reorders_as_reviews_accrue(self):
         catalog = Catalog(
@@ -145,7 +149,7 @@ class TestMechanics:
         )
         trace = simulate(catalog, cfg)
         assert len(trace.records) == 500
-        assert trace.summary.purchase_count > 0
+        assert summarize(trace).purchase_count > 0
 
 
 class TestDeterminism:
@@ -154,7 +158,7 @@ class TestDeterminism:
         first = simulate(demo, cfg)
         second = simulate(demo, cfg)
         assert trace_table(first) == trace_table(second)
-        assert first.summary == second.summary
+        assert summarize(first) == summarize(second)
 
     def test_unfrozen_run_reproduces_bytes(self):
         catalog = quality_catalog()
@@ -247,6 +251,17 @@ class TestValidation:
             simulate(demo, frozen_config(seed=-1))
 
     @pytest.mark.parametrize(
+        "horizon, message",
+        [(0, "horizon must be >= 1, got 0"), (2**64, f"horizon must be < 2**64, got {2**64}")],
+    )
+    def test_horizon_out_of_range_rejected(self, demo, horizon, message):
+        # Customer t's number is a uint64 counter word: a 2**64 horizon ran without end.
+        _validate_config(demo, frozen_config(horizon=2**64 - 1))
+        with pytest.raises(ValueError) as excinfo:
+            _validate_config(demo, frozen_config(horizon=horizon))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             (dict(horizon=True), "horizon must be an integer, got True"),
@@ -291,10 +306,11 @@ class TestSummarize:
             prior=PRIOR, slate=("X",), freeze_beliefs=True,
         )
         trace = simulate(catalog, cfg)
-        assert trace.summary.purchase_count == 0
-        assert trace.summary.gross_revenue == 0.0
-        assert trace.summary.platform_revenue == 0.0
-        assert trace.summary.purchase_rate == 0.0
+        summary = summarize(trace)
+        assert summary.purchase_count == 0
+        assert summary.gross_revenue == 0.0
+        assert summary.platform_revenue == 0.0
+        assert summary.purchase_rate == 0.0
 
     def test_share_weighting(self):
         catalog = Catalog(
@@ -306,12 +322,15 @@ class TestSummarize:
             prior=PRIOR, slate=("X",), freeze_beliefs=True,
         )
         trace = simulate(catalog, cfg)
-        assert trace.summary.gross_revenue == 100.0
-        assert trace.summary.platform_revenue == pytest.approx(20.0, abs=1e-12)
+        summary = summarize(trace)
+        assert summary.gross_revenue == 100.0
+        assert summary.platform_revenue == pytest.approx(20.0, abs=1e-12)
 
     def test_summarize_recomputes_summary(self, demo):
         trace = simulate(demo, frozen_config(horizon=100))
-        assert summarize(trace) == trace.summary
+        # Nothing is cached on the trace: each call builds an equal summary anew.
+        summary = summarize(trace)
+        assert summarize(trace) == summary and summarize(trace) is not summary
 
     def test_posterior_means_reported(self):
         catalog = quality_catalog()
@@ -320,10 +339,11 @@ class TestSummarize:
             prior=PRIOR, slate=("X",),
         )
         trace = simulate(catalog, cfg)
-        count, mean = trace.summary.final_states["X"]
+        summary = summarize(trace)
+        count, mean = final_states(summary)["X"]
         weight = 1.0 / (PRIOR.precision_ratio * count + 1.0)
         expected = weight * PRIOR.prior_mean + (1 - weight) * mean
-        assert trace.summary.posterior_means["X"] == pytest.approx(expected, abs=1e-15)
+        assert posterior_means(summary)["X"] == pytest.approx(expected, abs=1e-15)
 
 
 class TestConvergence:
@@ -347,8 +367,9 @@ class TestConvergence:
             prior=PRIOR, slate=("X",),
         )
         trace = simulate(catalog, cfg)
-        assert trace.summary.purchase_count == 1500
-        assert abs(trace.summary.posterior_means["X"] - 4.0) < 0.05
+        summary = summarize(trace)
+        assert summary.purchase_count == 1500
+        assert abs(posterior_means(summary)["X"] - 4.0) < 0.05
 
 
     def test_live_rerank_leaves_loaded_catalog_unchanged(self):
