@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from numbers import Real
 from operator import mul
@@ -28,13 +29,6 @@ from .demand import purchase_prob  # noqa: F401
 ENUMERATION_LIMIT = 50_000_000
 MAX_UNIVERSE = 12
 MAX_SLOTS = 8
-
-# Parent slates one step of the oracle's walk extends together.
-_BLOCK = 512
-# The walk packs a slate into one int64, this many bits per slot.
-_CODE_BITS = 4
-_CODE_MASK = (1 << _CODE_BITS) - 1
-assert MAX_UNIVERSE <= _CODE_MASK + 1 and MAX_SLOTS * _CODE_BITS < 63
 
 _PMF_TOL = 1e-12
 _FORM_AGREEMENT_TOL = 1e-10
@@ -140,8 +134,8 @@ def _cascade_prefix(lambdas: Sequence[float]) -> list[float]:
     """No-purchase mass before each slot and after the last: the one scalar cascade walk.
 
     Slot k converts with ``prefix[k] * lam_k`` and earns ``prefix[k] * lam_k
-    * price_k * share_k``, in the operation order the oracle walk
-    (`_best_slate`) and the simulator's frozen walk repeat on arrays.
+    * price_k * share_k``, in the operation order the oracle's search
+    (`_best_slate`) repeats and the simulator's frozen walk repeats on arrays.
     """
     return list(accumulate((1.0 - lam for lam in lambdas), mul, initial=1.0))
 
@@ -172,7 +166,7 @@ def _mixture_value(terms: Sequence[float], dist: AttentionSpanDist) -> float:
     """Span-pmf mixture of fixed-span revenues, via the cumulative ``_slot_revenues``.
 
     The exact scorer: expected_revenue reports it, and brute_force_optimize
-    re-scores every candidate of its approximate walk with it, so optimizer
+    re-scores every candidate of its approximate search with it, so optimizer
     comparisons and reported slate values ride the identical arithmetic
     path.  The running sum starts at 0.0, so a -0.0 term adds to +0.0.
     """
@@ -228,8 +222,7 @@ class OptimizeResult:
     enumerated: int
     compare_value: float | None = None
     gap: float | None = None
-    # Slates the walk approximated; the rest of `enumerated` were bounded out.
-    # 0 when `_sorted_slate` certified the result and no walk ran.
+    # Slates the search approximated, the rest being bounded out; 0 if `_sorted_slate` certified.
     scored: int | None = None
 
 
@@ -260,7 +253,16 @@ def _lambda_table(catalog: Catalog, depth: int, prior: BeliefPrior | None, cost:
     return table
 
 
-# Infinite prices (Product accepts them) give inf and NaN approximations.
+@lru_cache(maxsize=MAX_UNIVERSE)
+def _subset_levels(count: int) -> list:
+    """For each t < count: the bitmasks of t rows, the rows each leaves free, and each grown by each."""
+    masks = np.arange(1 << count)
+    levels = [masks[np.bitwise_count(masks) == t] for t in range(count)]
+    free = [np.nonzero((m[:, None] >> np.arange(count) & 1) == 0)[1].reshape(len(m), -1) for m in levels]
+    return [(m, f, m[:, None] | 1 << f) for m, f in zip(levels, free)]
+
+
+# Infinite prices (Product accepts them) give inf and NaN approximations and bounds.
 @np.errstate(invalid="ignore", over="ignore")
 def _best_slate(
     ids: Sequence[str],
@@ -272,131 +274,105 @@ def _best_slate(
 ) -> tuple[float, tuple[str, ...], int, int]:
     """The best (value, slate) by the exact score, and the slates scored and bounded.
 
-    Walks the ordered-slate tree depth first, extending up to _BLOCK parents
-    at a time, with codes packed _CODE_BITS bits per slot (first slot
-    highest).  Each node carries its used-product bitmask, the no-purchase
-    mass ``pre`` and the cumulative revenue ``run``, updated in the scalar
-    code's operation order, so ``run`` equals `_mixture_value`'s cumulative
-    value bit for bit.  ``fixed`` holds the pmf mass times the cumulative
-    value at every span the slate has passed; adding the remaining tail
-    mass times ``run`` gives the approximation.  Memory stays bounded by
-    _BLOCK times depth.
+    Bound.  With r_i = price_i * share_i, ``value[S]`` is the most a unit of
+    no-purchase mass earns from slot |S| + 1 on, rows S used: 0 at |S| =
+    reach = min(depth, max span), else the max over i not in S of ``tail(|S|
+    + 1) * lam[|S|][i] * r_i + (1 - lam[|S|][i]) * value[S | i]`` (Held and
+    Karp's subset recurrence, 1962, on Kempe and Mahdian's cascade, 2008).
 
-    Scoring.  Each approximation lies within (len(pmf) + 4) ulps, relative,
-    of the exact fsum value (every term is >= 0), so the slate with the
-    largest exact value never falls below the running maximum of
-    approximations times 1 - (2 * len(pmf) + 10) * 2**-53.  The margin
-    doubles that, and only the slates above it are re-scored.
+    Search.  Depth first in plain Python; each node carries its used rows,
+    the no-purchase mass ``pre``, the cumulative revenue ``run`` (in the
+    scalar code's operation order, so bit-equal to `_mixture_value`'s) and
+    ``fixed``, the pmf mass times the cumulative value at each span passed.
+    At length m, ``approx = fixed + tail(m) * run``, and a child c with
+    ``bound * rise + tiny < floor`` is dropped, its extensions counted:
+    ``bound = approx + pre * value[used(c)]`` is exact in real arithmetic
+    and ``floor = running_max * (1 - margin)``.  A slate longer than reach
+    scores exactly its prefix of that length, which sorts first, so the
+    search stops there.  ``running_max`` starts at the exact score of the
+    path along the argmax of ``value``, which seeds the best slate too if
+    finite, and rises with every finite approximation.  An approximation
+    lies within (L + 4) ulps, relative, of the exact fsum value (every term
+    is >= 0), so the best slate never falls below running_max * (1 - (2L +
+    10) u); the margin doubles that, and a slate is re-scored exactly
+    unless ``approx + tiny < floor``, which a NaN never is.
 
-    Bounding.  A slate longer than the longest span is worth exactly its
-    prefix of that length, which sorts first, so the walk stops at that
-    length.  Before recursing, every child of length m gets the bound
-    ``fixed + tail(m) * (run + pre * unit[m])``.  Here ``unit[t] = max(0,
-    max_i lam[t][i] * r_i + (1 - lam[t][i]) * unit[t + 1])``, with ``r_i =
-    price_i * share_i``, is the most revenue one unit of no-purchase mass
-    can still earn in slots t.. if products may repeat.  A child with
-    ``bound * rise + tiny < running_max * (1 - margin)`` is dropped, and
-    its extensions are counted, not walked.
-
-    Proof that every extension e of a dropped child c scores strictly
-    below the reported best.  Every price, share and lambda is >= 0 and
-    every lambda <= 1 (brute_force_optimize checks this), so every term is
-    >= 0.  Write u = 2**-53, N for the depth the walk reaches, L =
-    len(pmf), scale = max(1, max price) * max(1, max share), and ``c_j =
-    1 - lam`` for the float both codes compute.  A float operation on such
-    operands is exact up to a factor in [1 - u, 1 + u] plus, for a product
-    below the normal range, at most 2**-1075; fsum and ``dist.tail`` round
-    once.  Leaving out the underflow terms:
-    (1) e's cumulative values never decrease, and up to length m they are
-        c's, so with T the real tail mass at m, score(e) <= (1 + u)**2 *
-        (sum_{y<m} h_y cum_y + T cum_e), where sum_{y<m} h_y cum_y <=
-        fixed / (1 - u)**(m + 1) and T <= tail(m) / (1 - u).
-    (2) Unrolling e's k = len(e) - m <= N - m further slots, cum_e <= (1 +
-        u)**(k + 3) / (1 - u) * (run + pre * W), where W = sum_j lam_j
-        r_j prod_{i<j} c_i is one path of the ``unit`` recurrence taken in
-        real arithmetic, so W is at most that recurrence's value, which is
-        at most ``unit[m]`` / (1 - u)**(2 (N - m)).
-    (3) The bound's four operations lose at most a factor (1 - u)**4.
-    So score(e) <= bound * (1 + u)**(N + 4) / (1 - u)**(2N + 4) <= bound
-    * (1 + (6N + 16) u), which is below ``bound * rise`` rounded, with
-    rise = 1 + (8N + 40) u.  Underflow adds at most (2L + 200) * scale *
-    2**-1075 over e's score, the bound and the running maximum; tiny =
-    (L + 128) * scale * 2**-1066 covers it.
-    (4) The running maximum is the approximation of a slate s that was
-        re-scored, so it is at most score(s) * (1 + (2L + 10) u), and the
-        rounded ``running_max * (1 - margin)`` is below score(s) <= the
-        reported best.
-    Hence score(e) < best: e can neither win nor tie, and the result is
-    that of the full walk.  A NaN or infinite bound, or a non-finite input
-    (tiny is then inf or NaN), compares false and drops nothing.
+    Proof that every extension e of a dropped child c scores below the
+    reported best.  Every price, share and lambda is >= 0 and every lambda
+    <= 1 (brute_force_optimize checks this).  Write u = 2**-53, N = reach,
+    k = len(e) - m <= N - m, L = len(pmf), T_y for the real tail mass at y,
+    scale = max(1, max finite price) * max(1, max finite share), and c_j =
+    1 - lam_j as computed.  A float operation is exact up to a factor in [1
+    - u, 1 + u] plus, for a product below the normal range, 2**-1075; fsum
+    and ``dist.tail`` round once.  Leaving out underflow:
+    (1) e's cumulative values never decrease and up to m are c's, so
+        score(e) <= (1 + u)**2 (sum_{y<m} h_y cum_y + sum_{y>=m} h_y
+        cum_min(y,m+k)), and the first sum is <= fixed / (1 - u)**(m + 1).
+    (2) Each of e's k additions rounds up by at most 1 + u, and its term at
+        slot j by (1 + u)**(j - m + 2) over pre lam_j r_j prod_{m<i<j} c_i,
+        so the second sum is <= (1 + u)**(2k + 2) (T_m run + pre W), where
+        W = sum_j T_j lam_j r_j prod_{m<i<j} c_i is one path of the real
+        subset recurrence from used(c), so at most its value.
+    (3) Each level rounds the gain four times and the rest twice, so
+        ``value[S]`` >= (1 - u)**(2 (N - |S|) + 2) times that real value.
+    (4) The bound loses at most (1 - u)**4, tail(m) >= (1 - u) T_m included.
+    So score(e) <= bound * (1 + u)**(2N + 2) / (1 - u)**(2N + 4) <= bound *
+    (1 + (4N + 7) u), below ``bound * rise`` rounded, rise = 1 + (8N + 40)
+    u.  Underflow adds at most (2L + 4N + 200) * scale * 2**-1075 over e's
+    score, the bound and the running maximum, less to an approximation, and
+    tiny = (L + 128) * scale * 2**-1066 covers either.
+    (5) running_max is the seed's exact score or the approximation of a
+        re-scored slate s, at most score(s) * (1 + (2L + 10) u), so the
+        rounded floor is below score(s) <= the reported best.
+    So e can neither win nor tie.  A NaN or infinite bound drops nothing.
     """
     count = len(prices)
-    lam_table = np.array(lam, dtype=float)
-    price = np.array(prices, dtype=float)
-    share = np.array(shares, dtype=float)
-    onehot = np.left_shift(1, np.arange(count, dtype=np.int64))
-    mass = dict(dist.pmf)
-    head = [mass.get(d, 0.0) for d in range(depth)]
+    head = [dict(dist.pmf).get(d, 0.0) for d in range(depth)]
     tail = [dist.tail(m) for m in range(depth + 1)]
     reach = min(depth, dist.max_span)
     # below[m]: the extensions of one slate of length m, up to length depth.
     below = [enumeration_count(count - m, depth - m) for m in range(depth + 1)]
-    per_sale = price * share
-    unit = np.zeros(reach + 1)
+    lam_table, per_sale = np.array(lam), np.array(prices) * np.array(shares)
+    gains = [tail[t + 1] * lam_table[t] * per_sale for t in range(reach)]
+    table = np.zeros(1 << count)
     for t in range(reach - 1, -1, -1):
-        step = lam_table[t] * per_sale + (1.0 - lam_table[t]) * unit[t + 1]
-        unit[t] = np.maximum(0.0, step.max())
-    margin = (4 * len(dist.pmf) + 16) * 2.0**-53
-    rise = 1.0 + (8 * reach + 40) * 2.0**-53
-    scale = np.maximum(1.0, price.max()) * np.maximum(1.0, share.max())
+        level, free, grown = _subset_levels(count)[t]
+        table[level] = (gains[t][free] + (1.0 - lam_table[t])[free] * table[grown]).max(axis=1)
+    value = table.tolist()
+    margin, rise = (4 * len(dist.pmf) + 16) * 2.0**-53, 1.0 + (8 * reach + 40) * 2.0**-53
+    scale = math.prod(max([1.0, *(x for x in column if x < math.inf)]) for column in (prices, shares))
     tiny = (len(dist.pmf) + 128) * scale * 2.0**-1066
+    path, used = [], 0
+    for t, gain in enumerate(gains):
+        free = [i for i in range(count) if not used >> i & 1]
+        path.append(max(free, key=lambda i: gain.item(i) + (1.0 - lam[t][i]) * value[used | 1 << i]))
+        used |= 1 << path[-1]
+    seed = _exact_score(path, lam, prices, shares, dist)
+    best_value, best_slate = (seed, tuple(ids[i] for i in path)) if math.isfinite(seed) else (-math.inf, ())
+    running_max, floor, scored, bounded = best_value, best_value * (1.0 - margin), 0, 0
 
-    running_max = -math.inf
-    best_value = -math.inf
-    best_slate: tuple[str, ...] = ()
-    scored = bounded = 0
+    def search(d, used, pre, run, fixed, rows):
+        nonlocal running_max, floor, best_value, best_slate, scored, bounded
+        row, step, fixed = lam[d], tail[d + 1], fixed + head[d] * run
+        for i in [j for j in range(count) if not used >> j & 1]:
+            run_c = run + pre * row[i] * prices[i] * shares[i]
+            approx = fixed + step * run_c
+            scored += 1
+            if running_max < approx < math.inf:
+                running_max, floor = approx, approx * (1.0 - margin)
+            if not approx + tiny < floor:
+                score = _exact_score([*rows, i], lam, prices, shares, dist)
+                slate = tuple(ids[j] for j in [*rows, i])
+                if score > best_value or (score == best_value and slate < best_slate):
+                    best_value, best_slate = score, slate
+            pre_c = pre * (1.0 - row[i])
+            if d + 1 < reach and not (approx + pre_c * value[used | 1 << i]) * rise + tiny < floor:
+                search(d + 1, used | 1 << i, pre_c, run_c, fixed, [*rows, i])
+            else:
+                bounded += below[d + 1]
 
-    def score(length, codes, approx):
-        nonlocal running_max, best_value, best_slate
-        top = float(approx.max(where=np.isfinite(approx), initial=-math.inf))
-        running_max = max(running_max, top)
-        # NaN compares false, so a non-finite approximation is always re-scored.
-        candidates = ~(approx < running_max * (1.0 - margin))
-        shifts = range(_CODE_BITS * (length - 1), -1, -_CODE_BITS)
-        for code in codes[candidates].tolist():
-            row = [code >> shift & _CODE_MASK for shift in shifts]
-            slate = tuple(ids[i] for i in row)
-            value = _exact_score(row, lam, prices, shares, dist)
-            if value > best_value or (value == best_value and slate < best_slate):
-                best_value = value
-                best_slate = slate
-
-    def walk(d, used, pre, run, fixed, codes):
-        nonlocal scored, bounded
-        for lo in range(0, len(used), _BLOCK):
-            parent, item = np.nonzero((used[lo : lo + _BLOCK, None] & onehot) == 0)
-            parent += lo
-            lam_c = lam_table[d, item]
-            pre_p = pre[parent]
-            run_c = run[parent] + pre_p * lam_c * price[item] * share[item]
-            fixed_c = fixed[parent] + head[d] * run[parent]
-            codes_c = (codes[parent] << _CODE_BITS) | item
-            score(d + 1, codes_c, fixed_c + tail[d + 1] * run_c)
-            scored += len(codes_c)
-            if d + 1 == reach:
-                bounded += len(codes_c) * below[d + 1]
-                continue
-            pre_c = pre_p * (1.0 - lam_c)
-            bound = fixed_c + tail[d + 1] * (run_c + pre_c * unit[d + 1])
-            keep = ~(bound * rise + tiny < running_max * (1.0 - margin))
-            bounded += (len(keep) - int(np.count_nonzero(keep))) * below[d + 1]
-            walk(
-                d + 1, (used[parent] | onehot[item])[keep], pre_c[keep],
-                run_c[keep], fixed_c[keep], codes_c[keep],
-            )
-
-    root = np.zeros(1, dtype=np.int64)
-    walk(0, root, np.ones(1), np.zeros(1), np.zeros(1), root)
+    search(0, 0, 1.0, 0.0, 0.0, [])
+    del search  # its closure holds it: free the cycle now, not at a later collection
     return best_value, best_slate, scored, bounded
 
 
@@ -408,7 +384,7 @@ def _sorted_slate(
     dist: AttentionSpanDist,
     depth: int,
 ) -> tuple[float, tuple[str, ...]] | None:
-    """`_best_slate`'s (value, slate) without the walk, when it can be proven; else None.
+    """`_best_slate`'s (value, slate) without the search, when it can be proven; else None.
 
     Applies when demand is slot-independent (every row of ``lam`` equals
     slot 1's), the span is one point y of mass 1.0, every lambda_i and
@@ -428,7 +404,7 @@ def _sorted_slate(
     (16N + 16) u V[0][N] + (N + 10)**2 * scale * 2**-1073``, with u =
     2**-53 and scale as in `_best_slate`.
 
-    Proof that S is then the walk's answer.  In real arithmetic let W be
+    Proof that S is then the search's answer.  In real arithmetic let W be
     the optimum V[0][N] and G the gap of the real programme's path.
     (1) Exchanging an adjacent pair (a, b) with r_a > r_b into r order
         raises a slate's value by P lam_a lam_b (r_a - r_b) >= 0, P the
@@ -464,7 +440,7 @@ def _sorted_slate(
         score(T) for every T != S: S alone scores highest.
     (4) Nothing overflows: every term and cell is at most max r (1 +
         u)**(4N), and every running sum at most 2N max r.
-    So S and its exact score are the walk's result.
+    So S and its exact score are the search's result.
     """
     chance = lam[0]
     if len(dist.pmf) != 1 or dist.pmf[0][1] != 1.0:
@@ -531,20 +507,19 @@ def brute_force_optimize(
 
     Enumerates all nonempty ordered selections of at most slot_count
     products; ties break toward the lexicographically smallest id sequence,
-    so the result is independent of evaluation order.  A blocked numpy walk
-    approximates each slate's value; the slates within a proven margin of
-    the best approximation are re-scored by the exact `_mixture_value`, which
-    alone decides.  The walk skips every subtree whose proven upper bound
-    lies below the best found so far, and counts its slates instead, so
-    ``enumerated`` is still every slate and ``scored`` those it walked.
-    Under slot-independent demand and a point span, `_sorted_slate` first
-    tries to prove the walk's answer from the price * share order; when it
-    can, no walk runs and ``scored`` is 0.  Negative prices or shares, and
-    purchase probabilities outside [0, 1], are refused: the bounds hold for
-    nonnegative cascade terms only.  So are catalogs that list an id twice,
-    and a ``compare`` slate longer than slot_count, which the optimum may
-    not match.  Refuses universes beyond the guard limits rather than
-    truncating silently.
+    so the result is independent of evaluation order.  A depth-first search
+    (`_best_slate`) approximates each slate's value and re-scores those
+    within a proven margin of the best by the exact `_mixture_value`, which
+    alone decides.  It counts, not searches, every subtree whose exact
+    subset-DP bound lies below the best so far, so ``enumerated`` is still
+    every slate and ``scored`` those it approximated.  Under slot-independent
+    demand and a point span, `_sorted_slate` first tries to prove the answer
+    from the price * share order; when it can, no search runs and ``scored``
+    is 0.  Negative prices or shares, and purchase probabilities outside [0,
+    1], are refused: the bounds hold for nonnegative cascade terms only.  So
+    are catalogs that list an id twice, and a ``compare`` slate longer than
+    slot_count, which the optimum may not match.  Refuses universes beyond
+    the guard limits rather than truncating silently.
     """
     require_int("slot_count", slot_count, least=1)
     if compare is not None and len(compare) > slot_count:

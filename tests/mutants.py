@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, each of which must fail
 
 
+OPTIMIZE_ORACLE = "tests/test_optimize_oracle.py::test_engine_matches_oracle"
 SORTED_ORACLE = "tests/test_optimize_oracle.py::test_sorted_path_matches_oracle"
 SORTED_TIES = "tests/test_optimize_oracle.py::test_sorted_path_falls_back_on_exact_ties"
 REBUILT_CATALOG = "tests/test_ranker_oracle.py::test_review_writes_match_a_rebuilt_catalog"
@@ -105,11 +106,53 @@ MUTANTS = (
         ("tests/test_ranker_oracle.py::test_record_free_picks_and_removals_keep_the_pool_in_step",),
     ),
     Mutant(
-        "walk-counts-one-slot-too-deep",
+        "search-counts-one-slot-too-deep",
         "revenue.py",
         "enumeration_count(count - m, depth - m)",
         "enumeration_count(count - m, depth - m + 1)",
-        ("tests/test_optimize_oracle.py::test_engine_matches_oracle",),
+        (OPTIMIZE_ORACLE,),
+    ),
+    Mutant(
+        "subset-dp-reads-the-next-slots-tail",
+        "revenue.py",
+        "gains = [tail[t + 1] * lam_table[t]",
+        "gains = [tail[min(t + 2, depth)] * lam_table[t]",
+        (OPTIMIZE_ORACLE, "tests/test_optimize_oracle.py::test_benchmark_sized_random_catalogs"),
+    ),
+    Mutant(
+        "floor-seeded-from-the-dp-float-optimum",
+        "revenue.py",
+        "seed = _exact_score(path, lam, prices, shares, dist)",
+        "seed = value[0]",
+        (OPTIMIZE_ORACLE,),
+    ),
+    Mutant(
+        "bound-drops-its-rounding-factor",
+        "revenue.py",
+        "* rise + tiny < floor:",
+        "+ tiny < floor:",
+        ("tests/test_optimize_oracle.py::test_bound_keeps_a_subtree_within_its_rounding_allowance",),
+    ),
+    Mutant(
+        "candidates-without-the-underflow-allowance",
+        "revenue.py",
+        "if not approx + tiny < floor:",
+        "if not approx < floor:",
+        ("tests/test_optimize_oracle.py::test_subnormal_approximation_does_not_hide_a_shorter_tie",),
+    ),
+    Mutant(
+        "search-seeds-a-non-finite-score",
+        "revenue.py",
+        "if math.isfinite(seed) else",
+        "if True else",
+        ("tests/test_optimize_oracle.py::test_infinite_approximation_does_not_hide_a_finite_winner",),
+    ),
+    Mutant(
+        "search-left-in-a-reference-cycle",
+        "revenue.py",
+        "    del search  #",
+        "    pass  #",
+        ("tests/test_optimize_oracle.py::test_search_leaves_no_reference_cycle",),
     ),
     Mutant(
         "stage-1-key-without-the-id-tie-break",
@@ -185,11 +228,11 @@ MUTANTS = (
         ("tests/test_metamorphic.py::test_power_of_two_prices_scale_optimize_values",),
     ),
     Mutant(
-        "walk-stops-one-slot-short",
+        "search-stops-one-slot-short",
         "revenue.py",
-        "if d + 1 == reach:",
-        "if d + 2 >= reach:",
-        ("tests/test_acceptance.py::test_criterion_08_as_a_property",),
+        "if d + 1 < reach and not",
+        "if d + 2 < reach and not",
+        (OPTIMIZE_ORACLE,),
     ),
     Mutant(
         "deterministic-span-accepts-a-bool",
@@ -450,7 +493,7 @@ MUTANTS = (
         "if inside.all() and not (out_of_range.any() or rating[reviews == 0].any()):",
         "if inside.all() and not out_of_range.any():",
         (
-            "tests/test_catalog_oracle.py::test_one_broken_rule_matches_oracle",
+            "tests/test_catalog.py::TestLoadCatalog::test_rating_without_reviews_rejected",
             "tests/test_catalog_oracle.py::test_each_rule_names_the_middle_row",
         ),
     ),

@@ -1,10 +1,12 @@
 """Scalar brute-force slate optimizer, kept as the test oracle.
 
-This is the straightforward implementation the blocked numpy walk in
-``revenue.brute_force_optimize`` replaced: every ordered slate is listed
-with ``itertools.permutations`` and scored from scratch by the scalar
-``mixture_value`` loop of ``reference_cascade``.  Tests require the engine to return the same slate,
-bit-equal values and the same enumeration count.
+This is the straightforward implementation that the bounded search in
+``revenue.brute_force_optimize`` replaced (a depth-first search under an
+exact subset-DP bound, and before it a blocked numpy walk): every ordered
+slate is listed with ``itertools.permutations`` and scored from scratch by
+the scalar ``mixture_value`` loop of ``reference_cascade``.  Tests require
+the engine to return the same slate, bit-equal values and the same
+enumeration count.
 """
 
 from __future__ import annotations

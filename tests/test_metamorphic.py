@@ -23,9 +23,9 @@ catalog in a way whose effect is known and checks that the outputs follow:
   the largest exact score over the candidate slates; demand depends on
   (product, slot) alone, so every old candidate keeps its inputs and its
   score bits, and a larger set of candidates cannot have a smaller
-  maximum.  The sorted path returns the walk's exact answer, so it does
+  maximum.  The sorted path returns the search's exact answer, so it does
   not matter which path each side takes (adding a twin moves a pinned,
-  point-span request from the sorted path to the walk).  A price enters a
+  point-span request from the sorted path to the search).  A price enters a
   slate's score only through its own term prefix * lambda * price * share,
   whose factors are all >= 0; rounding is monotone, so that term, every
   running sum after it and the correctly rounded ``fsum`` of the span
@@ -283,7 +283,7 @@ def test_optimize_value_does_not_fall_with_a_slot_or_a_product(work, pinned, dat
     catalog = data.draw(catalogs(pinned=pinned))
     slots = data.draw(st.integers(1, min(4, catalog.universe_size)))
     # Point spans and a zero cost slope make demand slot-independent, the
-    # sorted path's domain; the rest are the walk's alone.
+    # sorted path's domain; the rest are the search's alone.
     argv = ["--span", data.draw(st.one_of(POINT_SPANS, POINT_SPANS, SPANS))]
     if not pinned:
         argv += ["--prior", "3,1,1", "--cost-slope", data.draw(st.sampled_from(["0", "0", "0.1"]))]

@@ -1,23 +1,26 @@
-"""The blocked brute-force optimizer against the scalar oracle.
+"""The bounded brute-force optimizer against the scalar oracle.
 
 ``reference_oracle`` scores every ordered slate from scratch; every test
 here requires the engine to return the same slate, bit-equal values, the
-same enumeration count and the same warnings.
+same enumeration count and the same warnings.  Where the scalar oracle is
+too slow, ``reference_walk`` (the blocked numpy walk the subset-DP search
+replaced) stands in for it.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_oracle as ref
+import reference_walk
 from assortplan import revenue
 from assortplan.catalog import BeliefPrior, Catalog, Product, demo_catalog
 from assortplan.demand import UTILITY_SCALE_WARN, CostModel, purchase_chance
@@ -57,14 +60,14 @@ def assert_matches_oracle(catalog: Catalog, slots: int, dist: AttentionSpanDist,
     return engine
 
 
-def _walk(catalog: Catalog, slots: int, dist: AttentionSpanDist, prior=None, cost=None) -> tuple:
-    """``revenue._best_slate`` on brute_force_optimize's inputs: the walk, whether or not
-    the sorted path would certify them.  Returns (value, slate, scored, bounded)."""
+def _walk(catalog: Catalog, slots: int, dist: AttentionSpanDist, prior=None, cost=None, solver=None) -> tuple:
+    """``revenue._best_slate`` (or ``solver``) on brute_force_optimize's inputs: the search,
+    whether or not the sorted path would certify them.  Returns (value, slate, scored, bounded)."""
     columns = catalog.columns
     depth = min(slots, catalog.universe_size)
     lam = revenue._lambda_table(catalog, depth, prior, cost or CostModel())
     prices, shares = columns.price.tolist(), columns.share.tolist()
-    return revenue._best_slate(columns.ids, lam, prices, shares, dist, depth)
+    return (solver or revenue._best_slate)(columns.ids, lam, prices, shares, dist, depth)
 
 
 @st.composite
@@ -73,7 +76,7 @@ def catalogs(draw, pinned: bool) -> Catalog:
 
     In the "identical" mode every product has the same fields, so every
     slate ties with all others of its length and the bound drops no
-    subtree; only slates past the longest span go unwalked.
+    subtree; only slates past the longest span go unsearched.
     """
     mode = draw(st.sampled_from(["mixed", "mixed", "zero-prices", "identical"]))
     ids = draw(st.lists(st.text("ABCab", min_size=1, max_size=2), min_size=1, max_size=5, unique=True))
@@ -127,9 +130,9 @@ def problems(draw) -> tuple:
     return catalog, slots, draw(spans()), kwargs
 
 
-# Four identical products walked one parent at a time: every slate ties
-# with all others of its length, and a bound that ignored float rounding
-# dropped the subtree of the smallest ids.
+# Four identical products: every slate ties with all others of its
+# length, and a bound that ignored float rounding dropped the subtree of
+# the smallest ids.
 @example(
     problem=(
         Catalog(
@@ -143,14 +146,11 @@ def problems(draw) -> tuple:
         AttentionSpanDist.deterministic(4),
         {},
     ),
-    block=1,
 )
-@given(problems(), st.sampled_from([1, 3, revenue._BLOCK]))
-def test_engine_matches_oracle(problem, block):
+@given(problems())
+def test_engine_matches_oracle(problem):
     catalog, slots, dist, kwargs = problem
-    # The block size sets the walk order, and with it which bounds prune.
-    with mock.patch.object(revenue, "_BLOCK", block):
-        assert_matches_oracle(catalog, slots, dist, **kwargs)
+    assert_matches_oracle(catalog, slots, dist, **kwargs)
 
 
 @pytest.mark.parametrize("solver", [brute_force_optimize, ref.brute_force_optimize], ids=["engine", "oracle"])
@@ -243,13 +243,102 @@ def test_benchmark_sized_random_catalogs():
         result = assert_matches_oracle(Catalog(products), 5, dist, prior=prior, cost=CostModel(0.2))
         if size == 10 and dist.kind == "deterministic":
             # Pinned demand and a point span: the sorted path certifies the
-            # result, so the walk is run on the same inputs by itself.
+            # result, so the search is run on the same inputs by itself.
             assert result.scored == 0
             value, slate, scored, bounded = _walk(Catalog(products), 5, dist)
             assert (slate, value.hex()) == (result.slate, result.value.hex())
             assert 0 < scored < scored + bounded == result.enumerated
         else:
             assert 0 < result.scored < result.enumerated
+        if size == 9:
+            # The subset-DP bound drops every sibling off the optimum's path:
+            # the search scores the children of at most reach = 5 nodes.
+            assert result.scored <= size * 5
+
+
+def test_catalog_at_the_guard_limit_matches_the_walk():
+    # n = 12, k = 8 has 19,958,400 slates, past what the scalar oracle lists in
+    # time; the blocked walk the search replaced stands in for it.  Logit demand
+    # and a span pmf keep the sorted path out.  Three twin pairs tie exactly,
+    # and four zero prices add slates that earn nothing in some slots.
+    rng = np.random.default_rng(28)
+    products = [
+        Product(
+            id=f"P{i:02d}",
+            price=0.0 if i < 4 else float(rng.uniform(1.0, 5.0)),
+            review_count=int(rng.integers(1, 5000)),
+            avg_rating=float(rng.uniform(1.0, 5.0)),
+            revenue_share=float(rng.uniform(0.05, 1.0)),
+        )
+        for i in range(9)
+    ]
+    products += [Product(**{**vars(p), "id": p.id + "t"}) for p in products[4:7]]
+    catalog = Catalog(tuple(products[i] for i in rng.permutation(12)))
+    prior, cost = BeliefPrior(3.0, 1.0, 4.0), CostModel(0.2)
+    dist = AttentionSpanDist.from_pmf({3: 0.2, 6: 0.3, 8: 0.5})
+    result = brute_force_optimize(catalog, 8, dist, prior=prior, cost=cost)
+    value, slate, scored, bounded = _walk(catalog, 8, dist, prior, cost, solver=reference_walk.blocked_walk)
+    assert (result.slate, result.value.hex()) == (slate, value.hex())
+    assert result.enumerated == scored + bounded == enumeration_count(12, 8)
+    assert 0 < result.scored < scored
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_search_matches_the_walk_on_larger_catalogs(data):
+    # 8 to 12 products, past what the scalar oracle lists quickly: pinned or
+    # logit demand, up to three twins and four zero prices, and a point or pmf
+    # span.  Slate, value bits and slate count must equal the blocked walk's.
+    size, twins, zeros = data.draw(st.integers(8, 12)), data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+    pinned = data.draw(st.booleans())
+    products = [
+        Product(
+            id=f"P{i:02d}",
+            price=0.0 if i < zeros else data.draw(st.floats(0.5, 10.0)),
+            review_count=data.draw(st.integers(1, 500)),
+            avg_rating=data.draw(st.floats(1.0, 5.0)),
+            revenue_share=data.draw(st.floats(0.05, 1.0)),
+            demand_override=data.draw(DEMANDS) if pinned else None,
+        )
+        for i in range(size - twins)
+    ]
+    products += [Product(**{**vars(p), "id": p.id + "t"}) for p in products[-twins:]] if twins else []
+    catalog = Catalog(tuple(data.draw(st.permutations(products))))
+    prior = None if pinned else BeliefPrior(data.draw(st.floats(-2.0, 6.0)), 1.0, 4.0)
+    cost = CostModel(data.draw(st.sampled_from([0.0, 0.1, 0.25])))
+    slots, dist = data.draw(st.integers(1, 6)), data.draw(spans())
+    result = brute_force_optimize(catalog, slots, dist, prior=prior, cost=cost)
+    value, slate, scored, bounded = _walk(catalog, slots, dist, prior, cost, solver=reference_walk.blocked_walk)
+    assert (result.slate, result.value.hex()) == (slate, value.hex())
+    assert result.enumerated == scored + bounded
+
+
+def test_bound_keeps_a_subtree_within_its_rounding_allowance():
+    # (B, A) is best.  A's subtree is worth at most 0.5 p_A + 1, 48 ulps below
+    # the optimum 2 + 0.25 p_A: past the floor's margin (20 ulps at one span)
+    # but inside the bound's rounding allowance (56 ulps at reach 2).  So the
+    # search scores A's two children as well as B's, 3 + 2 + 2 slates.
+    catalog = _pinned(("A", 4.0 - 144 * 2.0**-51, 0.5), ("B", 4.0, 0.5), ("C", 1.0, 0.5))
+    dist = AttentionSpanDist.deterministic(2)
+    value, slate, scored, bounded = _walk(catalog, 2, dist)
+    assert (slate, scored, bounded) == (("B", "A"), 7, 2)
+    result = assert_matches_oracle(catalog, 2, dist)
+    assert (result.slate, result.value.hex()) == (slate, value.hex())
+
+
+def test_subnormal_approximation_does_not_hide_a_shorter_tie():
+    # A earns about 6.25e-311, below the normal range, and B nothing: (A,) and
+    # (A, B) score the same bits.  (A,)'s approximation lies a unit of 2**-1074
+    # below the exact score of (A, B), the seed, far beyond the relative margin;
+    # the absolute allowance keeps it a candidate, and the shorter slate wins.
+    catalog = Catalog(
+        (
+            Product(id="A", price=2.5e-310, review_count=1, avg_rating=1.0, revenue_share=0.5, demand_override=0.5),
+            Product(id="B", price=0.0, review_count=1, avg_rating=1.0, demand_override=0.5),
+        )
+    )
+    result = assert_matches_oracle(catalog, 2, AttentionSpanDist.from_pmf({1: 0.0, 2: 0.5, 3: 0.5}))
+    assert result.slate == ("A",)
 
 
 def test_utility_scale_warnings_match_oracle_order():
@@ -364,18 +453,31 @@ def test_memory_does_not_grow_with_slate_count():
     try:
         result = brute_force_optimize(catalog, 6, dist)
         _, peak = tracemalloc.get_traced_memory()
-        # The sorted path certifies these inputs; the walk must stay small too.
+        # The sorted path certifies these inputs; the search must stay small too.
         tracemalloc.reset_peak()
         value, slate, scored, bounded = _walk(catalog, 6, dist)
-        _, walk_peak = tracemalloc.get_traced_memory()
+        _, search_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.enumerated == enumeration_count(12, 6) == scored + bounded
     assert result.scored == 0
     assert (slate, value.hex()) == (result.slate, result.value.hex())
     assert peak < 16 * 2**20
-    assert walk_peak < 16 * 2**20
+    assert search_peak < 16 * 2**20
 
+
+def test_search_leaves_no_reference_cycle():
+    # The search recurses through a closure; a cycle left behind would hold
+    # its subset table and lists until the collector ran, and the process's
+    # peak memory crept with the request count.
+    catalog = _pinned(("A", 4.0, 0.5), ("B", 3.0, 0.5), ("C", 2.0, 0.25))
+    gc.collect()
+    gc.disable()
+    try:
+        _walk(catalog, 3, AttentionSpanDist.from_pmf({1: 0.5, 3: 0.5}))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 # The sorted path (revenue._sorted_slate): slot-independent demand and a point span.
 SORTED_PRICES = st.one_of(
@@ -435,7 +537,7 @@ def _point(catalog: Catalog, slots: int) -> tuple:
 
 
 # B's price is one ulp above A's: the DP sorts (B, A), but both orders
-# score the same bits, so the walk returns (A, B); only the swap term,
+# score the same bits, so the search returns (A, B); only the swap term,
 # 0.25 * (r_B - r_A), tells the certificate so.
 @example(_point(_pinned(("A", 3.3, 0.5), ("B", math.nextafter(3.3, math.inf), 0.5)), 2))
 # A subnormal price: AA's term (about 2.5e-313) vanishes when added to A's
@@ -444,7 +546,7 @@ def _point(catalog: Catalog, slots: int) -> tuple:
 @example(_point(_pinned(("A", 1.0, 0.999), ("AA", 2.5e-310, 1.0)), 2))
 # The optimum skips the larger r: the path takes a row only on a strict rise.
 @example(_point(_pinned(("A", 10.0, 0.01), ("B", 5.0, 0.9)), 1))
-# Shared r: the walk decides, though the unique best (B,) has its own r.
+# Shared r: the search decides, though the unique best (B,) has its own r.
 @example(_point(_pinned(("A", 1.0, 1.0), ("B", 2.0, 1.0), ("AA", 1.0, 1.0)), 1))
 @settings(max_examples=200)
 @given(sorted_path_problems())
@@ -454,7 +556,7 @@ def test_sorted_path_matches_oracle(problem):
     omega = kwargs["omega"]
     r = [p.price * (omega if omega is not None else p.revenue_share) for p in catalog.products]
     if len(set(r)) < len(r) or not all(0 < x < math.inf for x in r):
-        # Tied (or zero, or infinite) sort keys: the walk decides.
+        # Tied (or zero, or infinite) sort keys: the search decides.
         assert engine.scored > 0
 
 
@@ -475,7 +577,7 @@ def test_sorted_path_falls_back_on_exact_ties():
 def test_benchmark_shaped_pinned_catalogs_certify():
     # The benchmark's pinned requests: n=10, 5 slots, a span of 5, prices and
     # demand rounded as perfbench generates them.  Every one is proven by the
-    # sorted path and agrees with the walk run by itself.
+    # sorted path and agrees with the search run by itself.
     rng = np.random.default_rng(16)
     dist = AttentionSpanDist.deterministic(5)
     for _ in range(20):
