@@ -31,11 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, Product, require_int
-
-POLICY_STAGE1_ORDER = "stage1-order"
-POLICY_PRICE_DESC = "price-desc"
-POLICIES = (POLICY_STAGE1_ORDER, POLICY_PRICE_DESC)
+from .catalog import POLICIES, POLICY_PRICE_DESC, POLICY_STAGE1_ORDER, Catalog, Product, require_int
 
 
 # Below this many addends math.fsum over a list is faster than the kernel.

@@ -23,6 +23,10 @@ import numpy as np
 
 # Review counts are ranked as an int64 column, so they must fit one.
 MAX_REVIEWS = 2**63
+# The ranking policies, re-exported by assortment.py; here so the CLI lists them without the ranker.
+POLICY_STAGE1_ORDER = "stage1-order"
+POLICY_PRICE_DESC = "price-desc"
+POLICIES = (POLICY_STAGE1_ORDER, POLICY_PRICE_DESC)
 
 
 class CatalogError(ValueError):

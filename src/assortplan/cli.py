@@ -4,7 +4,10 @@ Subcommands: ``rank``, ``expected-revenue``, ``optimize``, ``audit``,
 ``simulate``.  Every report embeds a run manifest (command, resolved
 config, catalog digest, engine version) so outputs are self-describing and
 replayable; text reports carry it as a trailing ``# manifest`` line,
-structured reports as a ``manifest`` key.
+structured reports as a ``manifest`` key.  A request imports only the
+engine modules it runs, on first use: ``optimize`` and ``expected-revenue``
+need ``catalog``, ``demand`` and ``revenue``; ``rank`` adds ``assortment``,
+``audit`` adds it and ``collusion``, ``simulate`` it and ``simulator``.
 
 Exit codes: 0 success or clean audit, 1 audit findings, 2 invalid input,
 3 enumeration-guard or internal-consistency violation.  A plain command
@@ -35,12 +38,10 @@ import sys
 import warnings
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__
-from .assortment import POLICIES, POLICY_STAGE1_ORDER, two_stage_select
-from .catalog import BeliefPrior, Catalog, CatalogError, load_catalog, require_int
-from .collusion import audit_ranking, findings_report
+from . import __version__, _on_first_use
+from .catalog import POLICIES, POLICY_STAGE1_ORDER, BeliefPrior, Catalog, CatalogError, load_catalog, require_int
 from .demand import CostModel
 from .revenue import (
     AttentionSpanDist,
@@ -49,7 +50,16 @@ from .revenue import (
     evaluate_slate,
     resolve_inputs,
 )
-from .simulator import SimConfig, SimSummary, simulate, summarize, trace_table
+
+if TYPE_CHECKING:
+    from .simulator import SimConfig, SimSummary
+
+# Loaded on first use; handlers look each up on this module at call time, so a value set on it runs.
+__getattr__ = _on_first_use(globals(), {
+    "two_stage_select": "assortment", "audit_ranking": "collusion", "findings_report": "collusion",
+    "SimConfig": "simulator", "simulate": "simulator", "summarize": "simulator", "trace_table": "simulator",
+})
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -194,7 +204,7 @@ def _emit(args, manifest: dict, body: dict | str, text_lines: list[str]) -> None
 
 def _cmd_rank(args) -> int:
     catalog, digest = _read_catalog(args.catalog)
-    ranking, trace = two_stage_select(catalog, args.slots, args.policy)
+    ranking, trace = _cli.two_stage_select(catalog, args.slots, args.policy)
     config = {"slots": args.slots, "policy": args.policy, "trace": bool(args.trace)}
     manifest = _manifest("rank", config, digest)
     body: dict = {"ranking": list(ranking.slots)}
@@ -281,7 +291,7 @@ def _cmd_audit(args) -> int:
     displayed = _parse_slate(args.displayed)
     dist = parse_span_spec(args.span)
     omega = parse_omega_spec(args.omega) if args.omega else None
-    findings = audit_ranking(
+    findings = _cli.audit_ranking(
         catalog,
         displayed,
         slot_count=len(displayed),
@@ -292,7 +302,7 @@ def _cmd_audit(args) -> int:
     )
     config = {"displayed": displayed, "span": args.span, "omega": args.omega, "policy": args.policy}
     manifest = _manifest("audit", config, digest)
-    body = {"findings": findings_report(findings)}
+    body = {"findings": _cli.findings_report(findings)}
     lines = [
         f"finding slot {f.slot} product {f.product_id} {f.kind}: {f.detail}"
         for f in findings
@@ -342,7 +352,7 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     if seed_override is not None:
         values["seed"] = seed_override
     span, slope = values.pop("span"), values.pop("cost_slope", None)
-    return SimConfig(
+    return _cli.SimConfig(
         **values,
         dist=parse_span_spec(span),
         cost=CostModel() if slope is None else CostModel(slope),
@@ -362,7 +372,7 @@ def _overwrite(path: Path, data: bytes) -> None:
 def _cmd_simulate(args) -> int:
     catalog, digest = _read_catalog(args.catalog)
     cfg = _load_sim_config(args.config, args.seed)
-    trace = simulate(catalog, cfg)
+    trace = _cli.simulate(catalog, cfg)
     config = {
         "config_path": args.config,
         "horizon": cfg.horizon,
@@ -372,8 +382,8 @@ def _cmd_simulate(args) -> int:
     manifest = _manifest("simulate", config, digest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = trace_table(trace).encode("utf-8")
-    summary = summarize(trace)
+    table = _cli.trace_table(trace).encode("utf-8")
+    summary = _cli.summarize(trace)
     report = _summary_json(manifest, summary)
     document = (report + "\n").encode("utf-8")
     # Both files are encoded before either is written: a failed encode leaves both as they were.

@@ -515,11 +515,11 @@ def brute_force_optimize(
     every slate and ``scored`` those it approximated.  Under slot-independent
     demand and a point span, `_sorted_slate` first tries to prove the answer
     from the price * share order; when it can, no search runs and ``scored``
-    is 0.  Negative prices or shares, and purchase probabilities outside [0,
-    1], are refused: the bounds hold for nonnegative cascade terms only.  So
-    are catalogs that list an id twice, and a ``compare`` slate longer than
-    slot_count, which the optimum may not match.  Refuses universes beyond
-    the guard limits rather than truncating silently.
+    is 0.  Negative or NaN prices or shares, and purchase probabilities
+    outside [0, 1], are refused: the bounds hold for nonnegative cascade
+    terms only.  So are catalogs that list an id twice, and a ``compare``
+    slate longer than slot_count, which the optimum may not match.  Refuses
+    universes beyond the guard limits rather than truncating silently.
     """
     require_int("slot_count", slot_count, least=1)
     if compare is not None and len(compare) > slot_count:
@@ -546,10 +546,10 @@ def brute_force_optimize(
     shares = [omega] * size if omega is not None else columns.share.tolist()
 
     for i, pid in enumerate(ids):
-        if prices[i] < 0:
-            raise ValueError(f"product {pid!r}: price {prices[i]} is negative")
-        if shares[i] < 0:
-            raise ValueError(f"product {pid!r}: revenue share {shares[i]} is negative")
+        for name, value in (("price", prices[i]), ("revenue share", shares[i])):
+            if not value >= 0:  # false for a NaN too
+                problem = "negative" if value < 0 else "not a number"
+                raise ValueError(f"product {pid!r}: {name} {value} is {problem}")
         for slot, row in enumerate(lam, start=1):
             if not 0 <= row[i] <= 1:
                 raise ValueError(

@@ -36,15 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assortment import (
-    POLICIES,
-    POLICY_STAGE1_ORDER,
-    RankingColumns,
-    RankingPool,
-    Round,
-    two_stage_select,
-)
-from .catalog import MAX_REVIEWS, BeliefPrior, Catalog, CatalogColumns, require_int, require_number
+from .assortment import RankingColumns, RankingPool, Round, two_stage_select
+from .catalog import MAX_REVIEWS, POLICIES, POLICY_STAGE1_ORDER, BeliefPrior, Catalog, CatalogColumns
+from .catalog import require_int, require_number
 from .demand import CostModel, add_rating, posterior, purchase_chance
 # perfbench/tracing.py wraps logistic under this module attribute, so it stays importable.
 from .demand import logistic  # noqa: F401

@@ -1,7 +1,19 @@
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import settings
 
+import assortplan
 from assortplan.catalog import Catalog, demo_catalog, serialize_catalog
+
+# Hypothesis also draws literals it collects from every loaded local module,
+# and rescans whenever sys.modules grows; the CLI loads some engine modules
+# only on first use.  Importing every submodule here, before any test runs,
+# fixes that pool, so a derandomized property test draws the same examples
+# whichever tests ran before it.
+for submodule in pkgutil.iter_modules(assortplan.__path__):
+    importlib.import_module(f"assortplan.{submodule.name}")
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; no per-example deadline, since machine speed varies.

@@ -621,6 +621,30 @@ MUTANTS = (
         ("tests/test_cli.py::TestSimulate::test_config_seed_refused_under_seed_override",),
     ),
     Mutant(
+        "optimize-lets-a-nan-price-through",
+        "revenue.py",
+        "if not value >= 0:  # false for a NaN too",
+        "if value < 0:",
+        ("tests/test_revenue.py::TestBruteForceOptimize::test_nan_values_rejected",),
+    ),
+    Mutant(
+        # optimize and expected-revenue then load the simulator (and philox) too.
+        "cli-imports-the-simulator-eagerly",
+        "cli.py",
+        "from .demand import CostModel\n",
+        "from .demand import CostModel\nfrom .simulator import SimConfig, simulate, summarize, trace_table  # noqa: F401\n",
+        ("tests/test_lazy_imports.py::test_request_loads_only_the_modules_it_runs",),
+    ),
+    Mutant(
+        # The handler then runs the ranker itself, not a value set on cli.two_stage_select.
+        "rank-handler-imports-its-ranker-locally",
+        "cli.py",
+        "    ranking, trace = _cli.two_stage_select(catalog, args.slots, args.policy)\n",
+        "    from .assortment import two_stage_select\n"
+        "    ranking, trace = two_stage_select(catalog, args.slots, args.policy)\n",
+        ("tests/test_lazy_imports.py::test_a_value_set_before_the_first_request_is_what_runs",),
+    ),
+    Mutant(
         "belief-prior-keeps-an-int",
         "catalog.py",
         "object.__setattr__(self, name, float(value))",

@@ -452,6 +452,22 @@ class TestBruteForceOptimize:
                 catalog, 2, AttentionSpanDist.deterministic(2), prior=BeliefPrior(0.0, 1.0, 1.0)
             )
 
+    @pytest.mark.parametrize(
+        "field, omega, message",
+        [
+            ({"price": math.nan}, None, "'A': price nan is not a number"),
+            ({"revenue_share": math.nan}, None, "'A': revenue share nan is not a number"),
+            ({}, math.nan, "'A': revenue share nan is not a number"),
+        ],
+        ids=["price", "share", "omega"],
+    )
+    def test_nan_values_rejected(self, field, omega, message):
+        # A NaN fails every comparison, so a `value < 0` guard lets it through.
+        base = dict(price=1.0, review_count=1, avg_rating=1.0, demand_override=0.5)
+        catalog = Catalog((Product(id="A", **{**base, **field}), Product(id="B", **base)))
+        with pytest.raises(ValueError, match=message):
+            brute_force_optimize(catalog, 2, AttentionSpanDist.deterministic(2), omega=omega)
+
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             brute_force_optimize(Catalog(()), 1, AttentionSpanDist.deterministic(1))
